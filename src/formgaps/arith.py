@@ -217,23 +217,24 @@ def tau(n: int) -> int:
     return out
 
 
-_prime_cache = np.array([], dtype=np.int64)
-_prime_cache_limit = 0
+# (limit, primes <= limit): one assignment, so no thread sees a mismatched pair
+_prime_cache = (0, np.array([], dtype=np.int64))
 
 
 def primes(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (cached, grow-only)."""
-    global _prime_cache, _prime_cache_limit
-    if limit > _prime_cache_limit:
-        new_limit = max(limit, 2 * _prime_cache_limit, 1 << 16)
+    global _prime_cache
+    cached_limit, cache = _prime_cache
+    if limit > cached_limit:
+        new_limit = max(limit, 2 * cached_limit, 1 << 16)
         sieve = np.ones(new_limit + 1, dtype=bool)
         sieve[:2] = False
         for p in range(2, math.isqrt(new_limit) + 1):
             if sieve[p]:
                 sieve[p * p :: p] = False
-        _prime_cache = np.flatnonzero(sieve).astype(np.int64)
-        _prime_cache_limit = new_limit
-    return _prime_cache[: int(np.searchsorted(_prime_cache, limit, side="right"))]
+        cache = np.flatnonzero(sieve).astype(np.int64)
+        _prime_cache = (new_limit, cache)
+    return cache[: int(np.searchsorted(cache, limit, side="right"))]
 
 
 @lru_cache(maxsize=8)

@@ -67,30 +67,30 @@ class CorrelationReport:
     ratio: float
 
 
-def _coprime_mask(lo: int, hi: int, b: int) -> np.ndarray:
-    residues = np.array([r for r in range(b) if math.gcd(r, b) == 1], dtype=np.int64)
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    return np.isin(n % b, residues)
+def _product_sum(psi, rho, a: int, x: int, threads: int, b: int = 1) -> int:
+    """Exact sum over max(1, 1 - a) <= n <= x, gcd(n, b) = 1, of F_psi(n) F_rho(n + a)."""
+    n_lo = max(1, 1 - a)
+    if x < n_lo:
+        return 0
+    if x + abs(a) > CORRELATION_MAX:
+        raise BudgetError(f"correlation budget {CORRELATION_MAX} exceeded")
+
+    def one(c):
+        lo, hi = c
+        # F_window counts are int32; widen before the product
+        terms = np.multiply(F_window(psi, lo, hi), F_window(rho, lo + a, hi + a), dtype=np.int64)
+        if b > 1:
+            terms *= (np.gcd(np.arange(b), b) == 1)[np.arange(lo, hi + 1) % b]
+        return int(terms.sum())
+
+    return sum(map_ordered(one, chunk_ranges(n_lo, x), threads))
 
 
 def correlation_J(psi: DirichletCharacter, a: int, x: int, threads: int = 1) -> int:
     """Exact J(x) = sum over n <= x, gcd(n, b) = 1 of F_psi(n) F_chi4(n + a)."""
     if a == 0:
         raise ValueError("correlation_J requires a != 0")
-    n_lo = max(1, 1 - a)
-    if x < n_lo:
-        return 0
-    if x + abs(a) > CORRELATION_MAX:
-        raise BudgetError(f"correlation budget {CORRELATION_MAX} exceeded")
-    b = psi.modulus
-
-    def one(c):
-        lo, hi = c
-        fa = F_window(psi, lo, hi)
-        fb = F_window(chi4(), lo + a, hi + a)
-        return int(np.sum(fa * fb * _coprime_mask(lo, hi, b), dtype=np.int64))
-
-    return sum(map_ordered(one, chunk_ranges(n_lo, x), threads))
+    return _product_sum(psi, chi4(), a, x, threads, b=psi.modulus)
 
 
 def correlation_general(
@@ -99,18 +99,7 @@ def correlation_general(
     """Exact sum over n <= x of F_psi(n) F_rho(n + a), for a >= 1."""
     if a < 1:
         raise ValueError("correlation_general requires a >= 1")
-    if x < 1:
-        return 0
-    if x + a > CORRELATION_MAX:
-        raise BudgetError(f"correlation budget {CORRELATION_MAX} exceeded")
-
-    def one(c):
-        lo, hi = c
-        return int(
-            np.sum(F_window(psi, lo, hi) * F_window(rho, lo + a, hi + a), dtype=np.int64)
-        )
-
-    return sum(map_ordered(one, chunk_ranges(1, x), threads))
+    return _product_sum(psi, rho, a, x, threads)
 
 
 def estermann_correlation(a: int, x: int, threads: int = 1) -> int:
@@ -118,19 +107,7 @@ def estermann_correlation(a: int, x: int, threads: int = 1) -> int:
     since no closed form for its linear coefficient is carried here."""
     if a == 0:
         raise ValueError("estermann_correlation requires a != 0")
-    n_lo = max(1, 1 - a)
-    if x < n_lo:
-        return 0
-    if x + abs(a) > CORRELATION_MAX:
-        raise BudgetError(f"correlation budget {CORRELATION_MAX} exceeded")
-
-    def one(c):
-        lo, hi = c
-        return int(
-            np.sum(F_window(chi4(), lo, hi) * F_window(chi4(), lo + a, hi + a), dtype=np.int64)
-        )
-
-    return 16 * sum(map_ordered(one, chunk_ranges(n_lo, x), threads))
+    return 16 * _product_sum(chi4(), chi4(), a, x, threads)
 
 
 def census_interval(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .arith import divisors, factorize
 from .errors import BudgetError
-from .util import DEFAULT_CHUNK, chunk_ranges, map_ordered
+from .util import DEFAULT_CHUNK, chunk_ranges, map_ordered, pair_blocks
 
 F_SIEVE_MAX = 150_000_000  # materialized-array guard; windows go further
 
@@ -96,7 +96,7 @@ class DirichletCharacter:
         return self.values[n % self.modulus]
 
     def table(self) -> np.ndarray:
-        dtype = np.int64 if self.is_real else complex
+        dtype = np.int32 if self.is_real else complex
         return np.array(self.values, dtype=dtype)
 
 
@@ -269,10 +269,15 @@ def sqrt_trick_F(psi: DirichletCharacter, n: int):
 def F_window(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
     """F_psi on the closed window [lo, hi] (lo >= 1), as an array.
 
-    Divisor pairs are split at B = isqrt(hi): divisors d <= B by strided
-    constant adds, divisors d > B through their cofactor e = n/d <= hi/(B+1),
-    where the added value psi(n/e) varies and is gathered from the table.
-    Each divisor is counted exactly once; O(W log hi + sqrt(hi)) additions.
+    Divisor pairs n = d * m split at B = isqrt(hi): d <= B adds psi(d) at its
+    multiples, m > B adds psi(m) at n = e * m for cofactors e <= hi // (B + 1).
+    Keys fall in three classes by their hits in the window of width W: divisors
+    with W // d >= 16 take a strided add, cofactors with >= 32 hits per residue
+    mod k a strided add per unit residue, and all other keys go through
+    util.pair_blocks into unbuffered adds (two keys can hit one n), so that
+    temporaries stay O(PAIR_BLOCK) = O(2^16).  Real characters give int32
+    (|F_psi(n)| <= tau(n) < 2^31 for n < 2^63; widen before multiplying two
+    windows), complex characters complex128.
     """
     if lo < 1 or hi < lo:
         raise ValueError("window must satisfy 1 <= lo <= hi")
@@ -281,19 +286,34 @@ def F_window(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
     table = psi.table()
     out = np.zeros(width, dtype=table.dtype)
     B = math.isqrt(hi)
-    for d in range(1, min(B, hi) + 1):
-        v = table[d % k]
-        if v == 0:
-            continue
-        out[(-lo) % d :: d] += v
+    d_dense = min(B, width // 16)
+    for d in range(1, d_dense + 1):
+        if table[d % k] != 0:
+            out[(-lo) % d :: d] += table[d % k]
+
+    def divisor_bounds(d):
+        first = (lo - 1) // d + 1
+        return first, np.where(table[d % k] != 0, hi // d, 0)  # empty where psi(d) = 0
+
+    for d, m in pair_blocks(d_dense + 1, B, divisor_bounds):
+        np.add.at(out, d * m - lo, table[d % k])
+
+    units = [(r, v) for r, v in enumerate(table) if v != 0]
     emax = hi // (B + 1)
-    for e in range(1, emax + 1):
-        mlo = max(B + 1, -(-lo // e))
-        mhi = hi // e
-        if mlo > mhi:
-            continue
-        m = np.arange(mlo, mhi + 1, dtype=np.int64)
-        out[e * m - lo] += table[m % k]
+    e = 1
+    while e <= emax:
+        mlo, mhi = max(B + 1, (lo - 1) // e + 1), hi // e
+        if mhi - mlo + 1 < 32 * k:
+            break
+        for r, v in units:  # the m = r (mod k) in [mlo, mhi], stepping n by e * k
+            out[e * (mlo + (r - mlo) % k) - lo : e * mhi - lo + 1 : e * k] += v
+        e += 1
+
+    def cofactor_bounds(e):
+        return np.maximum(B + 1, (lo - 1) // e + 1), hi // e
+
+    for t, m in pair_blocks(e, emax, cofactor_bounds):
+        np.add.at(out, t * m - lo, table[m % k])
     return out
 
 

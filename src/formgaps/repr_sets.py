@@ -8,11 +8,13 @@ Sets handled, with their divisor-sum representation counts:
     diamond(D)     ideal-norm values of the quadratic field with
                    fundamental discriminant D; membership is F_chiD(n) > 0
 
-Membership of square2/triangle is decided by exponent parity at the primes
-where the relevant character is -1 (p = 3 mod 4, resp. p = 2 mod 3); the
-divisor formulas then serve as an independent cross-check.  Enumeration modes
-count lattice points directly and never touch the divisor formulas, so the
-two routes validate each other.
+Window membership (sieve_members) of square2, triangle and diamond(D) is
+F_psi(n) > 0 for psi = chi4, chi3, chiD, read off characters.F_window;
+triangle_star windows enumerate the lattice points (c, d).  is_member keeps
+independent routes as the oracle for the windows: exponent parity at the
+primes where the character is -1 (p = 3 mod 4, resp. p = 2 mod 3), and a scan
+over d.  Enumeration modes of r2/R2 count lattice points directly and never
+touch the divisor formulas, so the routes validate each other.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize, primes
+from .arith import factorize
 from .characters import F, F_window, chi3, chi4, kronecker_character
 from .errors import BudgetError
-from .util import DEFAULT_CHUNK, chunk_ranges, map_ordered
+from .util import DEFAULT_CHUNK, chunk_ranges, map_ordered, pair_blocks
 
 WINDOW_MAX = 1_000_000_000
 
@@ -153,69 +155,41 @@ def is_member(s: SetId, n: int) -> bool:
     raise ValueError(f"unknown set {s}")
 
 
-def _exponent_parity_window(lo: int, hi: int, bad_mod: int, bad_res: int) -> np.ndarray:
-    """Membership mask on [lo, hi] for "every bad prime has even exponent".
-
-    Segmented sieve: divide out every prime p <= sqrt(hi) while tracking
-    exponent parity; the surviving cofactor is 1 or a single prime, so one
-    residue test finishes the job.
-    """
-    width = hi - lo + 1
-    ok = np.ones(width, dtype=bool)
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
-    if lo == 0:
-        rem[0] = 1  # n = 0 is fixed up by the caller
-    for p in primes(math.isqrt(hi)):
-        p = int(p)
-        idx = np.arange((-lo) % p, width, p)
-        if idx.size == 0:
-            continue
-        sub = rem[idx]
-        e = np.zeros(idx.size, dtype=np.int64)
-        mask = sub % p == 0
-        while mask.any():
-            sub[mask] //= p
-            e[mask] += 1
-            mask &= sub % p == 0
-        rem[idx] = sub
-        if p % bad_mod == bad_res:
-            ok[idx] &= e % 2 == 0
-    ok &= ~((rem > 1) & (rem % bad_mod == bad_res))
-    return ok
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """Exact floor square roots of int64 v >= 0: a float estimate, then +-1."""
+    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
+    return r - (r * r > v) + ((r + 1) * (r + 1) <= v)  # at most one term is 1
 
 
 def _triangle_star_window(lo: int, hi: int) -> np.ndarray:
-    width = hi - lo + 1
-    out = np.zeros(width, dtype=bool)
-    for d in range(0, math.isqrt(hi // 3) + 1):
+    out = np.zeros(hi - lo + 1, dtype=bool)
+
+    def c_range(d):
+        # c^2 in [lo - 3d^2, hi - 3d^2]; c_lo = ceil(sqrt(t)) = isqrt(t - 1) + 1 for t > 0
         base = 3 * d * d
-        t = max(lo - base, 0)
-        c_lo = math.isqrt(t)
-        if c_lo * c_lo < t:
-            c_lo += 1
-        c_hi = math.isqrt(hi - base)
-        if c_lo > c_hi:
-            continue
-        c = np.arange(c_lo, c_hi + 1, dtype=np.int64)
-        out[c * c + base - lo] = True
+        t = np.maximum(lo - base, 0)
+        return _isqrt(np.maximum(t - 1, 0)) + (t > 0), _isqrt(hi - base)
+
+    for d, c in pair_blocks(0, math.isqrt(hi // 3), c_range):
+        out[c * c + 3 * d * d - lo] = True
     return out
 
 
 def _member_window(s: SetId, lo: int, hi: int) -> np.ndarray:
+    if s.tag == "triangle_star":
+        return _triangle_star_window(lo, hi)
     if s.tag == "square2":
-        out = _exponent_parity_window(lo, hi, 4, 3)
+        psi = chi4()
     elif s.tag == "triangle":
-        out = _exponent_parity_window(lo, hi, 3, 2)
-    elif s.tag == "triangle_star":
-        out = _triangle_star_window(lo, hi)
+        psi = chi3()
     elif s.tag == "diamond":
-        out = np.zeros(hi - lo + 1, dtype=bool)
-        flo = max(lo, 1)
-        out[flo - lo :] = F_window(kronecker_character(s.disc), flo, hi) > 0
+        psi = kronecker_character(s.disc)
     else:
         raise ValueError(f"unknown set {s}")
-    if lo == 0:
-        out[0] = s.tag != "diamond"
+    out = np.zeros(hi - lo + 1, dtype=bool)
+    out[0] = lo == 0 and s.tag != "diamond"
+    if hi >= 1:
+        out[max(lo, 1) - lo :] = F_window(psi, max(lo, 1), hi) > 0
     return out
 
 

@@ -1,8 +1,12 @@
 import math
 import random
+import sys
+import threading
 
+import numpy as np
 import pytest
 
+from formgaps import arith
 from formgaps.arith import (
     INFINITY,
     Factorization,
@@ -109,3 +113,31 @@ def test_is_prime_against_sieve():
 def test_primes_cache_grows():
     assert list(primes(10)) == [2, 3, 5, 7]
     assert int(primes(100)[-1]) == 97
+
+
+def test_primes_cache_under_threads(monkeypatch):
+    # four threads grow an empty cache at once; every later call in every
+    # thread must still see all primes up to its limit
+    limits = (70_000, 150_000, 300_000, 600_000)
+    expected = {n: int(primes(n).size) for n in limits}
+    seen = []
+
+    def grow(limit):
+        primes(limit)
+        seen.extend((n, int(primes(n).size)) for n in limits)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(arith, "_prime_cache", (0, np.array([], dtype=np.int64)))
+            threads = [threading.Thread(target=grow, args=(n,)) for n in limits]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert len(seen) == 10 * len(limits) ** 2
+    assert all(count == expected[n] for n, count in seen)

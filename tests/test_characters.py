@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from formgaps.arith import primes
 from formgaps.characters import (
     F,
     F_sieve,
@@ -156,6 +159,85 @@ def test_F_window_deep_offsets():
         w = F_window(chi6(), lo, hi)
         for n in range(lo, hi + 1):
             assert int(w[n - lo]) == F(chi6(), n)
+
+
+KERNEL_CHARACTERS = (
+    chi3(),
+    chi4(),
+    chi6(),
+    kronecker_character(5),
+    kronecker_character(-23),
+    table_character(5, (0, 1, 1j, -1j, -1)),
+)
+
+
+def _F_reference(chars, lo, hi):
+    """F_psi on [lo, hi] for each psi in chars, evaluated multiplicatively from
+    one segmented factorization.
+
+    Every prime p <= isqrt(hi) is divided out of each of its multiples with its
+    exponent e, contributing the local factor sum_{i <= e} psi(p)^i; what is
+    left of n is 1 or one prime q, contributing 1 + psi(q).
+    """
+    width = hi - lo + 1
+    n = np.arange(lo, hi + 1, dtype=np.int64)
+    ps = primes(math.isqrt(hi))
+    first = (-lo) % ps
+    counts = np.where(first < width, (width - 1 - first) // ps + 1, 0)
+    p = np.repeat(ps, counts)
+    j = np.arange(p.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    pos = np.repeat(first, counts) + j * p
+    e = np.zeros(p.size, dtype=np.int64)
+    pe = np.ones(p.size, dtype=np.int64)
+    live = np.arange(p.size)
+    while live.size:
+        live = live[n[pos[live]] % (pe[live] * p[live]) == 0]
+        e[live] += 1
+        pe[live] *= p[live]
+    rem = n.copy()
+    np.floor_divide.at(rem, pos, pe)
+    out = []
+    for psi in chars:
+        table = np.array(psi.values, dtype=complex)
+        # geometric[r, e] = sum_{i <= e} psi(r)^i
+        powers = np.ones((psi.modulus, int(e.max(initial=0)) + 1), dtype=complex)
+        powers[:, 1:] = table[:, None]
+        geometric = np.cumsum(np.cumprod(powers, axis=1), axis=1)
+        f = np.where(rem > 1, 1 + table[rem % psi.modulus], 1)
+        np.multiply.at(f, pos, geometric[p % psi.modulus, e])
+        out.append(f)
+    return out
+
+
+KERNEL_WIDTHS = (1, 17, 1000, 1 << 14, 1 << 18)
+
+
+@pytest.mark.parametrize("lo", [1, 10 ** 9 - 7, 10 ** 12 + 11, 10 ** 14 + 3])
+def test_F_window_matches_multiplicative_F(lo):
+    # widths 1 and 17 are all sparse keys; 2^14 and 2^18 also reach the
+    # strided divisor adds and the per-residue cofactor adds
+    for j, width in enumerate(KERNEL_WIDTHS):
+        hi = lo + width - 1
+        # near 1e14 each call scans 2 * 10^7 keys (about 0.3 s), so that row
+        # spreads the six characters over the widths
+        chars = KERNEL_CHARACTERS[j::4] if lo > 10 ** 13 else KERNEL_CHARACTERS
+        for psi, ref in zip(chars, _F_reference(chars, lo, hi)):
+            w = F_window(psi, lo, hi)
+            assert w.dtype == (np.int32 if psi.is_real else np.complex128)
+            assert np.array_equal(w, ref), (psi.name, lo, width)
+            for n in (lo, hi):
+                assert w[n - lo] == F(psi, n), (psi.name, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    lo=st.integers(min_value=1, max_value=10 ** 13),
+    width=st.integers(min_value=1, max_value=3000),
+    psi=st.sampled_from(KERNEL_CHARACTERS),
+)
+def test_F_window_property(lo, width, psi):
+    hi = lo + width - 1
+    assert np.array_equal(F_window(psi, lo, hi), _F_reference([psi], lo, hi)[0])
 
 
 def test_F_sieve_budget_guard():

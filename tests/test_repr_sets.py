@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from formgaps.repr_sets import (
     SQUARE2,
     TRIANGLE,
     TRIANGLE_STAR,
+    _isqrt,
     diamond,
     ideal_count,
     is_member,
@@ -66,9 +69,21 @@ def test_membership_matches_representation_counts():
 
 
 def test_triangle_star_subset_of_triangle():
-    star = sieve_members(TRIANGLE_STAR, 0, 50_000)
-    tri = sieve_members(TRIANGLE, 0, 50_000)
+    star = sieve_members(TRIANGLE_STAR, 0, 300_000)
+    tri = sieve_members(TRIANGLE, 0, 300_000)
     assert np.all(tri[star])
+    scan = np.zeros(300_001, dtype=bool)  # every lattice point, one by one
+    for d in range(0, math.isqrt(300_000 // 3) + 1):
+        for c in range(0, math.isqrt(300_000 - 3 * d * d) + 1):
+            scan[c * c + 3 * d * d] = True
+    assert np.array_equal(star, scan)
+
+
+def test_isqrt_exact_near_large_squares():
+    # beyond 2^52 the float estimate of sqrt(n^2 - 1) rounds up to n
+    n = np.array([2 ** 26 + 1, 3 * 10 ** 8 + 7, 2 ** 31 - 1, 3_037_000_000], dtype=np.int64)
+    v = np.concatenate([n * n - 1, n * n, n * n + n, [0, 1, 2, 3, 4]])
+    assert [int(r) for r in _isqrt(v)] == [math.isqrt(int(x)) for x in v]
 
 
 def test_sieve_examples():
@@ -78,11 +93,15 @@ def test_sieve_examples():
     assert {n for n in range(1, 11) if m[n - 1]} == {1, 3, 4, 7, 9}
     m = sieve_members(SQUARE2, 0, 0)
     assert m.shape == (1,) and bool(m[0])
+    m = sieve_members(diamond(-4), 0, 0)
+    assert m.shape == (1,) and not m[0]
 
 
 def test_sieve_matches_is_member_on_windows():
     for s in (SQUARE2, TRIANGLE, TRIANGLE_STAR, diamond(-4), diamond(5)):
-        for lo, hi in ((0, 600), (9_995, 10_600), (123_456, 123_999)):
+        windows = ((0, 600), (9_995, 10_600), (123_456, 123_999),
+                   (999_999_800, 1_000_000_000), (10 ** 12 - 3, 10 ** 12 + 12))
+        for lo, hi in windows:
             mask = sieve_members(s, lo, hi)
             for n in range(lo, hi + 1):
                 assert bool(mask[n - lo]) == is_member(s, n), (s, n)
