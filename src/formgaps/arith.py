@@ -217,6 +217,10 @@ def tau(n: int) -> int:
     return out
 
 
+PRIME_CACHE_MAX = 1 << 24  # the cache doubles up to here; larger limits are taken as asked
+
+PRIME_SEGMENT = 1 << 20  # integers per block of the segmented sieve beyond the cache
+
 # (limit, primes <= limit): one assignment, so no thread sees a mismatched pair
 _prime_cache = (0, np.array([], dtype=np.int64))
 
@@ -226,7 +230,7 @@ def primes(limit: int) -> np.ndarray:
     global _prime_cache
     cached_limit, cache = _prime_cache
     if limit > cached_limit:
-        new_limit = max(limit, 2 * cached_limit, 1 << 16)
+        new_limit = max(limit, min(2 * cached_limit, PRIME_CACHE_MAX), 1 << 16)
         sieve = np.ones(new_limit + 1, dtype=bool)
         sieve[:2] = False
         for p in range(2, math.isqrt(new_limit) + 1):
@@ -235,6 +239,29 @@ def primes(limit: int) -> np.ndarray:
         cache = np.flatnonzero(sieve).astype(np.int64)
         _prime_cache = (new_limit, cache)
     return cache[: int(np.searchsorted(cache, limit, side="right"))]
+
+
+def prime_blocks(lo: int, hi: int):
+    """The primes in [lo, hi] as increasing int64 arrays, one block at a time.
+
+    Primes up to PRIME_CACHE_MAX are one slice of the primes() cache; larger
+    ones come from a segmented sieve over PRIME_SEGMENT integers at a time, so
+    memory stays bounded by the cache and one segment whatever hi.
+    """
+    if lo <= PRIME_CACHE_MAX:
+        ps = primes(min(hi, PRIME_CACHE_MAX))
+        ps = ps[int(np.searchsorted(ps, lo)) :]
+        if ps.size:
+            yield ps
+    if hi <= PRIME_CACHE_MAX:
+        return
+    base = primes(math.isqrt(hi))
+    for s in range(max(lo, PRIME_CACHE_MAX + 1), hi + 1, PRIME_SEGMENT):
+        e = min(s + PRIME_SEGMENT - 1, hi)
+        composite = np.zeros(e - s + 1, dtype=bool)
+        for p in base[: int(np.searchsorted(base, math.isqrt(e), side="right"))].tolist():
+            composite[(-s) % p :: p] = True  # s > PRIME_CACHE_MAX > p, so p is never marked
+        yield s + np.flatnonzero(~composite)
 
 
 @lru_cache(maxsize=8)

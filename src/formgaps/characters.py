@@ -6,22 +6,36 @@ Moduli used here are tiny (3, 4, 5, 6, 12, |D|), so a character is stored as
 a value table indexed by residue, giving O(1) lookups inside sieve loops.
 psi is completely multiplicative and periodic; it is extended to the reals by
 psi(w) = 0 for non-integer w, which is what the square-root shortcut for F
-relies on.  F itself is multiplicative, with per-prime geometric sums.
+relies on.  F itself is multiplicative, with per-prime geometric sums
+sum_{i <= e} psi(p)^i at p^e || n: e + 1, the parity of e, or 1 for a real
+psi(p) = 1, -1, 0.
+
+F_window evaluates F on a window by exactly that product, as a segmented
+sieve over the primes up to sqrt(hi): each prime multiplies its local factor
+into the window and its p-part into the smooth part of each n; n over its
+smooth part is 1 or the one prime q > sqrt(hi), which contributes 1 + psi(q).
+F evaluates a single n the same way from its factorization; the divisor sum
+itself is kept only in the tests, as an independent oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .arith import divisors, factorize
+from .arith import divisors, factorize, prime_blocks
 from .errors import BudgetError
 from .util import DEFAULT_CHUNK, chunk_ranges, map_ordered, pair_blocks
 
 F_SIEVE_MAX = 150_000_000  # materialized-array guard; windows go further
+
+DENSE_HITS = 128  # primes with at least this many multiples in a window take strided passes
+
+SEGMENT = 1 << 18  # F_window sieves this many integers at a time
 
 _FULL_VALIDATE_MAX = 600  # moduli above this get spot-checked, not O(k^2)
 
@@ -266,55 +280,104 @@ def sqrt_trick_F(psi: DirichletCharacter, n: int):
     return 2 * total + (psi(r) if r * r == n else 0)
 
 
+def _strided_prime(f, smooth, lo: int, hi: int, p: int, v) -> None:
+    """Strided passes of the prime p over the window [lo, hi].
+
+    smooth takes the p-part of each n, and f the local factor sum_{i <= e} v^i,
+    v = psi(p), where e is the exponent of p in n.  f on the multiples of p^2
+    is saved before p's factor goes in, so each level j rewrites its multiples
+    of p^j from the saved values even where a lower level's factor is 0.
+    """
+    width = f.size
+    first = (-lo) % p
+    levels = []  # (offset, p^j) for j >= 2 while a multiple of p^j is in the window
+    pj = p
+    while pj <= hi // p:
+        pj *= p
+        offset = (-lo) % pj
+        if offset >= width:
+            break
+        levels.append((offset, pj))
+    smooth[first::p] *= p
+    for offset, pj in levels:
+        smooth[offset::pj] *= p
+    if v == 0:
+        return
+    if levels:
+        o2, p2 = levels[0]
+        saved = f[o2::p2].copy()
+    g = 1 + v
+    f[first::p] *= g
+    for offset, pj in levels:
+        g = 1 + v * g
+        f[offset::pj] = saved[(offset - o2) // p2 :: pj // p2] * g
+
+
 def F_window(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
     """F_psi on the closed window [lo, hi] (lo >= 1), as an array.
 
-    Divisor pairs n = d * m split at B = isqrt(hi): d <= B adds psi(d) at its
-    multiples, m > B adds psi(m) at n = e * m for cofactors e <= hi // (B + 1).
-    Keys fall in three classes by their hits in the window of width W: divisors
-    with W // d >= 16 take a strided add, cofactors with >= 32 hits per residue
-    mod k a strided add per unit residue, and all other keys go through
-    util.pair_blocks into unbuffered adds (two keys can hit one n), so that
-    temporaries stay O(PAIR_BLOCK) = O(2^16).  Real characters give int32
+    A segmented multiplicative sieve: F_psi(n) is the product over p^e || n of
+    sum_{i <= e} psi(p)^i.  The window is sieved SEGMENT integers at a time, so
+    the strided passes stay in cache.  In each segment every prime p <= B =
+    isqrt(hi) puts its local factor into the output and its p-part into the
+    B-smooth part of each n; what is left of n is 1 or one prime q > B, whose
+    factor is 1 + psi(q).  Primes with at least DENSE_HITS multiples in the
+    segment take strided passes; all other primes up to B go through
+    util.pair_blocks, PAIR_BLOCK (prime, multiple) pairs at a time, with
+    unbuffered products since two primes can divide one n.  Primes come from
+    arith.prime_blocks, so memory is O(width + SEGMENT + PAIR_BLOCK) plus the
+    bounded prime cache for any hi <= 2^63.  Real characters give int32
     (|F_psi(n)| <= tau(n) < 2^31 for n < 2^63; widen before multiplying two
     windows), complex characters complex128.
     """
     if lo < 1 or hi < lo:
         raise ValueError("window must satisfy 1 <= lo <= hi")
-    k = psi.modulus
-    width = hi - lo + 1
     table = psi.table()
-    out = np.zeros(width, dtype=table.dtype)
-    B = math.isqrt(hi)
-    d_dense = min(B, width // 16)
-    for d in range(1, d_dense + 1):
-        if table[d % k] != 0:
-            out[(-lo) % d :: d] += table[d % k]
-
-    def divisor_bounds(d):
-        first = (lo - 1) // d + 1
-        return first, np.where(table[d % k] != 0, hi // d, 0)  # empty where psi(d) = 0
-
-    for d, m in pair_blocks(d_dense + 1, B, divisor_bounds):
-        np.add.at(out, d * m - lo, table[d % k])
-
-    units = [(r, v) for r, v in enumerate(table) if v != 0]
-    emax = hi // (B + 1)
-    e = 1
-    while e <= emax:
-        mlo, mhi = max(B + 1, (lo - 1) // e + 1), hi // e
-        if mhi - mlo + 1 < 32 * k:
-            break
-        for r, v in units:  # the m = r (mod k) in [mlo, mhi], stepping n by e * k
-            out[e * (mlo + (r - mlo) % k) - lo : e * mhi - lo + 1 : e * k] += v
-        e += 1
-
-    def cofactor_bounds(e):
-        return np.maximum(B + 1, (lo - 1) // e + 1), hi // e
-
-    for t, m in pair_blocks(e, emax, cofactor_bounds):
-        np.add.at(out, t * m - lo, table[m % k])
+    out = np.empty(hi - lo + 1, dtype=table.dtype)
+    for a in range(lo, hi + 1, SEGMENT):
+        b = min(a + SEGMENT - 1, hi)
+        _sieve_segment(out[a - lo : b - lo + 1], table, a, b)
     return out
+
+
+def _sieve_segment(f: np.ndarray, table: np.ndarray, lo: int, hi: int) -> None:
+    """Write F_psi(n) for n in [lo, hi] into f, for psi given by its residue table."""
+    k = table.size
+    width = hi - lo + 1
+    B = math.isqrt(hi)
+    p_dense = min(B, width // DENSE_HITS)
+    part_dtype = np.int32 if hi < 1 << 31 else np.int64  # smooth parts are <= hi
+    f[:] = 1
+    smooth = np.ones(width, dtype=part_dtype)
+    blocks = prime_blocks(2, B)
+    cached = next(blocks, np.empty(0, dtype=np.int64))  # holds every prime <= p_dense
+    split = int(np.searchsorted(cached, p_dense, side="right"))
+    for p in cached[:split].tolist():
+        _strided_prime(f, smooth, lo, hi, p, table[p % k])
+
+    def multiples(p):
+        return (lo - 1) // p + 1, hi // p
+
+    for p, m in pair_blocks(itertools.chain([cached[split:]], blocks), multiples):
+        pos = p * m - lo
+        v = table[p % k]
+        local = 1 + v  # sum_{i <= e} v^i, e the exponent of p in n = p * m
+        part = p.copy()
+        live = np.flatnonzero(m % p == 0)
+        while live.size:
+            m[live] //= p[live]
+            part[live] *= p[live]
+            local[live] = 1 + v[live] * local[live]
+            live = live[m[live] % p[live] == 0]
+        np.multiply.at(smooth, pos, part.astype(part_dtype))
+        hit = np.flatnonzero(local != 1)
+        np.multiply.at(f, pos[hit], local[hit])
+    q = np.arange(lo, hi + 1, dtype=part_dtype)
+    q //= smooth  # 1, or the one prime q > B left of n
+    psi_q = np.take(table, q - q // k * k)  # q % k; numpy's integer % is slower here
+    psi_q *= q > 1
+    psi_q += 1
+    f *= psi_q
 
 
 def F_sieve(psi: DirichletCharacter, x: int, budget: int = F_SIEVE_MAX, threads: int = 1) -> np.ndarray:

@@ -4,7 +4,7 @@ Sets handled, with their divisor-sum representation counts:
 
     square2        n = x^2 + y^2           r2(n) = 4 * F_chi4(n)
     triangle       n = x^2 + x*y + y^2     R2(n) = 6 * F_chi3(n)
-    triangle_star  n = c^2 + 3*d^2         (a subset of triangle)
+    triangle_star  n = c^2 + 3*d^2         (equal to triangle as a set)
     diamond(D)     ideal-norm values of the quadratic field with
                    fundamental discriminant D; membership is F_chiD(n) > 0
 
@@ -15,6 +15,12 @@ independent routes as the oracle for the windows: exponent parity at the
 primes where the character is -1 (p = 3 mod 4, resp. p = 2 mod 3), and a scan
 over d.  Enumeration modes of r2/R2 count lattice points directly and never
 touch the divisor formulas, so the routes validate each other.
+
+triangle_star and triangle are one set, with a^2 + ab + b^2 = c^2 + 3d^2 both
+ways: c^2 + 3d^2 is the form at (a, b) = (c - d, 2d); and the form is invariant
+under (a, b) -> (b, -a - b), whose orbit puts each of b, -a - b, a second, so
+some point (a, b) of the orbit has b even and gives c = a + b/2, d = b/2.  The
+two keep separate routes, so each checks the other.
 """
 
 from __future__ import annotations
@@ -27,9 +33,11 @@ import numpy as np
 from .arith import factorize
 from .characters import F, F_window, chi3, chi4, kronecker_character
 from .errors import BudgetError
-from .util import DEFAULT_CHUNK, chunk_ranges, map_ordered, pair_blocks
+from .util import DEFAULT_CHUNK, chunk_ranges, key_blocks, map_ordered, pair_blocks
 
 WINDOW_MAX = 1_000_000_000
+
+_SCAN_BLOCK = 1 << 14  # d values per step of the triangle_star membership scan
 
 
 @dataclass(frozen=True)
@@ -130,10 +138,18 @@ def _exponents_ok(n: int, bad_mod: int, bad_res: int) -> bool:
 
 
 def _triangle_star_member(n: int) -> bool:
-    for d in range(0, math.isqrt(n // 3) + 1):
+    """A plain scan: is n - 3 d^2 a square for some 0 <= d <= sqrt(n / 3)?
+    The d are taken _SCAN_BLOCK at a time; exact for n < 2^63."""
+    if n >= 1 << 63:
+        raise ValueError("triangle_star membership requires n < 2^63")
+    top = math.isqrt(n // 3)
+    for d0 in range(0, top + 1, _SCAN_BLOCK):
+        d = np.arange(d0, min(d0 + _SCAN_BLOCK, top + 1), dtype=np.int64)
         r = n - 3 * d * d
-        c = math.isqrt(r)
-        if c * c == r:
+        # the float root is within 1e-6 of sqrt(r), so it rounds to the root of
+        # a square r; a c beyond isqrt(2^63) only wraps, never equals r
+        c = np.rint(np.sqrt(r)).astype(np.int64)
+        if np.any(c * c == r):
             return True
     return False
 
@@ -170,22 +186,29 @@ def _triangle_star_window(lo: int, hi: int) -> np.ndarray:
         t = np.maximum(lo - base, 0)
         return _isqrt(np.maximum(t - 1, 0)) + (t > 0), _isqrt(hi - base)
 
-    for d, c in pair_blocks(0, math.isqrt(hi // 3), c_range):
+    for d, c in pair_blocks(key_blocks(0, math.isqrt(hi // 3)), c_range):
         out[c * c + 3 * d * d - lo] = True
     return out
 
 
-def _member_window(s: SetId, lo: int, hi: int) -> np.ndarray:
-    if s.tag == "triangle_star":
-        return _triangle_star_window(lo, hi)
+def member_character(s: SetId):
+    """The character psi with n in s iff F_psi(n) > 0 for n >= 1, or None for
+    triangle_star, whose windows enumerate lattice points instead."""
     if s.tag == "square2":
-        psi = chi4()
-    elif s.tag == "triangle":
-        psi = chi3()
-    elif s.tag == "diamond":
-        psi = kronecker_character(s.disc)
-    else:
-        raise ValueError(f"unknown set {s}")
+        return chi4()
+    if s.tag == "triangle":
+        return chi3()
+    if s.tag == "diamond":
+        return kronecker_character(s.disc)
+    if s.tag == "triangle_star":
+        return None
+    raise ValueError(f"unknown set {s}")
+
+
+def _member_window(s: SetId, lo: int, hi: int) -> np.ndarray:
+    psi = member_character(s)
+    if psi is None:
+        return _triangle_star_window(lo, hi)
     out = np.zeros(hi - lo + 1, dtype=bool)
     out[0] = lo == 0 and s.tag != "diamond"
     if hi >= 1:

@@ -39,33 +39,43 @@ def resolve_threads(threads: int | None = None) -> int:
 
 
 def map_ordered(fn, items, threads: int = 1) -> list:
-    """Map fn over items, preserving item order in the result."""
+    """Map fn over items, preserving item order in the result, on at most
+    min(threads, len(items)) worker threads."""
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads, len(items))
+    if workers <= 1:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
-def pair_blocks(t_lo: int, t_hi: int, bounds):
-    """Every pair (t, m) with t_lo <= t <= t_hi and first <= m <= last, where
-    (first, last) = bounds(t) for an int64 array of keys t, as int64 arrays
-    (t, m) of at most PAIR_BLOCK pairs in key order.  Keys are taken PAIR_BLOCK
-    at a time too, so no temporary grows with the key range or the pair count.
-    """
+def key_blocks(t_lo: int, t_hi: int):
+    """The keys t_lo..t_hi as int64 arrays of at most PAIR_BLOCK keys, in order."""
     for k0 in range(t_lo, t_hi + 1, PAIR_BLOCK):
-        t = np.arange(k0, min(k0 + PAIR_BLOCK, t_hi + 1), dtype=np.int64)
-        first, last = bounds(t)
-        keep = np.flatnonzero(last >= first)
-        t, first = t[keep], first[keep]
-        counts = last[keep] - first + 1
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        total = int(ends[-1]) if ends.size else 0
-        for s in range(0, total, PAIR_BLOCK):
-            e = min(s + PAIR_BLOCK, total)
-            i0 = int(np.searchsorted(ends, s, side="right"))
-            i1 = int(np.searchsorted(ends, e - 1, side="right")) + 1
-            per_key = np.minimum(ends[i0:i1], e) - np.maximum(starts[i0:i1], s)
-            idx = np.repeat(np.arange(i0, i1), per_key)
-            yield t[idx], first[idx] + (np.arange(s, e) - starts[idx])
+        yield np.arange(k0, min(k0 + PAIR_BLOCK, t_hi + 1), dtype=np.int64)
+
+
+def pair_blocks(keys, bounds):
+    """Every pair (t, m) with t a key and first <= m <= last, where (first,
+    last) = bounds(t) for an int64 array of keys t, as int64 arrays (t, m) of
+    at most PAIR_BLOCK pairs in key order.  keys is an iterable of increasing
+    int64 arrays; they are taken PAIR_BLOCK keys at a time, so no temporary
+    grows with the key count or the pair count.
+    """
+    for block in keys:
+        for k0 in range(0, block.size, PAIR_BLOCK):
+            t = block[k0 : k0 + PAIR_BLOCK]
+            first, last = bounds(t)
+            keep = np.flatnonzero(last >= first)
+            t, first = t[keep], first[keep]
+            counts = last[keep] - first + 1
+            ends = np.cumsum(counts)
+            starts = ends - counts
+            total = int(ends[-1]) if ends.size else 0
+            for s in range(0, total, PAIR_BLOCK):
+                e = min(s + PAIR_BLOCK, total)
+                i0 = int(np.searchsorted(ends, s, side="right"))
+                i1 = int(np.searchsorted(ends, e - 1, side="right")) + 1
+                per_key = np.minimum(ends[i0:i1], e) - np.maximum(starts[i0:i1], s)
+                idx = np.repeat(np.arange(i0, i1), per_key)
+                yield t[idx], first[idx] + (np.arange(s, e) - starts[idx])

@@ -1,7 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
+import formgaps.census as census_mod
+from formgaps import util
 from formgaps.census import (
     CensusRecord,
     census_interval,
@@ -10,9 +13,9 @@ from formgaps.census import (
     estermann_correlation,
     ratio_report,
 )
-from formgaps.characters import F, chi4, chi6
+from formgaps.characters import F, F_window, chi4, chi6, kronecker_character
 from formgaps.errors import BudgetError
-from formgaps.repr_sets import SQUARE2, TRIANGLE, is_member
+from formgaps.repr_sets import SQUARE2, TRIANGLE, TRIANGLE_STAR, diamond, is_member, sieve_members
 
 
 def test_correlation_J_examples():
@@ -135,3 +138,79 @@ def test_ratio_report_shape():
     assert reps[0].ratio == pytest.approx(reps[0].J / (reps[0].main * 100))
     with pytest.raises(ValueError):
         ratio_report(chi6(), 1, [1000, 100])
+
+
+SMALL_CHUNK = 1000  # shifts below it share one window per chunk, larger ones do not
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(
+        census_mod, "chunk_ranges", lambda lo, hi: util.chunk_ranges(lo, hi, SMALL_CHUNK)
+    )
+
+
+def _separate_census(set1, set2, a, x, H):
+    # two sieves over the two shifted ranges, never one shared window
+    lo = max(x, -a)
+    both = sieve_members(set1, lo, x + H) & sieve_members(set2, lo + a, x + H + a)
+    return tuple(int(n) for n in lo + np.flatnonzero(both))
+
+
+@pytest.mark.parametrize(
+    "set1,set2",
+    [
+        (SQUARE2, SQUARE2),
+        (TRIANGLE_STAR, TRIANGLE_STAR),
+        (SQUARE2, diamond(-4)),
+        (diamond(-4), SQUARE2),
+        (TRIANGLE, diamond(-3)),
+    ],
+)
+@pytest.mark.parametrize(
+    "a,x",
+    [
+        (13, 10 ** 9 - 2000),
+        (-13, 10 ** 9 - 2000),
+        (2500, 10 ** 9 - 2000),
+        (-2500, 10 ** 9 - 2000),
+        (-7, 0),  # lo_eff = 7, where n + a = 0: square2 holds 0, diamond does not
+        (0, 0),
+    ],
+)
+def test_census_shared_window_matches_separate(small_chunks, set1, set2, a, x):
+    H = 4500
+    expected = _separate_census(set1, set2, a, x, H)
+    recs = [census_interval(set1, set2, a, x, H, witness_cap=None, threads=t) for t in (1, 2, 4)]
+    assert recs[0] == recs[1] == recs[2]
+    assert recs[0].witnesses == expected and recs[0].count == len(expected)
+
+
+def _separate_product(psi, rho, a, x, b=1):
+    n_lo = max(1, 1 - a)
+    terms = np.multiply(F_window(psi, n_lo, x), F_window(rho, n_lo + a, x + a), dtype=np.int64)
+    if b > 1:
+        terms = terms[np.gcd(np.arange(n_lo, x + 1), b) == 1]
+    return int(terms.sum())
+
+
+@pytest.mark.parametrize("a", [1, 7, 2500])
+def test_correlations_shared_window_match_separate(small_chunks, a):
+    x = 12_000
+    k5 = kronecker_character(5)
+    expected = (
+        _separate_product(k5, k5, a, x),
+        16 * _separate_product(chi4(), chi4(), a, x),
+        16 * _separate_product(chi4(), chi4(), -a, x),
+        _separate_product(chi4(), chi4(), a, x, b=4),
+        _separate_product(chi4(), chi4(), -a, x, b=4),
+    )
+    for threads in (1, 2, 4):
+        got = (
+            correlation_general(k5, k5, a, x, threads=threads),
+            estermann_correlation(a, x, threads=threads),
+            estermann_correlation(-a, x, threads=threads),
+            correlation_J(chi4(), a, x, threads=threads),
+            correlation_J(chi4(), -a, x, threads=threads),
+        )
+        assert got == expected, (a, threads)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,32 @@ def _F_reference(chars, lo, hi):
     return out
 
 
+def _F_divisor_reference(chars, lo, hi):
+    """F_psi on [lo, hi] for each psi in chars as the plain divisor sum
+    sum_{d | n} psi(d): every divisor pair n = d * m with d <= m has
+    d <= isqrt(hi), so each such d is paired with its cofactors m = n / d >= d
+    and adds psi(d) + psi(m), or psi(d) once when m = d.
+    """
+    tables = [np.array(psi.values, dtype=complex) for psi in chars]
+    out = [np.zeros(hi - lo + 1, dtype=complex) for _ in chars]
+    top = math.isqrt(hi)
+    step = 1 << 15
+    for d0 in range(1, top + 1, step):
+        d = np.arange(d0, min(d0 + step, top + 1), dtype=np.int64)
+        first = np.maximum(d, (lo + d - 1) // d)
+        counts = hi // d - first + 1
+        keep = counts > 0
+        d, first, counts = d[keep], first[keep], counts[keep]
+        for i0 in range(0, d.size, 256):  # the pairs of 256 divisors at a time
+            c = counts[i0 : i0 + 256]
+            dd = np.repeat(d[i0 : i0 + 256], c)
+            m = np.repeat(first[i0 : i0 + 256], c) + (np.arange(dd.size) - np.repeat(np.cumsum(c) - c, c))
+            for table, o in zip(tables, out):
+                k = table.size
+                np.add.at(o, dd * m - lo, table[dd % k] + np.where(m > dd, table[m % k], 0))
+    return out
+
+
 KERNEL_WIDTHS = (1, 17, 1000, 1 << 14, 1 << 18)
 
 
@@ -221,12 +248,47 @@ def test_F_window_matches_multiplicative_F(lo):
         # near 1e14 each call scans 2 * 10^7 keys (about 0.3 s), so that row
         # spreads the six characters over the widths
         chars = KERNEL_CHARACTERS[j::4] if lo > 10 ** 13 else KERNEL_CHARACTERS
-        for psi, ref in zip(chars, _F_reference(chars, lo, hi)):
+        refs = zip(_F_reference(chars, lo, hi), _F_divisor_reference(chars, lo, hi))
+        for psi, (ref, divisor_ref) in zip(chars, refs):
             w = F_window(psi, lo, hi)
             assert w.dtype == (np.int32 if psi.is_real else np.complex128)
             assert np.array_equal(w, ref), (psi.name, lo, width)
+            assert np.array_equal(w, divisor_ref), (psi.name, lo, width)
             for n in (lo, hi):
                 assert w[n - lo] == F(psi, n), (psi.name, n)
+
+
+@pytest.mark.parametrize(
+    "psi,lo,hi",
+    [
+        # hi < k^2: the leftover prime can divide the modulus
+        (chi6(), 1, 40),
+        (kronecker_character(-23), 1, 40),
+        (KERNEL_CHARACTERS[-1], 1, 40),
+        # smooth parts switch from int32 to int64 at 2^31
+        (chi4(), 2 ** 31 - 3000, 2 ** 31 + 3000),
+        (kronecker_character(-23), 2 ** 31 - 3000, 2 ** 31 + 3000),
+        (KERNEL_CHARACTERS[-1], 10 ** 12 - 2000, 10 ** 12 + 2000),
+    ],
+)
+def test_F_window_edge_windows(psi, lo, hi):
+    w = F_window(psi, lo, hi)
+    assert np.array_equal(w, _F_reference([psi], lo, hi)[0])
+    assert np.array_equal(w, _F_divisor_reference([psi], lo, hi)[0])
+    assert all(w[n - lo] == F(psi, n) for n in (lo, (lo + hi) // 2, hi))
+
+
+def test_F_window_memory_bounded_at_large_hi():
+    # sqrt(hi) = 1e8: the primes up to it come in segments, not as one array
+    lo = 10 ** 16
+    tracemalloc.start()
+    try:
+        w = F_window(chi4(), lo, lo + 999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert w[0] == F(chi4(), lo) and w[-1] == F(chi4(), lo + 999)
 
 
 @settings(max_examples=30, deadline=None)
@@ -237,7 +299,9 @@ def test_F_window_matches_multiplicative_F(lo):
 )
 def test_F_window_property(lo, width, psi):
     hi = lo + width - 1
-    assert np.array_equal(F_window(psi, lo, hi), _F_reference([psi], lo, hi)[0])
+    w = F_window(psi, lo, hi)
+    assert np.array_equal(w, _F_reference([psi], lo, hi)[0])
+    assert np.array_equal(w, _F_divisor_reference([psi], lo, hi)[0])
 
 
 def test_F_sieve_budget_guard():

@@ -79,6 +79,20 @@ def test_triangle_star_subset_of_triangle():
     assert np.array_equal(star, scan)
 
 
+def test_triangle_star_equals_triangle():
+    # a^2 + ab + b^2 = c^2 + 3d^2 both ways, so the two routes give one set
+    lo, hi = 10 ** 9 - (1 << 17), 10 ** 9 + (1 << 17)
+    assert np.array_equal(sieve_members(TRIANGLE_STAR, lo, hi), sieve_members(TRIANGLE, lo, hi))
+    for n in (10 ** 9 + 1, 10 ** 9 + 3, 10 ** 9 + 7, 10 ** 9 + 9):
+        assert is_member(TRIANGLE_STAR, n) == is_member(TRIANGLE, n), n
+
+
+def test_triangle_star_member_input_limit():
+    assert is_member(TRIANGLE_STAR, 3 * 10 ** 16 + 4)  # c = 2, d = 1e8
+    with pytest.raises(ValueError):
+        is_member(TRIANGLE_STAR, 1 << 63)
+
+
 def test_isqrt_exact_near_large_squares():
     # beyond 2^52 the float estimate of sqrt(n^2 - 1) rounds up to n
     n = np.array([2 ** 26 + 1, 3 * 10 ** 8 + 7, 2 ** 31 - 1, 3_037_000_000], dtype=np.int64)
@@ -99,8 +113,10 @@ def test_sieve_examples():
 
 def test_sieve_matches_is_member_on_windows():
     for s in (SQUARE2, TRIANGLE, TRIANGLE_STAR, diamond(-4), diamond(5)):
+        # triangle_star's oracle scans d in blocks, fast enough for 2001 integers at 1e12
+        wide = 1000 if s == TRIANGLE_STAR else 8
         windows = ((0, 600), (9_995, 10_600), (123_456, 123_999),
-                   (999_999_800, 1_000_000_000), (10 ** 12 - 3, 10 ** 12 + 12))
+                   (999_999_800, 1_000_000_000), (10 ** 12 - wide, 10 ** 12 + wide))
         for lo, hi in windows:
             mask = sieve_members(s, lo, hi)
             for n in range(lo, hi + 1):
