@@ -1,4 +1,4 @@
-"""Numerical constants of the correlation main terms, with explicit error bounds.
+"""The main-term constants of the correlation sums, by one route per character family.
 
 Central objects, for a real non-trivial character psi mod even b >= 4 and a
 shift a != 0:
@@ -17,8 +17,34 @@ For p not dividing a the modified factor collapses to
 
     G_p * (1 - psi(p)/p) = 1 - chi4(p) psi(p) / p^2        (exactly),
 
-so beta = L(1, psi) * prod_p [G_p (1 - psi(p)/p)] converges absolutely with a
-p^-2 tail, which drives the truncation point.
+so that
+
+    beta = L(1, psi) / L(2, chi4 psi)
+           * prod_{odd p | a} G_p (1 - psi(p)/p) / (1 - chi4(p) psi(p) / p^2).
+
+Two routes evaluate it.
+
+Odd psi (psi(-1) = -1) take a closed form.  Let chi* be the primitive
+character mod f that induces a real character chi mod k.  By the generalized
+Bernoulli numbers (Washington, Introduction to Cyclotomic Fields, ch. 4),
+
+    odd chi:   L(1, chi*) = -pi B_{1,chi*} / sqrt(f),
+               B_{1,chi} = (1/f) sum_{r=1..f} chi(r) r
+    even chi:  L(2, chi*) = pi^2 B_{2,chi*} / f^(3/2),
+               B_{2,chi} = f sum_{r=1..f} chi(r) (r^2/f^2 - r/f + 1/6)
+
+(f = 1 gives zeta(2) = pi^2/6), and L(s, chi) is L(s, chi*) times
+prod_{p | k, p does not divide f} (1 - chi*(p) p^-s).  For odd psi, chi4 psi
+is even, so beta * pi is a rational times sqrt(f2^3 / f1); that radicand is
+checked to be a rational square, and beta * pi, the main term and Mueller's
+C and M for odd pairs come out as exact Fractions.  Their float values carry
+only the rounding of the last division as error bound, whatever eps asks.
+
+Even psi keep the truncated route: L(1, psi) from the character series
+(`L_value`) times the Euler product of 1 - chi4(p) psi(p) / p^2 over p <= P,
+with P = 8/eps.  L(1, psi) then involves the log of a fundamental unit, for
+which no closed form is used here.  The Euler route (`beta_euler`) and
+`L_value` also stay as the oracles the closed forms are checked against.
 
 Dirichlet L-values are computed from character partial sums: summing to a
 period boundary N leaves a tail whose first-order term is -(S1/k) N^-s with
@@ -43,27 +69,31 @@ reading is a documented choice, not forced by the definitions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .arith import factorize, nu, primes
+from .arith import divisors, factorize, nu, primes
 from .characters import (
     DirichletCharacter,
+    chi4,
     conjugate_character,
+    primitive_character,
     product_character,
 )
-from .errors import BudgetError
+from .errors import BudgetError, InvariantError
 from .local_densities import eta, eta_table, lambda_prime_power
-from .util import map_ordered
 
 EULER_PRIME_MAX = 100_000_000  # cap on the truncation point of the Euler product
 
 
 @dataclass(frozen=True)
 class TruncatedValue:
-    """A numerical value with the explicit error bound of its truncation."""
+    """A numerical value with the explicit error bound of its truncation (of its
+    rounding alone when it comes from a closed form, with terms_used = 0)."""
 
     value: float
     error_bound: float
@@ -145,6 +175,46 @@ def L_value(chi: DirichletCharacter, s: float, eps: float = 1e-10) -> TruncatedV
     return TruncatedValue(val, err, N)
 
 
+def _is_odd(chi: DirichletCharacter) -> bool:
+    return chi.is_real and chi(-1) == -1
+
+
+def L_value_exact(chi: DirichletCharacter, s: int) -> tuple[Fraction, int]:
+    """(c, f) with L(s, chi) = c * pi^s / f^(s - 1/2) exactly, f the conductor of chi.
+
+    Takes a real chi at s = 1 when chi is odd and at s = 2 when chi is even
+    (principal characters included, with f = 1).  c is the generalized
+    Bernoulli number of the primitive character times the Euler factors at the
+    primes that divide the modulus but not f; see the module docstring.
+    """
+    if not chi.is_real or s not in (1, 2) or _is_odd(chi) != (s == 1):
+        raise ValueError("L_value_exact needs a real character, odd at s = 1 or even at s = 2")
+    prim = primitive_character(chi)
+    f = prim.modulus
+    if s == 1:
+        c = -Fraction(sum(prim(r) * r for r in range(1, f + 1)), f)
+    else:  # B_{2,chi} = f sum chi(r) (r^2/f^2 - r/f + 1/6)
+        c = sum(prim(r) * Fraction(6 * r * r - 6 * r * f + f * f, 6 * f) for r in range(1, f + 1))
+    for p, _ in factorize(chi.modulus).factors:
+        if f % p:
+            c *= 1 - Fraction(prim(p), p ** s)
+    return c, f
+
+
+def _sqrt_fraction(q: Fraction) -> Fraction:
+    """The rational square root of q; a q that is no square breaks the closed form."""
+    n, d = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if n * n != q.numerator or d * d != q.denominator:
+        raise InvariantError(f"{q} is not the square of a rational")
+    return Fraction(n, d)
+
+
+def _rounded(q: Fraction, over_pi: bool = False) -> TruncatedValue:
+    """q (or q / pi) as a float, with a bound that covers its rounding alone."""
+    v = float(q) / math.pi if over_pi else float(q)
+    return TruncatedValue(v, 4 * sys.float_info.epsilon * abs(v), 0)
+
+
 def _lambda_pp_profile(p: int, a: int) -> tuple[list[Fraction], Fraction]:
     """(head, tail): lambda_a(p^j) for j = 1..v, and its constant for j > v."""
     v = nu(p, a)
@@ -191,27 +261,64 @@ def euler_factor_Gp(rho: DirichletCharacter, a: int, p: int, s: float) -> Trunca
     return TruncatedValue(total, 0.0, len(head) + 1)
 
 
-_modified_product_cache: dict[tuple, tuple[float, int]] = {}
-
-
-def _modified_prime_product(psi: DirichletCharacter, P: int) -> tuple[float, int]:
-    """prod over odd p <= P of (1 - chi4(p) psi(p) / p^2), and the prime count."""
-    key = (psi.name, psi.modulus, psi.values, P)
-    hit = _modified_product_cache.get(key)
-    if hit is not None:
-        return hit
+@lru_cache(maxsize=8)
+def _modified_prime_product(values: tuple, P: int) -> tuple[float, int]:
+    """prod over odd p <= P of (1 - chi4(p) psi(p) / p^2), and the prime count,
+    for the character psi with this value table."""
     ps = primes(P)
     ps = ps[ps > 2]
     chi4v = np.where(ps % 4 == 1, 1.0, -1.0)
-    psiv = np.asarray(psi.values, dtype=np.float64)[ps % psi.modulus]
+    psiv = np.asarray(values, dtype=np.float64)[ps % len(values)]
     fac = 1.0 - chi4v * psiv / ps.astype(np.float64) ** 2
-    out = (float(np.prod(fac)), int(ps.size))
-    _modified_product_cache[key] = out
+    return float(np.prod(fac)), int(ps.size)
+
+
+def _local_factor(psi: DirichletCharacter, a: int, p: int) -> Fraction:
+    """G_p (1 - psi(p)/p) / (1 - chi4(p) psi(p) / p^2), the change an odd p | a makes."""
+    return (
+        _Gp_exact(psi, a, p, 1)
+        * (1 - Fraction(psi(p), p))
+        / (1 - Fraction(chi4()(p) * psi(p), p * p))
+    )
+
+
+def beta_times_pi(psi: DirichletCharacter, a: int) -> Fraction:
+    """pi * beta(psi, a) exactly, for odd psi: the closed-form route.
+
+    pi beta = pi L(1, psi) / L(2, chi4 psi) * prod_{odd p | a} (local factor),
+    a rational times sqrt(f2^3 / f1) for the conductors f1 of psi and f2 of
+    chi4 psi; InvariantError if that root is not rational.
+    """
+    _require_beta_character(psi)
+    if a == 0:
+        raise ValueError("beta requires a != 0")
+    if not _is_odd(psi):
+        raise ValueError("the closed form of beta needs an odd character")
+    c1, f1 = L_value_exact(psi, 1)
+    c2, f2 = L_value_exact(product_character(chi4(), psi), 2)
+    out = c1 / c2 * _sqrt_fraction(Fraction(f2 ** 3, f1))
+    for p, _ in factorize(abs(a)).factors:
+        if p != 2:
+            out *= _local_factor(psi, a, p)
     return out
 
 
 def beta(psi: DirichletCharacter, a: int, eps: float = 1e-6) -> TruncatedValue:
-    """beta(psi, a) = sum_d psi(d) eta_a(d) / d^2 within eps, by Euler product.
+    """beta(psi, a) = sum_d psi(d) eta_a(d) / d^2 within eps, one route per family.
+
+    Odd psi take the closed form `beta_times_pi` / pi; its float is off by
+    rounding only, so every eps is met and no prime is sieved.  Even psi take
+    the Euler route `beta_euler`, which raises BudgetError when eps needs more
+    than EULER_PRIME_MAX primes.
+    """
+    if _is_odd(psi):
+        return _rounded(beta_times_pi(psi, a), over_pi=True)
+    return beta_euler(psi, a, eps)
+
+
+def beta_euler(psi: DirichletCharacter, a: int, eps: float = 1e-6) -> TruncatedValue:
+    """beta(psi, a) within eps by the Euler product: the route for even psi, and
+    the oracle the closed form of odd psi is checked against.
 
     Truncation point P is chosen so the log-tail envelope sum_{p > P} 4/p^2
     stays below eps/2; the conditionally convergent part is carried by
@@ -224,7 +331,7 @@ def beta(psi: DirichletCharacter, a: int, eps: float = 1e-6) -> TruncatedValue:
     if P > EULER_PRIME_MAX:
         raise BudgetError("eps is too small for the Euler-product budget")
     L1 = L_value(psi, 1.0, eps / 8)
-    base, nprimes = _modified_prime_product(psi, P)
+    base, nprimes = _modified_prime_product(psi.values, P)
     val = L1.value * base
     extra_terms = 0
     for p, _ in factorize(abs(a)).factors:
@@ -275,13 +382,25 @@ def eta_star(psi: DirichletCharacter, a: int) -> PiMultiple:
     return PiMultiple(coeff)
 
 
+def main_term_exact(psi: DirichletCharacter, a: int) -> Fraction:
+    """beta(psi, a) * eta*(psi, a) exactly, for odd psi: (pi beta) times (eta* / pi)."""
+    coeff = eta_star(psi, a).coeff
+    return coeff * beta_times_pi(psi, a) if coeff else Fraction(0)
+
+
 def main_term(psi: DirichletCharacter, a: int, eps: float = 1e-6) -> TruncatedValue:
-    """Coefficient beta(psi, a) * eta*(psi, a) of x in the correlation sum."""
+    """Coefficient beta(psi, a) * eta*(psi, a) of x in the correlation sum, within eps.
+
+    Odd psi round `main_term_exact` once, whatever eps; even psi scale the
+    Euler route of beta by the exact eta*.
+    """
+    if _is_odd(psi):
+        return _rounded(main_term_exact(psi, a))
     es = eta_star(psi, a)
     if es.coeff == 0:
         return TruncatedValue(0.0, 0.0, 0)
     eps_beta = eps / (2 * es.value)
-    b = beta(psi, a, eps_beta)
+    b = beta_euler(psi, a, eps_beta)
     return TruncatedValue(b.value * es.value, b.error_bound * es.value, b.terms_used)
 
 
@@ -305,21 +424,50 @@ def _compose_rel_error(value: float, parts: list[tuple[float, float]]) -> float:
     return abs(value) * rel * (1 + rel) + 1e-15
 
 
-def muller_C(
-    psi: DirichletCharacter, rho: DirichletCharacter, a: int, eps: float = 1e-8
-) -> TruncatedValue:
-    """C_{psi,rho}(a) = L(1,rho) L(1,psi) / L(2, rho psi) * sum_{d|a} psi(d) rho(d) / d."""
+def _require_muller_pair(psi: DirichletCharacter, rho: DirichletCharacter, a: int) -> None:
     if psi.modulus != rho.modulus or psi.modulus <= 1:
         raise ValueError("muller_C requires equal moduli k > 1")
     if not (psi.is_primitive and rho.is_primitive):
         raise ValueError("muller_C requires primitive characters")
     if a < 1:
         raise ValueError("muller_C requires a >= 1")
-    from .arith import divisors
 
-    dsum = Fraction(0)
-    for d in divisors(factorize(a)):
-        dsum += Fraction(psi(d) * rho(d), d)
+
+def _divisor_sum(psi: DirichletCharacter, rho: DirichletCharacter, a: int) -> Fraction:
+    return sum(Fraction(psi(d) * rho(d), d) for d in divisors(factorize(a)))
+
+
+def _muller_bracket(psi: DirichletCharacter, rho: DirichletCharacter, a: int) -> Fraction:
+    """k^-1 sum_{t | P(a,k)} t^-1 sum_{j=1..k} psi(j) rho(a/t + j)."""
+    k = psi.modulus
+    bracket = Fraction(0)
+    for t in divisors(factorize(P_part(a, k))):
+        inner = sum(psi(j) * rho((a // t + j) % k) for j in range(1, k + 1))
+        bracket += Fraction(inner, t)
+    return bracket / k
+
+
+def _muller_C_exact(psi: DirichletCharacter, rho: DirichletCharacter, a: int) -> Fraction:
+    """C_{psi,rho}(a) for odd real psi, rho: the pi^2 of L(1) L(1) cancels that of L(2)."""
+    c_rho, f_rho = L_value_exact(rho, 1)
+    c_psi, f_psi = L_value_exact(psi, 1)
+    c2, f2 = L_value_exact(product_character(psi, rho), 2)
+    root = _sqrt_fraction(Fraction(f2 ** 3, f_rho * f_psi))
+    return c_rho * c_psi / c2 * root * _divisor_sum(psi, rho, a)
+
+
+def muller_C(
+    psi: DirichletCharacter, rho: DirichletCharacter, a: int, eps: float = 1e-8
+) -> TruncatedValue:
+    """C_{psi,rho}(a) = L(1,rho) L(1,psi) / L(2, rho psi) * sum_{d|a} psi(d) rho(d) / d.
+
+    A pair of odd real characters takes the exact L-values (`L_value_exact`)
+    and meets every eps; any other pair sums the `L_value` series within eps.
+    """
+    _require_muller_pair(psi, rho, a)
+    if _is_odd(psi) and _is_odd(rho):
+        return _rounded(_muller_C_exact(psi, rho, a))
+    dsum = _divisor_sum(psi, rho, a)
     L1r = L_value(rho, 1.0, eps / 8)
     L1p = L_value(psi, 1.0, eps / 8)
     L2 = L_value(product_character(psi, rho), 2.0, eps / 8)
@@ -331,29 +479,34 @@ def muller_C(
     return TruncatedValue(value, err, L1r.terms_used + L1p.terms_used + L2.terms_used)
 
 
+def muller_main_exact(psi: DirichletCharacter, rho: DirichletCharacter, a: int) -> Fraction:
+    """M_{psi,rho}(a) exactly, for odd real primitive psi, rho mod k: C (1 + bracket)."""
+    _require_muller_pair(psi, rho, a)
+    if not (_is_odd(psi) and _is_odd(rho)):
+        raise ValueError("muller_main_exact needs two odd real characters")
+    return _muller_C_exact(psi, rho, a) * (1 + _muller_bracket(psi, rho, a))
+
+
 def muller_main(
     psi: DirichletCharacter, rho: DirichletCharacter, a: int, eps: float = 1e-8
 ) -> TruncatedValue:
     """Full main-term coefficient M_{psi,rho}(a) of sum_{n<=x} F_psi(n) F_rho(n+a).
 
-    Only a >= 1 is admitted; negative shifts are rejected rather than extended.
+    Exact for a pair of odd real characters (`muller_main_exact`), within eps
+    otherwise.  Only a >= 1 is admitted; negative shifts are rejected rather
+    than extended.
     """
     if a < 1:
         raise ValueError("muller_main requires a >= 1")
-    k = psi.modulus
+    if _is_odd(psi) and _is_odd(rho):
+        return _rounded(muller_main_exact(psi, rho, a))
     C = muller_C(psi, rho, a, eps / 2)
     psi_bar, rho_bar = conjugate_character(psi), conjugate_character(rho)
     if psi_bar is psi and rho_bar is rho:
         C_bar = C
     else:
         C_bar = muller_C(psi_bar, rho_bar, a, eps / 2)
-    bracket = Fraction(0)
-    from .arith import divisors
-
-    for t in divisors(factorize(P_part(a, k))):
-        inner = sum(psi(j) * rho((a // t + j) % k) for j in range(1, k + 1))
-        bracket += Fraction(inner, t)
-    bracket = bracket / k
+    bracket = _muller_bracket(psi, rho, a)
     value = C.value + float(bracket) * C_bar.value
     err = C.error_bound + abs(float(bracket)) * C_bar.error_bound
     return TruncatedValue(value, err, C.terms_used + C_bar.terms_used)

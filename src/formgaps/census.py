@@ -86,6 +86,7 @@ def _product_sum(psi, rho, a: int, x: int, threads: int, b: int = 1) -> int:
     if x + abs(a) > CORRELATION_MAX:
         raise BudgetError(f"correlation budget {CORRELATION_MAX} exceeded")
     shared = psi.values == rho.values
+    unit = np.gcd(np.arange(b), b) == 1  # gcd(n, b) = 1 has period b in n
 
     def one(c):
         lo, hi = c
@@ -96,7 +97,7 @@ def _product_sum(psi, rho, a: int, x: int, threads: int, b: int = 1) -> int:
         # F_window counts are int32; widen before the product
         terms = np.multiply(left, right, dtype=np.int64)
         if b > 1:
-            terms *= (np.gcd(np.arange(b), b) == 1)[np.arange(lo, hi + 1) % b]
+            terms *= np.tile(np.roll(unit, -(lo % b)), -(-terms.size // b))[: terms.size]
         return int(terms.sum())
 
     return sum(map_ordered(one, chunk_ranges(n_lo, x), threads))

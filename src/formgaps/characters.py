@@ -133,20 +133,17 @@ def _check_table(k: int, values: tuple) -> None:
             raise ValueError("table is not completely multiplicative")
 
 
-def _is_primitive(k: int, values: tuple) -> bool:
-    if k == 1:
-        return True
+def _conductor(k: int, values: tuple) -> int:
+    """The least divisor f of k such that the character is induced from mod f."""
     for d in divisors(factorize(k)):
-        if d == k:
-            continue
         induced = all(
             values[n % k] == 1
             for n in range(1, k + 1)
             if math.gcd(n, k) == 1 and n % d == 1 % d
         )
         if induced:
-            return False
-    return True
+            return d
+    return k
 
 
 def _build(name: str, k: int, values: tuple, validate: bool = True) -> DirichletCharacter:
@@ -164,7 +161,7 @@ def _build(name: str, k: int, values: tuple, validate: bool = True) -> Dirichlet
         modulus=k,
         values=values,
         is_trivial=trivial,
-        is_primitive=_is_primitive(k, values),
+        is_primitive=_conductor(k, values) == k,
         is_real=real,
     )
 
@@ -210,11 +207,23 @@ def table_character(k: int, values, name: str | None = None) -> DirichletCharact
 
 
 def product_character(psi: DirichletCharacter, rho: DirichletCharacter) -> DirichletCharacter:
-    """Pointwise product of two characters with the same modulus."""
-    if psi.modulus != rho.modulus:
-        raise ValueError("product_character requires equal moduli")
-    vals = tuple(p * r for p, r in zip(psi.values, rho.values))
-    return _build(f"{psi.name}*{rho.name}", psi.modulus, vals, validate=False)
+    """Pointwise product of two characters, as a character mod the lcm of their moduli."""
+    k = math.lcm(psi.modulus, rho.modulus)
+    vals = tuple(psi(r) * rho(r) for r in range(k))
+    return _build(f"{psi.name}*{rho.name}", k, vals, validate=False)
+
+
+def primitive_character(psi: DirichletCharacter) -> DirichletCharacter:
+    """The primitive character mod the conductor of psi that induces psi."""
+    k = psi.modulus
+    f = _conductor(k, psi.values)
+    if f == k:
+        return psi
+    vals = [0] * f
+    for n in range(1, k + 1):
+        if math.gcd(n, k) == 1:
+            vals[n % f] = psi(n)  # well defined: psi is induced from mod f
+    return _build(f"primitive({psi.name})", f, tuple(vals), validate=False)
 
 
 def conjugate_character(psi: DirichletCharacter) -> DirichletCharacter:

@@ -33,6 +33,12 @@ from .util import resolve_threads
 from .verify import run_suite
 
 
+EPS_HELP = (
+    "error bound asked of the constant; odd real characters take the exact closed form, "
+    "which meets any eps, and other characters a truncated series (exit 2 past its budget)"
+)
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -101,7 +107,7 @@ def _build_parser() -> _Parser:
     s = add("beta", "series coefficient beta(psi, a)")
     s.add_argument("--psi", required=True)
     s.add_argument("--a", type=int, required=True)
-    s.add_argument("--eps", type=float, default=1e-6)
+    s.add_argument("--eps", type=float, default=1e-6, help=EPS_HELP)
 
     s = add("etastar", "eta*(psi, a), an exact multiple of pi")
     s.add_argument("--psi", required=True)
@@ -110,13 +116,13 @@ def _build_parser() -> _Parser:
     s = add("mainterm", "main-term coefficient beta * eta*")
     s.add_argument("--psi", required=True)
     s.add_argument("--a", type=int, required=True)
-    s.add_argument("--eps", type=float, default=1e-6)
+    s.add_argument("--eps", type=float, default=1e-6, help=EPS_HELP)
 
     s = add("muller", "main-term coefficient for primitive pairs")
     s.add_argument("--psi", required=True)
     s.add_argument("--rho", required=True)
     s.add_argument("--a", type=int, required=True)
-    s.add_argument("--eps", type=float, default=1e-8)
+    s.add_argument("--eps", type=float, default=1e-8, help=EPS_HELP)
 
     s = add("correlate", "exact shifted correlation sums")
     s.add_argument("--kind", choices=("j", "general", "estermann"), default="j")
@@ -124,7 +130,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--rho", default="chi4")
     s.add_argument("--a", type=int, required=True)
     s.add_argument("--x", type=int, required=True)
-    s.add_argument("--eps", type=float, default=1e-6)
+    s.add_argument("--eps", type=float, default=1e-6, help=EPS_HELP)
 
     s = add("census", "interval census of a shifted pair set")
     s.add_argument("--set1", required=True)

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import factorize, is_prime, nu, spf_table
+from .arith import factorize, is_prime, nu, primes
 from .characters import chi4, F_window
 from .errors import BudgetError, InvariantError
 from .util import chunk_ranges, map_ordered
@@ -105,26 +105,30 @@ def lambda_prime_power(p: int, j: int, a: int) -> Fraction:
     return 1 + Fraction(1, p) if v % 2 == 0 else Fraction(0)
 
 
+def _eta_prime_power(a: int, p: int, e: int) -> int:
+    """eta_a(p^e): the closed form for odd p and a != 0, direct counting otherwise."""
+    pe = p ** e
+    if p == 2 or a == 0:
+        return eta_brute(a, pe)
+    val = lambda_prime_power(p, e, a) * pe
+    if val.denominator != 1:
+        raise InvariantError(f"eta({a}, {pe}) came out as the non-integer {val}")
+    return int(val)
+
+
 def eta(a: int, q: int) -> int:
     """eta_a(q) assembled multiplicatively over the prime powers of q.
 
     Odd prime powers use the closed forms when a != 0; powers of two, and
-    every prime power when a = 0, fall back to direct counting.  The result
+    every prime power when a = 0, fall back to direct counting.  Each factor
     must be an exact integer or the assembly is reported as faulty.
     """
     if q < 1:
         raise ValueError("eta requires q >= 1")
-    total = Fraction(1)
+    total = 1
     for p, e in factorize(q).factors:
-        pe = p ** e
-        if p == 2 or a == 0:
-            part = Fraction(eta_brute(a, pe))
-        else:
-            part = lambda_prime_power(p, e, a) * pe
-        total *= part
-    if total.denominator != 1:
-        raise InvariantError(f"eta({a}, {q}) assembled to non-integer {total}")
-    return int(total)
+        total *= _eta_prime_power(a, p, e)
+    return total
 
 
 def local_density(a: int, q: int) -> LocalDensity:
@@ -171,40 +175,32 @@ def S_qa(q: int, a: int, x: int, threads: int = 1) -> int:
 
 @lru_cache(maxsize=16)
 def eta_table(a: int, n_max: int) -> np.ndarray:
-    """eta_a(n) for n = 0..n_max (entry 0 unused), via multiplicativity.
+    """eta_a(n) for n = 0..n_max (entry 0 unused), as a multiplicative sieve.
 
-    A smallest-prime-factor walk splits each n as p^j * cofactor, so every
-    entry costs O(1) beyond its prime-power seed.
+    Strided passes over the primes p <= isqrt(n_max), and over the prime
+    factors of a up to n_max, write eta_a(p^e) times the factors of smaller
+    primes at every n with p^e || n, and collect the smooth part of n.  What
+    is left of n is 1 or one prime q that does not divide a (a != 0), where
+    eta_a(q) = q - chi4(q), or q + chi4(q) (q - 1) when a = 0.  Treat the
+    result as read-only: it is cached.
     """
-    spf = spf_table(n_max)
-    out = np.zeros(n_max + 1, dtype=np.int64)
-    out[1] = 1
-    ppart = [0] * (n_max + 1)
-    expo = [0] * (n_max + 1)
-    pp_cache: dict[tuple[int, int], int] = {}
-    for n in range(2, n_max + 1):
-        p = int(spf[n])
-        m = n // p
-        if m > 1 and int(spf[m]) == p:
-            ppart[n] = ppart[m] * p
-            expo[n] = expo[m] + 1
-        else:
-            ppart[n] = p
-            expo[n] = 1
-        cof = n // ppart[n]
-        if cof > 1:
-            out[n] = out[cof] * out[ppart[n]]
-        else:
-            key = (p, expo[n])
-            val = pp_cache.get(key)
-            if val is None:
-                if p == 2 or a == 0:
-                    val = eta_brute(a, n)
-                else:
-                    lam = lambda_prime_power(p, expo[n], a) * n
-                    if lam.denominator != 1:
-                        raise InvariantError("non-integer prime-power density")
-                    val = int(lam)
-                pp_cache[key] = val
-            out[n] = val
+    out = np.ones(n_max + 1, dtype=np.int64)
+    out[0] = 0
+    smooth = np.ones(n_max + 1, dtype=np.int64)
+    root = math.isqrt(n_max)
+    ps = primes(root).tolist()
+    if a:
+        ps += [p for p in primes(min(abs(a), n_max)).tolist() if p > root and a % p == 0]
+    for p in ps:
+        below = out[p::p].copy()  # the factors of the smaller primes, at n = p, 2p, ...
+        pe, e = p, 1
+        while pe <= n_max:
+            step = pe // p
+            out[pe::pe] = below[step - 1 :: step] * _eta_prime_power(a, p, e)
+            smooth[pe::pe] *= p
+            pe *= p
+            e += 1
+    q = np.arange(n_max + 1, dtype=np.int64) // smooth
+    chi = (q % 4 == 1).astype(np.int64) - (q % 4 == 3)
+    out *= np.where(q > 1, q - chi, 1) if a else q + chi * (q - 1)
     return out

@@ -6,19 +6,32 @@ import pytest
 from formgaps.analytic_constants import (
     G_series,
     L_value,
+    L_value_exact,
     P_part,
     PiMultiple,
     TruncatedValue,
+    _sqrt_fraction,
     beta,
     beta_direct_series,
+    beta_euler,
+    beta_times_pi,
     eta_star,
     euler_factor_Gp,
     main_term,
+    main_term_exact,
     muller_C,
     muller_main,
+    muller_main_exact,
 )
-from formgaps.characters import chi3, chi4, chi6, kronecker_character, trivial_character
-from formgaps.errors import BudgetError
+from formgaps.characters import (
+    chi3,
+    chi4,
+    chi6,
+    kronecker_character,
+    product_character,
+    trivial_character,
+)
+from formgaps.errors import BudgetError, InvariantError
 from formgaps.local_densities import eta_brute
 
 
@@ -90,8 +103,12 @@ def test_beta_validation():
         beta(chi3(), 1)  # odd modulus
     with pytest.raises(ValueError):
         beta(trivial_character(6), 1)  # trivial
+    # odd characters take the closed form, which meets any eps
+    b6 = beta(chi6(), 1, 1e-12)
+    assert abs(b6.value - 3 / math.pi) <= b6.error_bound
+    # even characters keep the Euler product and its budget
     with pytest.raises(BudgetError):
-        beta(chi6(), 1, 1e-12)
+        beta(kronecker_character(8), 1, 1e-12)
 
 
 def test_eta_star_values():
@@ -178,3 +195,74 @@ def test_truncated_value_guard():
 def test_pi_multiple():
     pm = PiMultiple(Fraction(1, 2))
     assert pm.value == pytest.approx(math.pi / 2)
+
+
+ODD_BETA_CHARACTERS = (chi4(), chi6(), kronecker_character(-8), kronecker_character(-24))
+
+
+def test_L_value_exact_matches_series():
+    # odd characters at s = 1, even ones (principal and imprimitive included) at s = 2
+    cases = [(chi, 1) for chi in (chi3(), chi4(), chi6(), kronecker_character(-8),
+                                   kronecker_character(-24), kronecker_character(-7))]
+    cases += [(product_character(chi4(), psi), 2) for psi in ODD_BETA_CHARACTERS]
+    cases += [(chi, 2) for chi in (kronecker_character(5), kronecker_character(8),
+                                   trivial_character(1), trivial_character(6))]
+    for chi, s in cases:
+        c, f = L_value_exact(chi, s)
+        series = L_value(chi, float(s), 1e-12)
+        exact = float(c) * math.pi ** s / f ** (s - 0.5)
+        assert abs(exact - series.value) <= series.error_bound + 1e-15, (chi.name, s)
+    with pytest.raises(ValueError):
+        L_value_exact(chi4(), 2)  # odd character at s = 2
+    with pytest.raises(ValueError):
+        L_value_exact(kronecker_character(5), 1)  # even character at s = 1
+
+
+def test_sqrt_fraction_enforces_squares():
+    assert _sqrt_fraction(Fraction(576, 49)) == Fraction(24, 7)
+    with pytest.raises(InvariantError):
+        _sqrt_fraction(Fraction(3, 4))
+
+
+def test_beta_times_pi_values():
+    assert [beta_times_pi(psi, 1) for psi in ODD_BETA_CHARACTERS] == [2, 3, 4, 4]
+    with pytest.raises(ValueError):
+        beta_times_pi(kronecker_character(8), 1)  # even: the Euler route only
+
+
+def test_main_term_exact_chi6():
+    shifts = (1, 2, 5, -5, 10, 25, 13)
+    want = [Fraction(1, 3), Fraction(1, 12), Fraction(1, 15), Fraction(4, 15),
+            Fraction(4, 15), Fraction(7, 25), Fraction(14, 39)]
+    assert [main_term_exact(chi6(), a) for a in shifts] == want
+    for a, w in zip(shifts, want):
+        m = main_term(chi6(), a, 1e-15)
+        assert m.terms_used == 0 and abs(m.value - float(w)) <= m.error_bound < 1e-15
+
+
+def test_muller_main_exact_chi4():
+    got = [16 * muller_main_exact(chi4(), chi4(), a) for a in (1, 2, 3, 5, 12)]
+    assert got == [8, 4, Fraction(32, 3), Fraction(48, 5), Fraction(40, 3)]
+    with pytest.raises(ValueError):
+        muller_main_exact(kronecker_character(5), kronecker_character(5), 1)  # even pair
+
+
+def test_beta_closed_form_matches_euler_oracle():
+    for psi in ODD_BETA_CHARACTERS:
+        for a in [s * v for v in range(1, 61) for s in (1, -1)]:
+            closed = beta(psi, a, 1e-6)
+            euler = beta_euler(psi, a, 1e-6)
+            assert closed.error_bound < 1e-15 * max(1.0, abs(closed.value))
+            assert abs(closed.value - euler.value) <= euler.error_bound + closed.error_bound, (
+                psi.name, a)
+
+
+def test_muller_C_odd_pairs_match_series():
+    for chi in (chi4(), chi3()):
+        for a in (1, 2, 3, 6, 12):
+            C = muller_C(chi, chi, a, 1e-9)
+            L1 = L_value(chi, 1.0, 1e-12)
+            L2 = L_value(product_character(chi, chi), 2.0, 1e-12)
+            dsum = sum(Fraction(chi(d) ** 2, d) for d in range(1, a + 1) if a % d == 0)
+            series = L1.value ** 2 / L2.value * float(dsum)
+            assert C.terms_used == 0 and C.value == pytest.approx(series, abs=1e-11), (chi.name, a)

@@ -214,3 +214,10 @@ def test_correlations_shared_window_match_separate(small_chunks, a):
             correlation_J(chi4(), -a, x, threads=threads),
         )
         assert got == expected, (a, threads)
+
+
+@pytest.mark.parametrize("a", [1, -5, 7])
+def test_correlation_J_coprime_mask_across_chunks(small_chunks, a):
+    # chunks of SMALL_CHUNK = 1000 integers start at every residue mod b = 6
+    x = 12_345
+    assert correlation_J(chi6(), a, x) == _separate_product(chi6(), chi4(), a, x, b=6)

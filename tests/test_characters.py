@@ -19,6 +19,7 @@ from formgaps.characters import (
     kronecker_character,
     kronecker_symbol,
     make_character,
+    primitive_character,
     product_character,
     sqrt_trick_F,
     table_character,
@@ -95,6 +96,16 @@ def test_product_character_of_real_pair_is_principal():
     chi5 = kronecker_character(5)
     sq = product_character(chi5, chi5)
     assert sq.is_trivial and sq.modulus == 5
+
+
+def test_product_character_over_lcm_and_primitive_character():
+    prod = product_character(chi4(), chi6())
+    assert prod.modulus == 12 and prod.values == kronecker_character(12).values
+    # chi6 is induced from chi3; chi4 * chi6 is primitive; principal characters come from mod 1
+    assert primitive_character(chi6()).values == chi3().values
+    assert primitive_character(prod) is prod and prod.is_primitive
+    assert primitive_character(trivial_character(6)).values == (1,)
+    assert primitive_character(chi4()) is chi4()
 
 
 def test_F_examples():

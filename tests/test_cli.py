@@ -53,6 +53,15 @@ def test_beta_and_mainterm(capsys):
     assert out.strip().splitlines()[1].startswith("chi6,1,1/9,")
 
 
+def test_exact_main_terms_meet_any_eps(capsys):
+    code, out, _ = run(capsys, "mainterm", "--psi", "chi6", "--a", "1", "--eps", "1e-12")
+    assert code == 0
+    assert out.strip().splitlines()[1].split(",")[2] == "0.333333333333333"
+    # kronecker:8 is even: the Euler product keeps its budget
+    code, _, err = run(capsys, "beta", "--psi", "kronecker:8", "--a", "1", "--eps", "1e-12")
+    assert code == 2 and "budget" in err
+
+
 def test_correlate(capsys):
     code, out, _ = run(capsys, "correlate", "--kind", "j", "--psi", "chi6", "--a", "1",
                        "--x", "1000", "--eps", "1e-4")

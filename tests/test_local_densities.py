@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from formgaps.arith import divisors, factorize, nu
@@ -146,3 +147,13 @@ def test_eta_table_matches_brute():
     et = eta_table(2, 400)
     for n in range(1, 401):
         assert int(et[n]) == eta_brute(2, n)
+
+
+@pytest.mark.parametrize("a", [0, 1, -7, 60, 2 * 1009])
+def test_eta_table_matches_eta(a):
+    # 2 * 1009 has a prime factor above sqrt(n_max); a = 0 checks the closed
+    # form q + chi4(q) (q - 1) at the large primes q against eta_brute
+    n_max = 20_000
+    table = eta_table(a, n_max)
+    assert table.dtype == np.int64 and table[0] == 0
+    assert table.tolist()[1:] == [eta(a, n) for n in range(1, n_max + 1)]
