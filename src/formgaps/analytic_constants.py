@@ -223,17 +223,19 @@ def _lambda_pp_profile(p: int, a: int) -> tuple[list[Fraction], Fraction]:
     return head, tail
 
 
-def _Gp_exact(rho: DirichletCharacter, a: int, p: int, s: int) -> Fraction:
-    """G_p at an integer point s, exactly (real rho)."""
+def _Gp(rho: DirichletCharacter, a: int, p: int, s: float) -> Fraction | float | complex:
+    """G_p(rho, a, s): the head where lambda_a(p^d) varies, then its constant
+    tail as a geometric series.  The sum runs in the number type of
+    r = rho(p) / p^s: a Fraction at integer s for real rho, so it is exact,
+    otherwise a float or complex."""
     head, tail = _lambda_pp_profile(p, a)
-    r = Fraction(rho(p), p ** s)
-    total = Fraction(1)
-    rd = Fraction(1)
+    exact = rho.is_real and float(s).is_integer()
+    r = Fraction(rho(p), p ** int(s)) if exact else rho(p) / p ** s
+    total = rd = 1
     for lam in head:
         rd *= r
         total += lam * rd
-    total += tail * (rd * r) / (1 - r)
-    return total
+    return total + tail * (rd * r) / (1 - r)
 
 
 def euler_factor_Gp(rho: DirichletCharacter, a: int, p: int, s: float) -> TruncatedValue:
@@ -247,18 +249,9 @@ def euler_factor_Gp(rho: DirichletCharacter, a: int, p: int, s: float) -> Trunca
         raise ValueError("euler_factor_Gp requires an odd prime and s > 1/2")
     if a == 0:
         raise ValueError("euler_factor_Gp requires a != 0")
-    if rho.is_real and float(s).is_integer():
-        g = _Gp_exact(rho, a, p, int(s))
-        return TruncatedValue(float(g), 0.0, len(_lambda_pp_profile(p, a)[0]) + 1)
-    head, tail = _lambda_pp_profile(p, a)
-    r = rho(p) / p ** s
-    total = 1.0
-    rd = 1.0
-    for lam in head:
-        rd *= r
-        total += float(lam) * rd
-    total += float(tail) * (rd * r) / (1 - r)
-    return TruncatedValue(total, 0.0, len(head) + 1)
+    g = _Gp(rho, a, p, s)
+    terms = len(_lambda_pp_profile(p, a)[0]) + 1
+    return TruncatedValue(float(g) if isinstance(g, Fraction) else g, 0.0, terms)
 
 
 @lru_cache(maxsize=8)
@@ -276,7 +269,7 @@ def _modified_prime_product(values: tuple, P: int) -> tuple[float, int]:
 def _local_factor(psi: DirichletCharacter, a: int, p: int) -> Fraction:
     """G_p (1 - psi(p)/p) / (1 - chi4(p) psi(p) / p^2), the change an odd p | a makes."""
     return (
-        _Gp_exact(psi, a, p, 1)
+        _Gp(psi, a, p, 1)
         * (1 - Fraction(psi(p), p))
         / (1 - Fraction(chi4()(p) * psi(p), p * p))
     )
@@ -339,35 +332,13 @@ def beta_euler(psi: DirichletCharacter, a: int, eps: float = 1e-6) -> TruncatedV
             continue
         if p <= P:
             val /= 1 - (1 if p % 4 == 1 else -1) * psi(p) / p ** 2
-        exact = _Gp_exact(psi, a, p, 1) * (1 - Fraction(psi(p), p))
+        exact = _Gp(psi, a, p, 1) * (1 - Fraction(psi(p), p))
         val *= float(exact)
         extra_terms += 1
     tail_rel = math.expm1(4.0 / P)
     rel = tail_rel + L1.error_bound / max(abs(L1.value), 1e-300) + 1e-10
     err = abs(val) * rel * (1 + rel)
     return TruncatedValue(val, err, nprimes + extra_terms)
-
-
-def beta_direct_series(psi: DirichletCharacter, a: int, n_max: int = 100_000) -> TruncatedValue:
-    """Partial sum of sum_d psi(d) eta_a(d) / d^2 with a fitted tail bound.
-
-    The tail estimate comes from summation by parts against the partial sums
-    C(y) = sum_{n <= y} psi(n) eta_a(n), whose growth envelope K y log y is
-    fitted on the computed range (the analytic bound hides its constant), so
-    the result is oracle-grade for cross-checks, not acceptance-critical.
-    """
-    _require_beta_character(psi)
-    if a == 0:
-        raise ValueError("beta_direct_series requires a != 0")
-    et = eta_table(a, n_max)[1:].astype(np.float64)
-    n = np.arange(1, n_max + 1, dtype=np.int64)
-    psiv = np.asarray(psi.values, dtype=np.float64)[n % psi.modulus]
-    val = float(np.sum(psiv * et / n.astype(np.float64) ** 2))
-    running = np.cumsum(psiv * et)
-    y = n[999:].astype(np.float64)
-    K = float(np.max(np.abs(running[999:]) / (y * np.log(y))))
-    tail = 3.0 * K * (3 * math.log(n_max) + 2) / n_max
-    return TruncatedValue(val, tail, n_max)
 
 
 def eta_star(psi: DirichletCharacter, a: int) -> PiMultiple:

@@ -49,6 +49,8 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 37 * 37:  # a composite below 37^2 has a prime factor <= 31, tried above
+        return True
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r

@@ -35,11 +35,10 @@ import numpy as np
 from .analytic_constants import main_term
 from .characters import DirichletCharacter, F_window, chi4
 from .errors import BudgetError
-from .repr_sets import SetId, is_member, member_character, sieve_members
+from .repr_sets import WINDOW_MAX, SetId, is_member, member_character, sieve_members
 from .util import chunk_ranges, map_ordered
 
 CORRELATION_MAX = 1_000_000_000
-WINDOW_MAX = 1_000_000_000
 WITNESS_CAP_DEFAULT = 10_000
 
 
@@ -154,9 +153,9 @@ def census_interval(
     cap = math.inf if witness_cap is None else witness_cap
     count = 0
     wits: list[int] = []
-    psi1, psi2 = member_character(set1), member_character(set2)
-    # sets with one character (square2 and diamond:-4) differ at most at n = 0
-    shared = set1 == set2 or (psi1 is not None and psi2 is not None and psi1.values == psi2.values)
+    # sets with one character (square2 and diamond:-4; triangle, triangle_star
+    # and diamond:-3) differ at most at n = 0
+    shared = member_character(set1).values == member_character(set2).values
     if lo_eff <= x + H:
         chunks = chunk_ranges(lo_eff, x + H)
 

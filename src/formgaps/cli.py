@@ -41,12 +41,10 @@ EPS_HELP = (
 
 @dataclass
 class RunConfig:
-    command: str
     fmt: str
     out: str | None
     threads: int
     seed: int
-    witness_cap: int | None
 
 
 class _UsageError(Exception):
@@ -357,12 +355,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = RunConfig(
-            command=args.command,
             fmt=args.format,
             out=args.out,
             threads=resolve_threads(args.threads),
             seed=args.seed,
-            witness_cap=getattr(args, "witness_cap", None),
         )
         result = _HANDLERS[args.command](args, cfg)
         text, code = result if isinstance(result, tuple) else (result, 0)

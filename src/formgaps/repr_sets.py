@@ -8,21 +8,21 @@ Sets handled, with their divisor-sum representation counts:
     diamond(D)     ideal-norm values of the quadratic field with
                    fundamental discriminant D; membership is F_chiD(n) > 0
 
-Window membership (sieve_members) of square2, triangle and diamond(D) is
-F_psi(n) > 0 for psi = chi4, chi3, chiD, read off characters.F_window;
-triangle_star windows enumerate the lattice points (c, d).  is_member keeps
-independent routes as the oracle for the windows: exponent parity at the
-primes where the character is -1 (p = 3 mod 4, resp. p = 2 mod 3), and a scan
-over d.  Enumeration modes of r2/R2 count lattice points directly and never
-touch the divisor formulas, so the routes validate each other.
+Every set is a character set: n >= 1 lies in it iff F_psi(n) > 0 for psi =
+member_character(s), which is chi4, chi3, chi3 and chiD in the order above,
+and window membership (sieve_members) is read off characters.F_window.
+is_member keeps independent routes as the oracle for the windows: exponent
+parity at the primes where the character is -1 (p = 3 mod 4, resp. p = 2
+mod 3), and for triangle_star a scan over d for a lattice point (c, d).
+Enumeration modes of r2/R2 count lattice points directly and never touch the
+divisor formulas, so the routes validate each other.
 
 triangle_star and triangle are one set, with a^2 + ab + b^2 = c^2 + 3d^2 both
 ways: c^2 + 3d^2 is the form at (a, b) = (c - d, 2d); and the form is invariant
 under (a, b) -> (b, -a - b), whose orbit puts each of b, -a - b, a second, so
 some point (a, b) of the orbit has b even and gives c = a + b/2, d = b/2.  The
-two keep separate routes, so each checks the other.
+lattice scan of is_member therefore checks the chi3 windows of triangle_star.
 """
-
 from __future__ import annotations
 
 import math
@@ -33,7 +33,7 @@ import numpy as np
 from .arith import factorize
 from .characters import F, F_window, chi3, chi4, kronecker_character
 from .errors import BudgetError
-from .util import DEFAULT_CHUNK, chunk_ranges, key_blocks, map_ordered, pair_blocks
+from .util import DEFAULT_CHUNK, chunk_ranges, map_ordered
 
 WINDOW_MAX = 1_000_000_000
 
@@ -171,44 +171,20 @@ def is_member(s: SetId, n: int) -> bool:
     raise ValueError(f"unknown set {s}")
 
 
-def _isqrt(v: np.ndarray) -> np.ndarray:
-    """Exact floor square roots of int64 v >= 0: a float estimate, then +-1."""
-    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
-    return r - (r * r > v) + ((r + 1) * (r + 1) <= v)  # at most one term is 1
-
-
-def _triangle_star_window(lo: int, hi: int) -> np.ndarray:
-    out = np.zeros(hi - lo + 1, dtype=bool)
-
-    def c_range(d):
-        # c^2 in [lo - 3d^2, hi - 3d^2]; c_lo = ceil(sqrt(t)) = isqrt(t - 1) + 1 for t > 0
-        base = 3 * d * d
-        t = np.maximum(lo - base, 0)
-        return _isqrt(np.maximum(t - 1, 0)) + (t > 0), _isqrt(hi - base)
-
-    for d, c in pair_blocks(key_blocks(0, math.isqrt(hi // 3)), c_range):
-        out[c * c + 3 * d * d - lo] = True
-    return out
-
-
 def member_character(s: SetId):
-    """The character psi with n in s iff F_psi(n) > 0 for n >= 1, or None for
-    triangle_star, whose windows enumerate lattice points instead."""
+    """The character psi with n in s iff F_psi(n) > 0 for n >= 1: chi4 for
+    square2, chi3 for triangle and triangle_star (one set), chiD for diamond(D)."""
     if s.tag == "square2":
         return chi4()
-    if s.tag == "triangle":
+    if s.tag in ("triangle", "triangle_star"):
         return chi3()
     if s.tag == "diamond":
         return kronecker_character(s.disc)
-    if s.tag == "triangle_star":
-        return None
     raise ValueError(f"unknown set {s}")
 
 
 def _member_window(s: SetId, lo: int, hi: int) -> np.ndarray:
     psi = member_character(s)
-    if psi is None:
-        return _triangle_star_window(lo, hi)
     out = np.zeros(hi - lo + 1, dtype=bool)
     out[0] = lo == 0 and s.tag != "diamond"
     if hi >= 1:

@@ -49,12 +49,6 @@ def map_ordered(fn, items, threads: int = 1) -> list:
         return list(pool.map(fn, items))
 
 
-def key_blocks(t_lo: int, t_hi: int):
-    """The keys t_lo..t_hi as int64 arrays of at most PAIR_BLOCK keys, in order."""
-    for k0 in range(t_lo, t_hi + 1, PAIR_BLOCK):
-        yield np.arange(k0, min(k0 + PAIR_BLOCK, t_hi + 1), dtype=np.int64)
-
-
 def pair_blocks(keys, bounds):
     """Every pair (t, m) with t a key and first <= m <= last, where (first,
     last) = bounds(t) for an int64 array of keys t, as int64 arrays (t, m) of

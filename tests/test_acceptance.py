@@ -30,6 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from lattice_oracle import triangle_star_window
 
 from formgaps import analytic_constants as ac
 from formgaps import arith, census, gaps
@@ -176,7 +177,8 @@ def test_criterion_05_triangle_star_subset():
     star = rs.sieve_members(rs.TRIANGLE_STAR, 0, N)
     tri = rs.sieve_members(rs.TRIANGLE, 0, N)
     ok = bool(np.all(tri[star]))
-    _report(5, "triangle_star subset of triangle (n<=1e6)", ok)
+    ok &= bool(np.array_equal(star, triangle_star_window(0, N)))
+    _report(5, "triangle_star = lattice points, subset of triangle (n<=1e6)", ok)
 
 
 def test_criterion_06_beta_positivity_and_series():
@@ -191,7 +193,7 @@ def test_criterion_06_beta_positivity_and_series():
             bad.append(a)
     for a in (1, 2, 3, 5, 8):
         e = ac.beta(psi, a, 1e-6)
-        d = ac.beta_direct_series(psi, a, 10 ** 5)
+        d = ac.G_series(psi, a, 1.0, 10 ** 5)
         if abs(e.value - d.value) > e.error_bound + d.error_bound:
             bad.append(("series", a))
     _report(6, "beta > 0 (|a|<=20) and Euler = direct series (a in {1,2,3,5,8})",

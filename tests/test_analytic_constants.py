@@ -12,7 +12,6 @@ from formgaps.analytic_constants import (
     TruncatedValue,
     _sqrt_fraction,
     beta,
-    beta_direct_series,
     beta_euler,
     beta_times_pi,
     eta_star,
@@ -92,7 +91,7 @@ def test_beta_positive_and_consistent():
 def test_beta_against_direct_series():
     for a in (1, 2, 5, -7):
         e = beta(chi6(), a, 1e-6)
-        d = beta_direct_series(chi6(), a, 50_000)
+        d = G_series(chi6(), a, 1.0, 50_000)
         assert abs(e.value - d.value) <= e.error_bound + d.error_bound, a
 
 

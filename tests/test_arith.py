@@ -105,9 +105,10 @@ def test_tau_values():
 
 
 def test_is_prime_against_sieve():
-    ps = set(int(p) for p in primes(2000))
-    for n in range(2000):
-        assert is_prime(n) == (n in ps)
+    # covers the shortcut below 37^2 and Miller-Rabin above it
+    ps = set(int(p) for p in primes(200_000))
+    for n in range(200_000):
+        assert is_prime(n) == (n in ps), n
 
 
 def test_primes_cache_grows():

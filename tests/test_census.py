@@ -165,6 +165,8 @@ def _separate_census(set1, set2, a, x, H):
         (SQUARE2, diamond(-4)),
         (diamond(-4), SQUARE2),
         (TRIANGLE, diamond(-3)),
+        (TRIANGLE, TRIANGLE_STAR),
+        (TRIANGLE_STAR, diamond(-3)),
     ],
 )
 @pytest.mark.parametrize(
@@ -174,7 +176,7 @@ def _separate_census(set1, set2, a, x, H):
         (-13, 10 ** 9 - 2000),
         (2500, 10 ** 9 - 2000),
         (-2500, 10 ** 9 - 2000),
-        (-7, 0),  # lo_eff = 7, where n + a = 0: square2 holds 0, diamond does not
+        (-7, 0),  # lo_eff = 7, where n + a = 0: the form sets hold 0, diamond does not
         (0, 0),
     ],
 )

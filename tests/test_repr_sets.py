@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from lattice_oracle import isqrt, triangle_star_window
 
 from formgaps.errors import BudgetError
 from formgaps.repr_sets import (
@@ -9,7 +10,6 @@ from formgaps.repr_sets import (
     SQUARE2,
     TRIANGLE,
     TRIANGLE_STAR,
-    _isqrt,
     diamond,
     ideal_count,
     is_member,
@@ -80,9 +80,9 @@ def test_triangle_star_subset_of_triangle():
 
 
 def test_triangle_star_equals_triangle():
-    # a^2 + ab + b^2 = c^2 + 3d^2 both ways, so the two routes give one set
-    lo, hi = 10 ** 9 - (1 << 17), 10 ** 9 + (1 << 17)
-    assert np.array_equal(sieve_members(TRIANGLE_STAR, lo, hi), sieve_members(TRIANGLE, lo, hi))
+    # a^2 + ab + b^2 = c^2 + 3d^2 both ways, so the chi3 windows hold every lattice point
+    for lo, hi in ((0, 10 ** 6), (10 ** 9 - (1 << 17), 10 ** 9 + (1 << 17))):
+        assert np.array_equal(sieve_members(TRIANGLE_STAR, lo, hi), triangle_star_window(lo, hi))
     for n in (10 ** 9 + 1, 10 ** 9 + 3, 10 ** 9 + 7, 10 ** 9 + 9):
         assert is_member(TRIANGLE_STAR, n) == is_member(TRIANGLE, n), n
 
@@ -97,7 +97,7 @@ def test_isqrt_exact_near_large_squares():
     # beyond 2^52 the float estimate of sqrt(n^2 - 1) rounds up to n
     n = np.array([2 ** 26 + 1, 3 * 10 ** 8 + 7, 2 ** 31 - 1, 3_037_000_000], dtype=np.int64)
     v = np.concatenate([n * n - 1, n * n, n * n + n, [0, 1, 2, 3, 4]])
-    assert [int(r) for r in _isqrt(v)] == [math.isqrt(int(x)) for x in v]
+    assert [int(r) for r in isqrt(v)] == [math.isqrt(int(x)) for x in v]
 
 
 def test_sieve_examples():

@@ -39,5 +39,3 @@ def test_pair_blocks_enumerates_every_pair_once():
     expected = [(t, m) for t in [*range(0, 50), *range(60, 200)]
                 for m in range(t % 3, 8 * t - 4)]
     assert len(expected) > util.PAIR_BLOCK and pairs == expected
-    assert list(util.key_blocks(3, 2)) == []
-    assert [b.tolist() for b in util.key_blocks(0, 2)] == [[0, 1, 2]]
