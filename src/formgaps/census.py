@@ -4,8 +4,9 @@ For two representable sets W1, W2 and a shift a, the census counts
 
     S(W1, W2, a) = { n : n in W1, n + a in W2 }
 
-inside a window [x, x+H] by sieving both shifted windows and intersecting the
-masks; the count is always exact, only the recorded witness list is capped.
+inside a window [x, x+H]: n >= 1 with F_psi1(n) > 0 and F_psi2(n + a) > 0, for
+psi_i the member character of W_i.  The count is always exact, only the
+recorded witness list is capped.
 
 The correlation sums are the exact integers
 
@@ -13,7 +14,9 @@ The correlation sums are the exact integers
     general     = sum_{n <= x} F_psi(n) * F_rho(n + a)
     two-squares = sum_{n <= x} r2(n) * r2(n + a)        (= 16 * general chi4,chi4)
 
-summed over n >= max(1, 1 - a) so that n + a stays >= 1.  Ratio reports divide
+summed over n >= max(1, 1 - a) so that n + a stays >= 1.  Census and sums are
+one shifted product over a window, of the indicators F > 0 or of the values F,
+and both run through one kernel, _shifted_windows, over F_window.  Ratio reports divide
 J by its predicted main term coefficient times x; trend toward 1 is the
 empirical face of the asymptotic, since the error term's logarithmic factors
 dwarf any reachable x and make absolute-error checks vacuous.
@@ -28,14 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .analytic_constants import main_term
 from .characters import DirichletCharacter, F_window, chi4
 from .errors import BudgetError
-from .repr_sets import WINDOW_MAX, SetId, is_member, member_character, sieve_members
+from .repr_sets import WINDOW_MAX, SetId, is_member, member_character
 from .util import chunk_ranges, map_ordered
 
 CORRELATION_MAX = 1_000_000_000
@@ -67,39 +69,40 @@ class CorrelationReport:
     ratio: float
 
 
-def _shifted_pair(window, lo: int, hi: int, a: int):
-    """window(lo, hi) and window(lo + a, hi + a); when the two ranges overlap,
-    both are slices of one window over their union."""
-    if abs(a) > hi - lo:
-        return window(lo, hi), window(lo + a, hi + a)
-    u_lo = min(lo, lo + a)
-    both = window(u_lo, max(hi, hi + a))
-    return both[lo - u_lo : hi - u_lo + 1], both[lo + a - u_lo : hi + a - u_lo + 1]
+def _shifted_windows(psi, rho, a: int, lo: int, hi: int, threads: int, reduce) -> list:
+    """reduce(c_lo, F_psi on [c_lo, c_hi], F_rho on [c_lo + a, c_hi + a]) for
+    each chunk [c_lo, c_hi] of [lo, hi], in order (lo >= 1 and lo + a >= 1).
+
+    When psi and rho have one value table and the two ranges of a chunk
+    overlap, both sides are slices of one F_window over their union.
+    """
+    shared = psi.values == rho.values
+
+    def one(c):
+        c_lo, c_hi = c
+        if not shared or abs(a) > c_hi - c_lo:
+            return reduce(c_lo, F_window(psi, c_lo, c_hi), F_window(rho, c_lo + a, c_hi + a))
+        both, w = F_window(psi, c_lo + min(a, 0), c_hi + max(a, 0)), c_hi - c_lo + 1
+        return reduce(c_lo, both[max(-a, 0) :][:w], both[max(a, 0) :][:w])
+
+    return map_ordered(one, chunk_ranges(lo, hi), threads)
 
 
 def _product_sum(psi, rho, a: int, x: int, threads: int, b: int = 1) -> int:
     """Exact sum over max(1, 1 - a) <= n <= x, gcd(n, b) = 1, of F_psi(n) F_rho(n + a)."""
     n_lo = max(1, 1 - a)
-    if x < n_lo:
-        return 0
-    if x + abs(a) > CORRELATION_MAX:
+    if x >= n_lo and x + abs(a) > CORRELATION_MAX:
         raise BudgetError(f"correlation budget {CORRELATION_MAX} exceeded")
-    shared = psi.values == rho.values
     unit = np.gcd(np.arange(b), b) == 1  # gcd(n, b) = 1 has period b in n
 
-    def one(c):
-        lo, hi = c
-        if shared:
-            left, right = _shifted_pair(partial(F_window, psi), lo, hi, a)
-        else:
-            left, right = F_window(psi, lo, hi), F_window(rho, lo + a, hi + a)
+    def product(lo, left, right):
         # F_window counts are int32; widen before the product
         terms = np.multiply(left, right, dtype=np.int64)
         if b > 1:
             terms *= np.tile(np.roll(unit, -(lo % b)), -(-terms.size // b))[: terms.size]
         return int(terms.sum())
 
-    return sum(map_ordered(one, chunk_ranges(n_lo, x), threads))
+    return sum(_shifted_windows(psi, rho, a, n_lo, x, threads, product))
 
 
 def correlation_J(psi: DirichletCharacter, a: int, x: int, threads: int = 1) -> int:
@@ -139,52 +142,39 @@ def census_interval(
     witness_cap: int | None = WITNESS_CAP_DEFAULT,
     threads: int = 1,
 ) -> CensusRecord:
-    """Exact census of S(set1, set2, a) on [x, x+H] via two shifted sieves.
+    """Exact census of S(set1, set2, a) on [x, x+H] through _shifted_windows.
 
-    Candidates with n + a < 0 are excluded (membership of negative integers
-    is undefined here).  The witness list stops at witness_cap entries; the
-    count never does.
+    Both sides are read off F_window of the sets' member characters: n is
+    counted when F_psi1(n) > 0 and F_psi2(n + a) > 0.  Candidates with n + a < 0
+    are excluded (membership of negative integers is undefined here).  The
+    witness list stops at witness_cap entries; the count never does.
     """
     if x < 0 or H < 0:
         raise ValueError("census_interval requires x >= 0 and H >= 0")
     if H + 1 > WINDOW_MAX:
         raise BudgetError(f"census window {H + 1} exceeds {WINDOW_MAX}")
+    # n or n + a is 0 only at the first candidate lo_eff, where F_window does
+    # not reach; is_member decides that point and the windows start after it
     lo_eff = max(x, -a)
-    cap = math.inf if witness_cap is None else witness_cap
-    count = 0
-    wits: list[int] = []
-    # sets with one character (square2 and diamond:-4; triangle, triangle_star
-    # and diamond:-3) differ at most at n = 0
-    shared = member_character(set1).values == member_character(set2).values
-    if lo_eff <= x + H:
-        chunks = chunk_ranges(lo_eff, x + H)
+    head = []
+    if lo_eff <= x + H and is_member(set1, lo_eff) and is_member(set2, lo_eff + a):
+        head.append(lo_eff)
 
-        def one(c):
-            lo, hi = c
-            if shared:
-                m1, m2 = _shifted_pair(partial(sieve_members, set1), lo, hi, a)
-            else:
-                m1, m2 = sieve_members(set1, lo, hi), sieve_members(set2, lo + a, hi + a)
-            both = m1 & m2
-            if shared and set2 != set1 and lo + a == 0:  # n + a = 0 sits at the first entry
-                both[0] = m1[0] and is_member(set2, 0)
-            return lo, both
+    def members(lo, left, right):
+        found = np.flatnonzero((left > 0) & (right > 0))
+        return found.size, lo + found[:witness_cap]
 
-        for lo, both in map_ordered(one, chunks, threads):
-            count += int(both.sum())
-            if len(wits) < cap:
-                found = lo + np.flatnonzero(both)
-                take = found[: int(min(cap - len(wits), found.size))]
-                wits.extend(int(v) for v in take)
-    return CensusRecord(set1, set2, a, x, H, count, tuple(wits))
+    psi1, psi2 = member_character(set1), member_character(set2)
+    parts = _shifted_windows(psi1, psi2, a, lo_eff + 1, x + H, threads, members)
+    count = len(head) + sum(k for k, _ in parts)
+    wits = head + [n for _, found in parts for n in found.tolist()]
+    return CensusRecord(set1, set2, a, x, H, count, tuple(wits[:witness_cap]))
 
 
 def ratio_report(
     psi: DirichletCharacter,
     a: int,
     xs: list[int],
-    eps: float = 1e-6,
-    threads: int = 1,
 ) -> list[CorrelationReport]:
     """One CorrelationReport per x in xs (increasing): J, main term, and ratio.
 
@@ -194,10 +184,10 @@ def ratio_report(
     """
     if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
         raise ValueError("xs must be increasing")
-    m = main_term(psi, a, eps).value
+    m = main_term(psi, a).value
     out = []
     for x in xs:
-        J = correlation_J(psi, a, x, threads=threads)
+        J = correlation_J(psi, a, x)
         ratio = J / (m * x) if m > 0 and x > 0 else math.nan
         out.append(CorrelationReport(psi.name, a, x, J, m, ratio))
     return out

@@ -29,7 +29,7 @@ import numpy as np
 
 from .arith import divisors, factorize, prime_blocks
 from .errors import BudgetError
-from .util import DEFAULT_CHUNK, chunk_ranges, map_ordered, pair_blocks
+from .util import chunk_ranges, pair_blocks
 
 F_SIEVE_MAX = 150_000_000  # materialized-array guard; windows go further
 
@@ -389,14 +389,14 @@ def _sieve_segment(f: np.ndarray, table: np.ndarray, lo: int, hi: int) -> None:
     f *= psi_q
 
 
-def F_sieve(psi: DirichletCharacter, x: int, budget: int = F_SIEVE_MAX, threads: int = 1) -> np.ndarray:
-    """Array a with a[n] = F_psi(n) for n = 1..x (a[0] is a zero pad)."""
+def F_sieve(psi: DirichletCharacter, x: int) -> np.ndarray:
+    """Array a with a[n] = F_psi(n) for n = 1..x <= F_SIEVE_MAX (a[0] is a zero
+    pad): one buffer, filled chunk by chunk from F_window."""
     if x < 1:
         raise ValueError("F_sieve requires x >= 1")
-    if x > budget:
-        raise BudgetError(f"F_sieve of length {x} exceeds the budget of {budget}")
-    parts = map_ordered(
-        lambda c: F_window(psi, c[0], c[1]), chunk_ranges(1, x, DEFAULT_CHUNK), threads
-    )
-    pad = np.zeros(1, dtype=parts[0].dtype)
-    return np.concatenate([pad] + parts)
+    if x > F_SIEVE_MAX:
+        raise BudgetError(f"F_sieve of length {x} exceeds the budget of {F_SIEVE_MAX}")
+    out = np.zeros(x + 1, dtype=psi.table().dtype)
+    for lo, hi in chunk_ranges(1, x):
+        out[lo : hi + 1] = F_window(psi, lo, hi)
+    return out

@@ -1,20 +1,20 @@
 """Explicit gap witnesses for shifted pairs of quadratic-form values.
 
-square2/square2 pairs (exponent 1/2).  For odd a > 0 and any integer s,
+square2/square2 pairs (exponent 1/2).  For odd a of either sign and any s,
 
     (s^2 + ((a-1)/2)^2) + a = s^2 + ((a+1)/2)^2,
 
 so the least s pushing the left side past x gives a witness within O(sqrt x).
 Even shifts reduce to the odd case: scaling a witness for the odd part a' by
 2^t multiplies both members by 2^t (sums of two squares are closed under
-products).  Negative shifts use the mirrored pair.
+products).
 
 triangle/square2 pairs.  Write D* = {c^2 + 3 d^2}, a subset of the x^2+xy+y^2
 values.  If a = n0^2 - 3 m0^2 is represented by the norm form, then for every
 s the pair (s^2 + 3 m0^2, s^2 + n0^2) works and the offset is O(sqrt x)
 (exponent 1/2).  Otherwise the parametric family
 
-    f(v, d) = ((v^2 - 3 d^2 - a + 1) / 2)^2 + 3 d^2,   f(v, d) + a a two-square
+    f(v, d) = c^2 + 3 d^2,  f(v, d) + a = (c - 1)^2 + v^2,  c = (v^2 - 3 d^2 - a + 1) / 2
 
 (valid whenever v^2 - 3 d^2 - a is odd, arranged by parity classes l1, l2 for
 v and d) yields a witness just above x as follows.  Let Q be the least d = l2
@@ -30,8 +30,10 @@ sqrt(2 w*) - v* <= 2.  The selection "v*^2 < 2 w*" is done in exact integer
 arithmetic ((B - v*^2)^2 > 4 (x - 3 Q*^2)), which is literally the statement
 f(v*, Q*) > x, so the constructed witness can never land at or below x.
 
-Every witness is re-verified through the representation-count formulas before
-it is returned.
+Every witness is checked by its certificate before it is returned: n and n + a
+are rebuilt in integers from the branch's parameters by the identities above,
+so the check holds at any height.  Only the small-x forward scan has none; its
+witnesses are checked through r2 and R2, which factorize.
 """
 
 from __future__ import annotations
@@ -74,14 +76,28 @@ def _in_triangle(n: int) -> bool:
     return n == 0 or R2(n, "formula") > 0
 
 
-def _verify(w: GapWitness) -> GapWitness:
-    n, a = w.n, w.a
+def _certified(w: GapWitness) -> bool:
+    """True when n and n + a are the form values the branch's params build, by
+    the identities of the module docstring; scan witnesses go through r2, R2."""
+    n, a, p = w.n, w.a, w.params
+    if "scan" in p:
+        return n + a >= 0 and _in_triangle(n) and _in_square2(n + a)
     if w.branch == BRANCH_SQ2_SQ2:
-        ok = _in_square2(n) and _in_square2(n + a)
+        s, t, o = p["s"], p["t"], p["odd_shift"]
+        pair = ((s * s + ((o - 1) // 2) ** 2) << t, (s * s + ((o + 1) // 2) ** 2) << t)
+    elif w.branch == BRANCH_REPRESENTABLE:
+        s, (n0, m0) = p["s"], p["norm_rep"]
+        pair = (s * s + 3 * m0 * m0, s * s + n0 * n0)
     else:
-        ok = _in_triangle(n) and _in_square2(n + a)
-    if not ok or n + a < 0:
-        raise InvariantError(f"witness {n} fails membership re-verification")
+        v, q = p["vstar"], p["Qstar"]
+        c = (v * v - 3 * q * q - a + 1) // 2
+        pair = (c * c + 3 * q * q, (c - 1) ** 2 + v * v)
+    return (n, n + a) == pair
+
+
+def _verify(w: GapWitness) -> GapWitness:
+    if not _certified(w):
+        raise InvariantError(f"witness {w.n} fails its certificate")
     return w
 
 
@@ -123,8 +139,7 @@ def gap_square2_square2(a: int, x: int) -> GapWitness:
         t += 1
     scale = 1 << t
     y = x // scale  # need base witness g > y, then scale * g > x
-    m = abs(a_odd)
-    c_n = (m + 1) // 2 if a_odd < 0 else (m - 1) // 2
+    c_n = (a_odd - 1) // 2  # s^2 + c_n^2 + a_odd = s^2 + (c_n + 1)^2
     s = math.isqrt(max(y - c_n * c_n, 0))
     while s * s + c_n * c_n <= y:
         s += 1
@@ -170,10 +185,11 @@ def _parity_classes(a: int) -> tuple[int, int]:
 
 def _generic_state(a: int, x: int) -> dict:
     l1, l2 = _parity_classes(a)
-    d = l2
-    while _f0_times4(d, a) <= 4 * x:
-        d += 2
-    Q = d
+    # 4 f(0, d) = (3 d^2 + a + 1)^2 - 4a, so f(0, d) > x iff |3 d^2 + a + 1| > R
+    # = isqrt(4 (x + a)); past d = l2 that first holds once 3 d^2 > R - a - 1
+    R = math.isqrt(4 * (x + a)) if x + a >= 0 else -1
+    d = l2 if abs(3 * l2 * l2 + a + 1) > R else math.isqrt((R - a - 1) // 3) + 1
+    Q = d + (d - l2) % 2
     Qstar = Q + 2
     B = 3 * Qstar * Qstar + a - 1
     return {"l1": l1, "l2": l2, "Q": Q, "Qstar": Qstar, "B": B, "disc4": x - 3 * Qstar * Qstar}
@@ -193,14 +209,14 @@ def _side_conditions_hold(st: dict, a: int) -> bool:
     return True
 
 
-def x_min(a: int, cap: int = 1_000_000) -> int:
+def x_min(a: int) -> int:
     """Smallest x at which all side conditions of the generic construction hold."""
     if a == 0:
         raise ValueError("x_min requires a != 0")
-    for x in range(1, cap + 1):
+    for x in range(1, 1_000_001):
         if _side_conditions_hold(_generic_state(a, x), a):
             return x
-    raise InvariantError(f"side conditions never hold up to {cap}")
+    raise InvariantError("side conditions never hold up to 10^6")
 
 
 def _scan_forward(a: int, x: int) -> GapWitness:
@@ -243,12 +259,12 @@ def gap_triangle_square2(a: int, x: int) -> GapWitness:
     if not _side_conditions_hold(st, a):
         return _verify(_scan_forward(a, x))
     l1, Qstar, B, disc4 = st["l1"], st["Qstar"], st["B"], st["disc4"]
-    v = math.isqrt(B)
+    # v must satisfy v^2 < 2 w*, i.e. (B - v^2)^2 > 4 disc4 with B - v^2 > 0, i.e.
+    # v^2 <= B - isqrt(4 disc4) - 1; this is exactly f(v, Q*) > x, so the
+    # selected witness (the largest such v = l1 mod 2) clears x by design
+    top = B - math.isqrt(4 * disc4) - 1
+    v = math.isqrt(top) if top >= 0 else -1
     v -= (v - l1) % 2
-    # v must satisfy v^2 < 2 w*, i.e. (B - v^2)^2 > 4 disc4 with B - v^2 > 0;
-    # this is exactly f(v, Q*) > x, so the selected witness clears x by design
-    while v >= 0 and not (B - v * v > 0 and (B - v * v) ** 2 > 4 * disc4):
-        v -= 2
     if v < 0:
         return _verify(_scan_forward(a, x))
     c = (v * v - B) // 2

@@ -33,7 +33,7 @@ import numpy as np
 from .arith import factorize, is_prime, nu, primes
 from .characters import chi4, F_window
 from .errors import BudgetError, InvariantError
-from .util import chunk_ranges, map_ordered
+from .util import chunk_ranges
 
 ETA_BRUTE_MAX = 1 << 23  # direct residue counting cap (memory: a few arrays of q)
 
@@ -157,20 +157,16 @@ def tolev_main(q: int, a: int, x: float) -> float:
     return math.pi * eta(a, q) * x / (4 * q * q)
 
 
-def S_qa(q: int, a: int, x: int, threads: int = 1) -> int:
+def S_qa(q: int, a: int, x: int) -> int:
     """Exact sum of F_chi4(n) over n <= x with n = a (mod q)."""
     if q < 1 or x < 1:
         raise ValueError("S_qa requires q >= 1 and x >= 1")
     if x > PROGRESSION_MAX:
         raise BudgetError(f"S_qa length {x} exceeds {PROGRESSION_MAX}")
-
-    def one(c):
-        lo, hi = c
-        w = F_window(chi4(), lo, hi)
-        start = (a - lo) % q
-        return int(w[start::q].sum())
-
-    return sum(map_ordered(one, chunk_ranges(lo=1, hi=x), threads))
+    # the first n = a (mod q) of the chunk [lo, hi] sits at entry (a - lo) % q
+    return sum(
+        int(F_window(chi4(), lo, hi)[(a - lo) % q :: q].sum()) for lo, hi in chunk_ranges(1, x)
+    )
 
 
 @lru_cache(maxsize=16)

@@ -33,7 +33,7 @@ import numpy as np
 from .arith import factorize
 from .characters import F, F_window, chi3, chi4, kronecker_character
 from .errors import BudgetError
-from .util import DEFAULT_CHUNK, chunk_ranges, map_ordered
+from .util import chunk_ranges
 
 WINDOW_MAX = 1_000_000_000
 
@@ -183,22 +183,17 @@ def member_character(s: SetId):
     raise ValueError(f"unknown set {s}")
 
 
-def _member_window(s: SetId, lo: int, hi: int) -> np.ndarray:
-    psi = member_character(s)
-    out = np.zeros(hi - lo + 1, dtype=bool)
-    out[0] = lo == 0 and s.tag != "diamond"
-    if hi >= 1:
-        out[max(lo, 1) - lo :] = F_window(psi, max(lo, 1), hi) > 0
-    return out
-
-
-def sieve_members(s: SetId, lo: int, hi: int, threads: int = 1) -> np.ndarray:
-    """Boolean mask over [lo, hi]: entry n - lo is True iff is_member(s, n)."""
+def sieve_members(s: SetId, lo: int, hi: int) -> np.ndarray:
+    """Boolean mask over [lo, hi]: entry n - lo is True iff is_member(s, n).
+    One buffer, filled chunk by chunk with F_window(member_character(s)) > 0."""
     if lo < 0 or hi < lo:
         raise ValueError("sieve_members requires 0 <= lo <= hi")
     if hi - lo + 1 > WINDOW_MAX:
         raise BudgetError(f"window of {hi - lo + 1} exceeds {WINDOW_MAX}")
-    parts = map_ordered(
-        lambda c: _member_window(s, c[0], c[1]), chunk_ranges(lo, hi, DEFAULT_CHUNK), threads
-    )
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    psi = member_character(s)
+    out = np.empty(hi - lo + 1, dtype=bool)
+    if lo == 0:
+        out[0] = is_member(s, 0)
+    for c_lo, c_hi in chunk_ranges(max(lo, 1), hi):
+        out[c_lo - lo : c_hi - lo + 1] = F_window(psi, c_lo, c_hi) > 0
+    return out

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import formgaps.census as census_mod
 from formgaps import util
@@ -167,6 +169,9 @@ def _separate_census(set1, set2, a, x, H):
         (TRIANGLE, diamond(-3)),
         (TRIANGLE, TRIANGLE_STAR),
         (TRIANGLE_STAR, diamond(-3)),
+        (TRIANGLE, SQUARE2),
+        (diamond(-23), TRIANGLE),
+        (SQUARE2, diamond(-3)),
     ],
 )
 @pytest.mark.parametrize(
@@ -181,11 +186,42 @@ def _separate_census(set1, set2, a, x, H):
     ],
 )
 def test_census_shared_window_matches_separate(small_chunks, set1, set2, a, x):
+    # shared and unshared pairs alike start at the boundary point lo_eff = max(x, -a)
     H = 4500
     expected = _separate_census(set1, set2, a, x, H)
     recs = [census_interval(set1, set2, a, x, H, witness_cap=None, threads=t) for t in (1, 2, 4)]
     assert recs[0] == recs[1] == recs[2]
     assert recs[0].witnesses == expected and recs[0].count == len(expected)
+
+
+BENCH_SETS = (SQUARE2, TRIANGLE, TRIANGLE_STAR, diamond(-4), diamond(-23))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    set1=st.sampled_from(BENCH_SETS),
+    set2=st.sampled_from(BENCH_SETS),
+    a=st.integers(min_value=-60, max_value=60),
+    x=st.integers(min_value=0, max_value=10 ** 4),
+    H=st.integers(min_value=0, max_value=3000),
+)
+@example(set1=SQUARE2, set2=diamond(-4), a=0, x=0, H=40)  # n = 0 in one set only
+@example(set1=diamond(-23), set2=TRIANGLE, a=-37, x=0, H=200)  # n + a = 0 at lo_eff = -a
+@example(set1=TRIANGLE, set2=TRIANGLE_STAR, a=-60, x=25, H=3000)  # -a > x
+@example(set1=SQUARE2, set2=SQUARE2, a=-50, x=80, H=0)  # an empty window
+def test_census_matches_is_member(set1, set2, a, x, H):
+    brute = [
+        n
+        for n in range(max(x, -a), x + H + 1)
+        if is_member(set1, n) and is_member(set2, n + a)
+    ]
+    with pytest.MonkeyPatch.context() as mp:  # windows of up to 3000 span several chunks
+        mp.setattr(census_mod, "chunk_ranges",
+                   lambda lo, hi: util.chunk_ranges(lo, hi, SMALL_CHUNK))
+        rec = census_interval(set1, set2, a, x, H, witness_cap=None)
+        capped = census_interval(set1, set2, a, x, H, witness_cap=3)
+    assert rec.witnesses == tuple(brute) and rec.count == len(brute)
+    assert capped.witnesses == tuple(brute[:3]) and capped.count == len(brute)
 
 
 def _separate_product(psi, rho, a, x, b=1):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formgaps import characters, util
 from formgaps.arith import primes
 from formgaps.characters import (
+    F_SIEVE_MAX,
     F,
     F_sieve,
     F_window,
@@ -317,10 +319,13 @@ def test_F_window_property(lo, width, psi):
 
 def test_F_sieve_budget_guard():
     with pytest.raises(BudgetError):
-        F_sieve(chi4(), 10 ** 9 + 1, budget=10 ** 9)
+        F_sieve(chi4(), F_SIEVE_MAX + 1)
 
 
-def test_F_sieve_threaded_identical():
-    a = F_sieve(chi6(), 30_000, threads=1)
-    b = F_sieve(chi6(), 30_000, threads=4)
-    assert np.array_equal(a, b)
+def test_F_sieve_chunked_fill(monkeypatch):
+    # 30 chunks of 1000 fill the one buffer; each must land at its own offset
+    monkeypatch.setattr(characters, "chunk_ranges", lambda lo, hi: util.chunk_ranges(lo, hi, 1000))
+    for psi in (chi3(), chi4(), chi6()):
+        sv = F_sieve(psi, 30_000)
+        assert sv[0] == 0 and sv.size == 30_001
+        assert np.array_equal(sv[1:], F_window(psi, 1, 30_000)), psi.name

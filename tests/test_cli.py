@@ -92,6 +92,17 @@ def test_gap_json_only(capsys):
     assert data["params"]["Qstar"] == 28
 
 
+@pytest.mark.parametrize(
+    "pair,a,x", [("tri", 2, 10 ** 30), ("sq2", -10, 10 ** 23), ("tri", -7, 10 ** 40 + 7)]
+)
+def test_gap_beyond_factorization(capsys, pair, a, x):
+    # witnesses above 2^63 are checked by their certificates, not by factorize
+    code, out, err = run(capsys, "gap", "--pair", pair, "--a", str(a), "--x", str(x))
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["x"] == x and data["n"] == x + data["offset"] > x
+
+
 def test_exit_codes(capsys):
     assert run(capsys, "repr", "--fn", "bogus", "--n", "3")[0] == 1  # usage
     assert run(capsys, "repr", "--fn", "r2", "--n", "0")[0] == 1  # domain error

@@ -2,14 +2,20 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from formgaps import gaps
 from formgaps.errors import InvariantError
 from formgaps.gaps import (
     BRANCH_GENERIC,
     BRANCH_REPRESENTABLE,
     BRANCH_SQ2_SQ2,
     GapWitness,
+    _f0_times4,
     _generic_state,
     empirical_D,
     f_vd,
@@ -163,3 +169,86 @@ def test_input_validation():
         gap_triangle_square2(1, 0)
     with pytest.raises(ValueError):
         empirical_D(1, [])
+
+
+def _lift(x, y, t):
+    # 2 (x^2 + y^2) = (x + y)^2 + (x - y)^2, t times
+    for _ in range(t):
+        x, y = x + y, x - y
+    return x, y
+
+
+def _certificate(w):
+    """n and n + a as explicit form values built from the witness's params:
+    ((c, d), (e, f)) with n = c^2 + k d^2 and n + a = e^2 + f^2, k = 1 for
+    square2/square2 and 3 for triangle/square2 (c^2 + 3 d^2 is a triangle value)."""
+    p, a = w.params, w.a
+    if w.branch == BRANCH_SQ2_SQ2:
+        s, t, odd = p["s"], p["t"], p["odd_shift"]
+        assert odd % 2 == 1 and odd << t == a
+        c = (odd - 1) // 2  # s^2 + c^2 + odd = s^2 + (c + 1)^2
+        return _lift(s, c, t), _lift(s, c + 1, t)
+    if w.branch == BRANCH_REPRESENTABLE:
+        s, (n0, m0) = p["s"], p["norm_rep"]
+        assert n0 * n0 - 3 * m0 * m0 == a
+        return (s, m0), (s, n0)
+    v, q = p["vstar"], p["Qstar"]
+    num = v * v - 3 * q * q - a + 1
+    assert num % 2 == 0
+    c = num // 2
+    return (c, q), (c - 1, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.integers(min_value=1, max_value=60),
+    sign=st.sampled_from((1, -1)),
+    x=st.integers(min_value=1, max_value=10 ** 40),
+    pair=st.sampled_from(("sq2", "tri")),
+)
+@example(a=2, sign=1, x=10 ** 30, pair="tri")
+@example(a=10, sign=-1, x=10 ** 23, pair="sq2")
+@example(a=46, sign=-1, x=3, pair="tri")  # below x_min: the forward scan
+def test_gap_witnesses_carry_certificates(a, sign, x, pair):
+    a *= sign
+    if pair == "sq2":
+        w, k = gap_square2_square2(a, x), 1
+    else:
+        w, k = gap_triangle_square2(a, x), 3
+    assert w.n > x and w.offset == w.n - x
+    assert w.offset <= 100 * x ** float(upsilon(a)) + 10 ** 4
+    if "scan" not in w.params:
+        (c, d), (e, f) = _certificate(w)
+        assert w.n == c * c + k * d * d and w.n + w.a == e * e + f * f
+    if w.n + w.a <= 2 ** 63:
+        assert is_member(SQUARE2 if k == 1 else TRIANGLE, w.n) and is_member(SQUARE2, w.n + w.a)
+
+
+def test_verify_rejects_forged_witnesses():
+    x = 10 ** 30
+    for w in (gap_square2_square2(-12, x), gap_triangle_square2(13, x), gap_triangle_square2(2, x)):
+        assert gaps._verify(w) is w
+        forged = dataclasses.replace(w, n=w.n + 1, offset=w.offset + 1)
+        with pytest.raises(InvariantError):
+            gaps._verify(forged)
+        bumped = {k: v + 1 if k in ("s", "vstar") else v for k, v in w.params.items()}
+        with pytest.raises(InvariantError):
+            gaps._verify(dataclasses.replace(w, params=bumped))
+
+
+def test_generic_state_and_vstar_match_their_scans():
+    # Q and v* come from isqrt closed forms; these scans define them
+    for a in range(-60, 61):
+        if a == 0:
+            continue
+        for x in (1, 2, 50, 999, 10 ** 4 + 3, 10 ** 6, 10 ** 8 + 1):
+            st_ = _generic_state(a, x)
+            d = st_["l2"]
+            while _f0_times4(d, a) <= 4 * x:
+                d += 2
+            assert st_["Q"] == d, (a, x)
+            w = gap_triangle_square2(a, x)
+            if "vstar" in w.params:
+                v, q, B = w.params["vstar"], w.params["Qstar"], st_["B"]
+                assert v * v < B and f_vd(v, q, a) > x
+                assert (v + 2) ** 2 >= B or f_vd(v + 2, q, a) <= x, (a, x)

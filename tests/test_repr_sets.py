@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from lattice_oracle import isqrt, triangle_star_window
 
+from formgaps import repr_sets, util
+from formgaps.characters import F_window
 from formgaps.errors import BudgetError
 from formgaps.repr_sets import (
     R2,
@@ -13,6 +15,7 @@ from formgaps.repr_sets import (
     diamond,
     ideal_count,
     is_member,
+    member_character,
     parse_set,
     r2,
     sieve_members,
@@ -131,6 +134,19 @@ def test_sieve_chunking_consistent():
         sieve_members(TRIANGLE, lo, hi) for lo, hi in util.chunk_ranges(0, 3 * 4096, 4096)
     ]
     assert np.array_equal(full, np.concatenate(parts))
+
+
+def test_sieve_members_chunked_fill(monkeypatch):
+    # chunks of 1000 fill the one mask; lo = 0 takes n = 0 from is_member
+    monkeypatch.setattr(repr_sets, "chunk_ranges", lambda lo, hi: util.chunk_ranges(lo, hi, 1000))
+    for s in (SQUARE2, TRIANGLE, TRIANGLE_STAR, diamond(-4), diamond(-23)):
+        psi = member_character(s)
+        mask = sieve_members(s, 0, 12_345)
+        assert mask[0] == is_member(s, 0)
+        assert np.array_equal(mask[1:], F_window(psi, 1, 12_345) > 0), s
+        lo = 10 ** 9 - 4321
+        hi = lo + 9_999
+        assert np.array_equal(sieve_members(s, lo, hi), F_window(psi, lo, hi) > 0), s
 
 
 def test_sieve_budget_guard():
