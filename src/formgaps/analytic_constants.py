@@ -162,13 +162,15 @@ def L_value(chi: DirichletCharacter, s: float, eps: float = 1e-10) -> TruncatedV
 
     N = k * 32
     while tail_bound(N) > eps * 0.9 and N < 1 << 28:
-        N *= 2
+        N = min(2 * N, 1 << 28)
     if tail_bound(N) > eps:
         raise BudgetError("requested eps is out of reach for L_value")
-    n = np.arange(1, N + 1, dtype=np.float64)
     table = chi.table().astype(np.complex128 if not chi.is_real else np.float64)
-    terms = table[np.arange(1, N + 1) % k] * n ** -s
-    val = terms.sum() - (S1 / k) * N ** -s
+    val = 0
+    for lo in range(1, N + 1, 1 << 20):  # blocks of 2^20 terms bound the memory
+        n = np.arange(lo, min(lo + (1 << 20), N + 1))
+        val += (table[n % k] * n.astype(np.float64) ** -s).sum()
+    val -= (S1 / k) * N ** -s
     if chi.is_real:
         val = float(val.real) if isinstance(val, complex) else float(val)
     err = tail_bound(N) + 1e-14 * (1 + abs(val))
@@ -320,9 +322,9 @@ def beta_euler(psi: DirichletCharacter, a: int, eps: float = 1e-6) -> TruncatedV
     _require_beta_character(psi)
     if a == 0:
         raise ValueError("beta requires a != 0")
-    P = max(1000, math.ceil(8.0 / eps))
-    if P > EULER_PRIME_MAX:
+    if eps <= 0 or 8.0 / eps > EULER_PRIME_MAX:
         raise BudgetError("eps is too small for the Euler-product budget")
+    P = max(1000, math.ceil(8.0 / eps))
     L1 = L_value(psi, 1.0, eps / 8)
     base, nprimes = _modified_prime_product(psi.values, P)
     val = L1.value * base

@@ -1,11 +1,11 @@
 """Exact integer arithmetic: factorization, p-adic valuations, divisor functions.
 
-Everything here is pure and deterministic.  Inputs are capped at 2^63; within
-that range factorization is trial division with a 2-3-5 wheel (complete for
-n <= 10^12) backed by Brent's rho for larger cofactors, and primality is the
-deterministic Miller-Rabin base set for 64-bit integers.  Python integers keep
-all intermediate products exact, so quartic expressions downstream never
-overflow.
+Everything here is pure and deterministic.  Inputs are capped at 2^63 (past
+it factorize raises BudgetError); within that range factorization is trial
+division with a 2-3-5 wheel (complete for n <= 10^12) backed by Brent's rho
+for larger cofactors, and primality is the deterministic Miller-Rabin base set
+for 64-bit integers.  Python integers keep all intermediate products exact,
+so quartic expressions downstream never overflow.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import BudgetError
 
 MAX_INPUT = 1 << 63
 
@@ -141,7 +143,7 @@ def factorize(n: int) -> Factorization:
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     if n > MAX_INPUT:
-        raise ValueError("factorize requires n <= 2^63")
+        raise BudgetError("factorize requires n <= 2^63")
     m = n
     fac = []
     for p in (2, 3, 5):

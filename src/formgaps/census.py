@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_constants import main_term
-from .characters import DirichletCharacter, F_window, chi4
+from .characters import F, DirichletCharacter, F_window, chi4
 from .errors import BudgetError
-from .repr_sets import WINDOW_MAX, SetId, is_member, member_character
+from .repr_sets import WINDOW_MAX, SetId, member_character
 from .util import chunk_ranges, map_ordered
 
 CORRELATION_MAX = 1_000_000_000
@@ -153,18 +153,22 @@ def census_interval(
         raise ValueError("census_interval requires x >= 0 and H >= 0")
     if H + 1 > WINDOW_MAX:
         raise BudgetError(f"census window {H + 1} exceeds {WINDOW_MAX}")
+    psi1, psi2 = member_character(set1), member_character(set2)
+
+    def member(s, psi, n):  # n >= 0; 0 lies in every set but a diamond
+        return F(psi, n) > 0 if n else s.tag != "diamond"
+
     # n or n + a is 0 only at the first candidate lo_eff, where F_window does
-    # not reach; is_member decides that point and the windows start after it
+    # not reach; F decides that point and the windows start after it
     lo_eff = max(x, -a)
     head = []
-    if lo_eff <= x + H and is_member(set1, lo_eff) and is_member(set2, lo_eff + a):
+    if lo_eff <= x + H and member(set1, psi1, lo_eff) and member(set2, psi2, lo_eff + a):
         head.append(lo_eff)
 
     def members(lo, left, right):
         found = np.flatnonzero((left > 0) & (right > 0))
         return found.size, lo + found[:witness_cap]
 
-    psi1, psi2 = member_character(set1), member_character(set2)
     parts = _shifted_windows(psi1, psi2, a, lo_eff + 1, x + H, threads, members)
     count = len(head) + sum(k for k, _ in parts)
     wits = head + [n for _, found in parts for n in found.tolist()]

@@ -335,12 +335,14 @@ def F_window(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
     util.pair_blocks, PAIR_BLOCK (prime, multiple) pairs at a time, with
     unbuffered products since two primes can divide one n.  Primes come from
     arith.prime_blocks, so memory is O(width + SEGMENT + PAIR_BLOCK) plus the
-    bounded prime cache for any hi <= 2^63.  Real characters give int32
+    bounded prime cache for any hi < 2^63.  Real characters give int32
     (|F_psi(n)| <= tau(n) < 2^31 for n < 2^63; widen before multiplying two
     windows), complex characters complex128.
     """
     if lo < 1 or hi < lo:
         raise ValueError("window must satisfy 1 <= lo <= hi")
+    if hi >= 1 << 63:
+        raise BudgetError("F_window requires hi < 2^63")
     table = psi.table()
     out = np.empty(hi - lo + 1, dtype=table.dtype)
     for a in range(lo, hi + 1, SEGMENT):

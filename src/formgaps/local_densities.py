@@ -78,7 +78,7 @@ def eta_brute(a: int, q: int) -> int:
     if q > ETA_BRUTE_MAX:
         raise BudgetError(f"eta_brute modulus {q} exceeds {ETA_BRUTE_MAX}")
     counts = _square_counts(q)
-    idx = (a - np.arange(q, dtype=np.int64)) % q
+    idx = (a % q - np.arange(q, dtype=np.int64)) % q
     return int(counts @ counts[idx])
 
 

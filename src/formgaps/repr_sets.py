@@ -141,7 +141,7 @@ def _triangle_star_member(n: int) -> bool:
     """A plain scan: is n - 3 d^2 a square for some 0 <= d <= sqrt(n / 3)?
     The d are taken _SCAN_BLOCK at a time; exact for n < 2^63."""
     if n >= 1 << 63:
-        raise ValueError("triangle_star membership requires n < 2^63")
+        raise BudgetError("triangle_star membership requires n < 2^63")
     top = math.isqrt(n // 3)
     for d0 in range(0, top + 1, _SCAN_BLOCK):
         d = np.arange(d0, min(d0 + _SCAN_BLOCK, top + 1), dtype=np.int64)

@@ -29,12 +29,9 @@ def chunk_ranges(lo: int, hi: int, chunk: int = DEFAULT_CHUNK) -> list[tuple[int
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument wins, then FORMGAPS_THREADS, then all cores."""
+    """Worker count: the explicit argument if it is at least 1, else all cores."""
     if threads is not None and threads >= 1:
         return threads
-    env = os.environ.get("FORMGAPS_THREADS", "")
-    if env.isdigit() and int(env) >= 1:
-        return int(env)
     return os.cpu_count() or 1
 
 

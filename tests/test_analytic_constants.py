@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,21 @@ def test_L_value_refinement():
     a = L_value(chi6(), 1.0, 1e-4)
     b = L_value(chi6(), 1.0, 1e-10)
     assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+
+
+def test_L_value_sums_in_bounded_blocks():
+    # 10485760 terms: one array of that length would peak near 240 MB
+    tracemalloc.start()
+    try:
+        tv = L_value(kronecker_character(5), 1.0, 1e-13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    # the single-array sum of the same series
+    assert abs(tv.value - 0.4304089409640002) <= tv.error_bound
+    with pytest.raises(BudgetError):  # N stops at 2^28
+        L_value(kronecker_character(5), 1.0, 1e-18)
 
 
 def test_euler_factor_examples():

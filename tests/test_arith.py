@@ -18,6 +18,7 @@ from formgaps.arith import (
     primes,
     tau,
 )
+from formgaps.errors import BudgetError
 
 
 def test_factorize_examples():
@@ -29,7 +30,7 @@ def test_factorize_examples():
 def test_factorize_rejects_bad_input():
     with pytest.raises(ValueError):
         factorize(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetError):  # an input cap, reported as exit 2
         factorize((1 << 63) + 1)
 
 

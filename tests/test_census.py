@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import formgaps.census as census_mod
-from formgaps import util
+from formgaps import repr_sets, util
 from formgaps.census import (
     CensusRecord,
     census_interval,
@@ -129,6 +129,31 @@ def test_budget_guards():
         correlation_J(chi6(), 1, 2_000_000_000)
     with pytest.raises(BudgetError):
         census_interval(SQUARE2, SQUARE2, 1, 0, 2_000_000_000)
+
+
+def test_census_boundary_point_skips_the_membership_oracle(monkeypatch):
+    # lo_eff = max(x, -a) is decided through the member characters, so the
+    # oracle routes of is_member (the triangle_star scan, exponent parity) stay
+    # out of every census, including a non-member lo_eff near 1e14
+    cases = [
+        (TRIANGLE_STAR, SQUARE2, 1, 0, 50),  # x = 0
+        (SQUARE2, TRIANGLE, -9, 3, 40),  # -a >= x, lo_eff + a = 0
+        (SQUARE2, diamond(-4), -9, 0, 30),  # 0 lies in no diamond
+        (diamond(-4), TRIANGLE_STAR, -4, 2, 30),
+        (TRIANGLE_STAR, SQUARE2, 1, 10**14 + 1, 1000),  # 10^14 + 1 = 2 mod 3
+    ]
+    before = [census_interval(*c, witness_cap=None) for c in cases]
+    assert [r.count for r in before[:4]] == [
+        sum(is_member(s1, n) and is_member(s2, n + a) for n in range(max(x, -a), x + H + 1))
+        for s1, s2, a, x, H in cases[:4]
+    ]
+
+    def oracle(*args):
+        raise AssertionError("census called an is_member oracle")
+
+    monkeypatch.setattr(repr_sets, "_triangle_star_member", oracle)
+    monkeypatch.setattr(repr_sets, "_exponents_ok", oracle)
+    assert [census_interval(*c, witness_cap=None) for c in cases] == before
 
 
 def test_ratio_report_shape():

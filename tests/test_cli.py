@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from formgaps.cli import main
 
@@ -12,6 +14,86 @@ def run(capsys, *argv):
     out = capsys.readouterr()
     return code, out.out, out.err
 
+
+# Every subcommand form with its exact stdout in CSV and in JSON.  Only
+# integers, Fractions and closed forms rounded once appear, so no entry
+# depends on the platform's summation order.
+OUTPUT_FORMS = [
+    ('repr --fn r2 --n 25',
+     '25,12\n',
+     '{"fn": "r2", "n": 25, "value": 12}\n'),
+    ('repr --fn R2 --n 49 --mode enumerate',
+     '49,18\n',
+     '{"fn": "R2", "n": 49, "value": 18}\n'),
+    ('repr --fn ideal --n 9 --disc -4',
+     '9,1\n',
+     '{"fn": "ideal", "n": 9, "value": 1}\n'),
+    ('member --set square2 --n 3',
+     'square2,3,false\n',
+     '{"member": false, "n": 3, "set": "square2"}\n'),
+    ('member --set triangle_star --n 28',
+     'triangle_star,28,true\n',
+     '{"member": true, "n": 28, "set": "triangle_star"}\n'),
+    ('eta --a 5 --q 5',
+     '5,5,9,9/5\n',
+     '{"a": 5, "eta": 9, "lambda": "9/5", "q": 5}\n'),
+    ('eta --a 12 --q 36 --brute',
+     '12,36,0,0\n',
+     '{"a": 12, "eta": 0, "lambda": "0", "q": 36}\n'),
+    ('lambda --p 3 --j 1 --a 1',
+     '3,1,1,4/3\n',
+     '{"a": 1, "j": 1, "lambda": "4/3", "p": 3}\n'),
+    ('lambda --a 3 --bar 15',
+     'a,n,lambda_bar,f\n3,15,2/15,2\n',
+     '{"a": 3, "f": "2", "lambda_bar": "2/15", "n": 15}\n'),
+    ('beta --psi chi6 --a 1',
+     'psi,a,value,error_bound,terms\nchi6,1,0.954929658551372,8.48147915056938e-16,0\n',
+     '{"a": 1, "error_bound": 8.481479150569378e-16, "psi": "chi6", "terms": 0, "value": 0.954929658551372}\n'),
+    ('etastar --psi chi6 --a 1',
+     'psi,a,pi_coeff,value\nchi6,1,1/9,0.349065850398866\n',
+     '{"a": 1, "pi_coeff": "1/9", "psi": "chi6", "value": 0.3490658503988659}\n'),
+    ('mainterm --psi chi6 --a 1',
+     'psi,a,value,error_bound\nchi6,1,0.333333333333333,2.96059473233375e-16\n',
+     '{"a": 1, "error_bound": 2.9605947323337506e-16, "psi": "chi6", "value": 0.3333333333333333}\n'),
+    ('muller --psi chi4 --rho chi4 --a 1',
+     'psi,rho,a,value,error_bound\nchi4,chi4,1,0.5,4.44089209850063e-16\n',
+     '{"a": 1, "error_bound": 4.440892098500626e-16, "psi": "chi4", "rho": "chi4", "value": 0.5}\n'),
+    ('correlate --kind j --psi chi6 --a 1 --x 1000',
+     'psi,a,x,J,main,ratio\nchi6,1,1000,318,0.333333333333333,0.954\n',
+     '{"J": 318, "a": 1, "main": 0.3333333333333333, "psi": "chi6", "ratio": 0.9540000000000001, "x": 1000}\n'),
+    ('correlate --kind j --psi chi4 --a 26 --x 100',
+     'psi,a,x,J,main,ratio\nchi4,26,100,0,0,nan\n',
+     '{"J": 0, "a": 26, "main": 0.0, "psi": "chi4", "ratio": NaN, "x": 100}\n'),
+    ('correlate --kind general --psi chi4 --rho chi4 --a 2 --x 500',
+     'psi,a,x,J,main,ratio\nchi4*chi4,2,500,123,0.25,0.984\n',
+     '{"J": 123, "a": 2, "main": 0.25, "psi": "chi4*chi4", "ratio": 0.984, "x": 500}\n'),
+    ('correlate --kind general --psi chi3 --rho chi4 --a 1 --x 500',
+     'psi,a,x,J,main,ratio\nchi3*chi4,1,500,404,,\n',
+     '{"J": 404, "a": 1, "main": null, "psi": "chi3*chi4", "ratio": null, "x": 500}\n'),
+    ('correlate --kind estermann --a 1 --x 2',
+     'psi,a,x,J,main,ratio\nr2,1,2,16,,\n',
+     '{"J": 16, "a": 1, "main": null, "psi": "r2", "ratio": null, "x": 2}\n'),
+    ('census --set1 square2 --set2 square2 --a 1 --x 1 --len 9',
+     'set1,set2,a,x,H,count\nsquare2,square2,1,1,9,4\nW,1\nW,4\nW,8\nW,9\n',
+     '{"H": 9, "a": 1, "count": 4, "set1": "square2", "set2": "square2", "witnesses": [1, 4, 8, 9], "x": 1}\n'),
+    ('census --set1 square2 --set2 triangle --a 3 --x 0 --len 30 --witness-cap 0',
+     'set1,set2,a,x,H,count\nsquare2,triangle,3,0,30,9\n',
+     '{"H": 30, "a": 3, "count": 9, "set1": "square2", "set2": "triangle", "witnesses": [], "x": 0}\n'),
+    ('gap --pair sq2 --a 3 --x 100',
+     '{"a": 3, "branch": "SQ2_SQ2", "n": 101, "offset": 1, "params": {"base": 101, "odd_shift": 3, "s": 10, "sqrt_ratio": 0.1, "t": 0}, "x": 100}\n',
+     '{"a": 3, "branch": "SQ2_SQ2", "n": 101, "offset": 1, "params": {"base": 101, "odd_shift": 3, "s": 10, "sqrt_ratio": 0.1, "t": 0}, "x": 100}\n'),
+    ('verify --suite oracles --budget 0',
+     'suite,invariant,status,checks\nsummary,oracles,pass,0\n',
+     '{"failed": 0, "results": [], "suite": "oracles"}\n'),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command,csv_out,json_out", OUTPUT_FORMS)
+def test_output_forms(capsys, command, csv_out, json_out, fmt):
+    code, out, err = run(capsys, *command.split(), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (csv_out if fmt == "csv" else json_out)
 
 def test_repr_csv(capsys):
     code, out, _ = run(capsys, "repr", "--fn", "r2", "--n", "25")
@@ -145,3 +227,69 @@ def test_csv_round_trip_census(capsys):
                      "--a", "2", "--x", "10", "--len", "40", "--format", "json")
     data = json.loads(out2)
     assert data["count"] == int(count) and data["witnesses"] == wits
+
+
+# Values for the CLI sweep: small ones, 0 and negatives, one past 2^63 and one
+# at 2^70; sweep_argv also leaves flags out and passes tokens that are no number.
+HUGE = [2 ** 63 + 1, 2 ** 70]
+ANY = st.one_of(st.integers(-5, 10 ** 6), st.sampled_from([0, -1, *HUGE]))
+SMALL = st.integers(-5, 300)
+PSI = st.sampled_from(["chi3", "chi4", "chi6", "kronecker:5", "kronecker:8", "kronecker:12", "chi9"])
+SET = st.sampled_from(["square2", "triangle", "triangle_star", "diamond:-4", "diamond:-23",
+                       "diamond:12", "circle"])
+EPS = st.sampled_from([1e-3, 1e-2, 0, -1])
+
+# (form, its flags and their values); triangle_star members stay below 1e12,
+# enumeration, brute counts, correlations and gap shifts stay small (the
+# norm-form scan of gap runs over m <= sqrt(14 |a|)), verify runs no check
+SWEEP = [
+    ("repr", {"--fn": st.sampled_from(["r2", "R2", "ideal", "r3"]), "--n": ANY,
+              "--disc": st.sampled_from([-3, -4, 5, 12, 0])}),
+    ("repr --mode enumerate", {"--fn": st.sampled_from(["r2", "R2"]), "--n": SMALL}),
+    ("member", {"--set": SET, "--n": st.one_of(ANY, st.integers(10 ** 11, 10 ** 12))}),
+    ("eta", {"--a": ANY, "--q": ANY}),
+    ("eta --brute", {"--a": ANY, "--q": SMALL}),
+    ("lambda", {"--p": st.one_of(SMALL, st.sampled_from(HUGE)), "--j": st.integers(-2, 12),
+                "--a": ANY}),
+    ("lambda", {"--a": ANY, "--bar": ANY}),
+    ("beta", {"--psi": PSI, "--a": ANY, "--eps": EPS}),
+    ("etastar", {"--psi": PSI, "--a": ANY}),
+    ("mainterm", {"--psi": PSI, "--a": ANY, "--eps": EPS}),
+    ("muller", {"--psi": PSI, "--rho": PSI, "--a": ANY, "--eps": EPS}),
+    ("correlate --eps 1e-3", {"--kind": st.sampled_from(["j", "general", "estermann"]),
+                              "--psi": PSI, "--rho": PSI, "--a": ANY,
+                              "--x": st.one_of(SMALL, st.sampled_from(HUGE))}),
+    ("census", {"--set1": SET, "--set2": SET, "--a": ANY,
+                "--x": st.one_of(st.integers(-5, 10 ** 6), st.sampled_from(HUGE)),
+                "--len": st.one_of(SMALL, st.just(2 * 10 ** 9)),
+                "--witness-cap": st.sampled_from([-1, 0, 5])}),
+    ("gap", {"--a": st.integers(-10 ** 6, 10 ** 6), "--x": st.one_of(ANY, st.just(10 ** 40)),
+             "--pair": st.sampled_from(["sq2", "tri"])}),
+    ("verify --budget 0", {"--suite": st.sampled_from(["oracles", "all", "none"]),
+                           "--seed": SMALL}),
+]
+
+
+@st.composite
+def sweep_argv(draw):
+    form, flags = draw(st.sampled_from(SWEEP))
+    argv = form.split()
+    for flag, values in flags.items():
+        pick = draw(st.integers(0, 19))  # 0: leave the flag out, 1: no number
+        if pick:
+            argv += [flag, "x" if pick == 1 else str(draw(values))]
+    return argv + ["--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+# run() reads capsys empty after each call, so the shared fixture is safe
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(argv=sweep_argv())
+def test_cli_sweep_exit_codes(capsys, argv):
+    # 0 answers, 1 is a usage error, 2 a budget or input cap; 3 would be an
+    # internal fault, and no exception may escape main
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert err.startswith("usage error:") == (code == 1), (argv, err)
+    assert err.startswith("budget exceeded:") == (code == 2), (argv, err)
+    assert (out != "") == (code == 0), (argv, err)

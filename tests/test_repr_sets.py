@@ -92,7 +92,7 @@ def test_triangle_star_equals_triangle():
 
 def test_triangle_star_member_input_limit():
     assert is_member(TRIANGLE_STAR, 3 * 10 ** 16 + 4)  # c = 2, d = 1e8
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetError):  # an input cap, reported as exit 2
         is_member(TRIANGLE_STAR, 1 << 63)
 
 
