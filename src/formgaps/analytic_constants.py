@@ -74,8 +74,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
+from . import _np as np
 from .arith import divisors, factorize, nu, primes
 from .characters import (
     DirichletCharacter,

@@ -2,7 +2,7 @@
 
 Everything here is pure and deterministic.  Inputs are capped at 2^63 (past
 it factorize raises BudgetError); within that range factorization is trial
-division with a 2-3-5 wheel (complete for n <= 10^12) backed by Brent's rho
+division with a 2-3-5 wheel (complete for n <= 10^8) backed by Brent's rho
 for larger cofactors, and primality is the deterministic Miller-Rabin base set
 for 64-bit integers.  Python integers keep all intermediate products exact,
 so quartic expressions downstream never overflow.
@@ -14,13 +14,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from . import _np as np
 from .errors import BudgetError
 
 MAX_INPUT = 1 << 63
 
-_TRIAL_LIMIT = 1_000_000  # trial division alone is complete up to its square
+_TRIAL_LIMIT = 10_000  # trial division alone is complete up to its square
 
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # increments from 7 through the 2-3-5 wheel
 
@@ -225,15 +224,16 @@ PRIME_CACHE_MAX = 1 << 24  # the cache doubles up to here; larger limits are tak
 
 PRIME_SEGMENT = 1 << 20  # integers per block of the segmented sieve beyond the cache
 
-# (limit, primes <= limit): one assignment, so no thread sees a mismatched pair
-_prime_cache = (0, np.array([], dtype=np.int64))
+# (limit, primes <= limit): one assignment, so no thread sees a mismatched pair;
+# the first call builds it, so importing arith loads no numpy
+_prime_cache = (0, None)
 
 
 def primes(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (cached, grow-only)."""
     global _prime_cache
     cached_limit, cache = _prime_cache
-    if limit > cached_limit:
+    if limit > cached_limit or cache is None:
         new_limit = max(limit, min(2 * cached_limit, PRIME_CACHE_MAX), 1 << 16)
         sieve = np.ones(new_limit + 1, dtype=bool)
         sieve[:2] = False

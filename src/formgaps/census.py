@@ -32,8 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _np as np
 from .analytic_constants import main_term
 from .characters import F, DirichletCharacter, F_window, chi4
 from .errors import BudgetError

@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from . import _np as np
 from .arith import divisors, factorize, prime_blocks
 from .errors import BudgetError
 from .util import chunk_ranges, pair_blocks

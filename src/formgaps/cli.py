@@ -8,7 +8,8 @@ as an empty cell, anything else by str.  JSON is json.dumps(record,
 sort_keys=True); Fractions enter records as str.  census adds a `W,<n>` line
 per witness to CSV and a `witnesses` list to JSON, repr's `fn` key is in JSON
 only, verify prints one row per check, and gap prints JSON only.  Output is
-deterministic for fixed flags, whatever the thread count.
+deterministic for fixed flags, whatever the thread count.  Each handler
+imports what it calls, so a process loads only its command's modules.
 
 Exit codes: 0 success, 1 usage error, 2 budget or overflow guard (inputs past
 2^63 included), 3 internal invariant failure (verify-suite failures included).
@@ -22,15 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .analytic_constants import beta, eta_star, main_term, muller_main
-from .census import census_interval, correlation_J, correlation_general, estermann_correlation
-from .characters import make_character
 from .errors import BudgetError, InvariantError
-from .gaps import gap_square2_square2, gap_triangle_square2
-from .local_densities import eta_brute, lambda_bar, lambda_prime_power, local_density
-from .repr_sets import R2, ideal_count, is_member, parse_set, r2
-from .util import resolve_threads
-from .verify import run_suite
 
 
 EPS_HELP = (
@@ -151,6 +144,7 @@ def _build_parser() -> _Parser:
 
 
 def _run_repr(args):
+    from .repr_sets import R2, ideal_count, r2
     if args.fn == "r2":
         v = r2(args.n, args.mode)
     elif args.fn == "R2":
@@ -161,12 +155,14 @@ def _run_repr(args):
 
 
 def _run_member(args):
+    from .repr_sets import is_member, parse_set
     s = parse_set(args.set1)
     return _render(args, {"set": str(s), "n": args.n, "member": is_member(s, args.n)},
                    header=False)
 
 
 def _run_eta(args):
+    from .local_densities import eta_brute, local_density
     if args.brute:
         e = eta_brute(args.a, args.q)
         lam = Fraction(e, args.q)
@@ -177,6 +173,7 @@ def _run_eta(args):
 
 
 def _run_lambda(args):
+    from .local_densities import lambda_bar, lambda_prime_power
     if args.bar is not None:
         lam = lambda_bar(args.a, args.bar)
         return _render(args, {"a": args.a, "n": args.bar, "lambda_bar": str(lam),
@@ -189,6 +186,8 @@ def _run_lambda(args):
 
 
 def _run_beta(args):
+    from .analytic_constants import beta
+    from .characters import make_character
     psi = make_character(args.psi)
     tv = beta(psi, args.a, args.eps)
     return _render(args, {"psi": psi.name, "a": args.a, "value": tv.value,
@@ -196,6 +195,8 @@ def _run_beta(args):
 
 
 def _run_etastar(args):
+    from .analytic_constants import eta_star
+    from .characters import make_character
     psi = make_character(args.psi)
     es = eta_star(psi, args.a)
     return _render(args, {"psi": psi.name, "a": args.a, "pi_coeff": str(es.coeff),
@@ -203,6 +204,8 @@ def _run_etastar(args):
 
 
 def _run_mainterm(args):
+    from .analytic_constants import main_term
+    from .characters import make_character
     psi = make_character(args.psi)
     tv = main_term(psi, args.a, args.eps)
     return _render(args, {"psi": psi.name, "a": args.a, "value": tv.value,
@@ -210,6 +213,8 @@ def _run_mainterm(args):
 
 
 def _run_muller(args):
+    from .analytic_constants import muller_main
+    from .characters import make_character
     psi, rho = make_character(args.psi), make_character(args.rho)
     tv = muller_main(psi, rho, args.a, args.eps)
     return _render(args, {"psi": psi.name, "rho": rho.name, "a": args.a, "value": tv.value,
@@ -217,6 +222,10 @@ def _run_muller(args):
 
 
 def _run_correlate(args):
+    from .analytic_constants import main_term, muller_main
+    from .census import correlation_J, correlation_general, estermann_correlation
+    from .characters import make_character
+    from .util import resolve_threads
     threads = resolve_threads(args.threads)
     m = None
     if args.kind == "j":
@@ -241,6 +250,9 @@ def _run_correlate(args):
 
 
 def _run_census(args):
+    from .census import census_interval
+    from .repr_sets import parse_set
+    from .util import resolve_threads
     cap = None if args.witness_cap < 0 else args.witness_cap
     rec = census_interval(parse_set(args.set1), parse_set(args.set2), args.a, args.x,
                           args.length, witness_cap=cap, threads=resolve_threads(args.threads))
@@ -251,6 +263,8 @@ def _run_census(args):
 
 
 def _run_gap(args):
+    from .gaps import gap_square2_square2, gap_triangle_square2
+
     fn = gap_square2_square2 if args.pair == "sq2" else gap_triangle_square2
     w = fn(args.a, args.x)  # gap output is JSON only
     return json.dumps({"a": w.a, "x": w.x, "n": w.n, "offset": w.offset, "branch": w.branch,
@@ -258,6 +272,7 @@ def _run_gap(args):
 
 
 def _run_verify(args):
+    from .verify import run_suite
     results = run_suite(args.suite, budget=args.budget, seed=args.seed)
     failed = sum(not r.ok for r in results)
     if args.format == "json":

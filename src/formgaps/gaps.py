@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantError
+from .errors import BudgetError, InvariantError
 from .repr_sets import R2, r2
 
 BRANCH_SQ2_SQ2 = "SQ2_SQ2"
@@ -107,17 +107,21 @@ def represent_norm_form(a: int) -> tuple[int, int] | None:
     Any solution reduces under the automorph (n, m) -> (2n - 3m, -n + 2m) to
     one with m^2 <= 14 |a|, so scanning that region decides representability;
     the region is validated against an exhaustive oracle in the test suite.
+    The scan stops after _SCAN_CAP values of m: past it, with no solution
+    found, BudgetError.
     """
     if a == 0:
         return (0, 0)
     M = math.isqrt(14 * abs(a)) + 1
-    for m in range(0, M + 1):
+    for m in range(0, min(M, _SCAN_CAP) + 1):
         t = a + 3 * m * m
         if t < 0:
             continue
         r = math.isqrt(t)
         if r * r == t:
             return (r, m)
+    if M > _SCAN_CAP:
+        raise BudgetError(f"norm-form scan for a = {a} needs m up to {M}, past {_SCAN_CAP}")
     return None
 
 

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
+from . import _np as np
 from .arith import factorize, is_prime, nu, primes
 from .characters import chi4, F_window
 from .errors import BudgetError, InvariantError

@@ -28,8 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _np as np
 from .arith import factorize
 from .characters import F, F_window, chi3, chi4, kronecker_character
 from .errors import BudgetError

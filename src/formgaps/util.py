@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
+from . import _np as np
 
 DEFAULT_CHUNK = 1 << 22
 

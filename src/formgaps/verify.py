@@ -12,8 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from . import _np as np
 from . import analytic_constants as ac
 from . import arith, census, characters, gaps, local_densities as ld, repr_sets as rs
 

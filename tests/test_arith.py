@@ -40,6 +40,18 @@ def test_factorize_product_reconstruction():
         n = rng.randrange(1, 10 ** 6)
         f = factorize(n)
         assert math.prod(p ** e for p, e in f.factors) == n
+    # past the trial-division limit 10^4: products of primes in (10^4, 10^6),
+    # squares and cubes among them, some times small prime powers, up to 2^63
+    small = [int(p) for p in primes(100)]
+    big = [int(p) for p in primes(10 ** 6) if p > 10 ** 4]
+    for _ in range(400):
+        want, n = {}, 1
+        for p in rng.sample(small, rng.randrange(3)) + rng.sample(big, rng.randrange(1, 4)):
+            e = rng.randrange(1, 4)
+            if n * p ** e <= 1 << 63:
+                want[p] = e
+                n *= p ** e
+        assert factorize(n).factors == tuple(sorted(want.items())), n
 
 
 def test_factorize_large_semiprime():

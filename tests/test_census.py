@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,3 +288,23 @@ def test_correlation_J_coprime_mask_across_chunks(small_chunks, a):
     # chunks of SMALL_CHUNK = 1000 integers start at every residue mod b = 6
     x = 12_345
     assert correlation_J(chi6(), a, x) == _separate_product(chi6(), chi4(), a, x, b=6)
+
+
+FIRST_USE_CHILD = """
+import sys
+from formgaps.census import census_interval
+from formgaps.repr_sets import SQUARE2, TRIANGLE
+assert "numpy" not in sys.modules
+print(census_interval(SQUARE2, TRIANGLE, 1, 10**9, 1 << 23, witness_cap=0, threads=2).count)
+"""
+
+
+def test_census_loads_numpy_first_inside_worker_threads():
+    # three chunks on two threads, in a process where numpy is not loaded yet:
+    # both workers make their first array lookups at once
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", FIRST_USE_CHILD], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    expected = census_interval(SQUARE2, TRIANGLE, 1, 10 ** 9, 1 << 23, witness_cap=0, threads=2)
+    assert int(proc.stdout) == expected.count

@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from formgaps.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -213,6 +217,48 @@ def test_console_entry_point():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "25,12"
+
+
+# Forms that never touch an array: in a fresh interpreter, none of them may
+# load numpy.  The census after them does, and must still print what it did
+# when the package imported numpy eagerly.
+NUMPY_FREE_FORMS = [
+    "repr --fn r2 --n 999999999999999989",
+    "repr --fn R2 --n 999999999999999877",
+    "repr --fn ideal --n 91 --disc -3",
+    "member --set square2 --n 1000000000000000001",
+    "member --set triangle --n 49",
+    "member --set diamond:-23 --n 6",
+    "eta --a 3 --q 45",
+    "lambda --p 3 --j 2 --a 9",
+    "beta --psi chi4 --a 5",
+    "muller --psi chi4 --rho chi4 --a 3",
+    "gap --pair sq2 --a 3 --x 1000000",
+    "gap --pair tri --a 5 --x 1000000",
+]
+BOUNDARY_CHILD = """
+import contextlib, io, sys
+from formgaps.cli import main
+for form in sys.argv[1:-1]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(form.split()) == 0, form
+    assert "numpy" not in sys.modules, form
+sys.exit(main(sys.argv[-1].split()))
+"""
+
+
+def test_numpy_free_forms_do_not_import_numpy():
+    census = "census --set1 triangle --set2 diamond:-23 --a -7 --x 999999000 --len 300"
+    proc = subprocess.run(
+        [sys.executable, "-c", BOUNDARY_CHILD, *NUMPY_FREE_FORMS, census],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "set1,set2,a,x,H,count\ntriangle,diamond:-23,-7,999999000,300,7\n"
+        + "".join(f"W,{n}\n" for n in (999999057, 999999093, 999999103, 999999163,
+                                        999999223, 999999232, 999999259))
+    )
 
 
 def test_csv_round_trip_census(capsys):

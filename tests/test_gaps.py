@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formgaps import gaps
-from formgaps.errors import InvariantError
+from formgaps.cli import main
+from formgaps.errors import BudgetError, InvariantError
 from formgaps.gaps import (
     BRANCH_GENERIC,
     BRANCH_REPRESENTABLE,
@@ -49,6 +50,15 @@ def test_represent_norm_form_against_exhaustive_oracle():
             (t := a + 3 * m * m) >= 0 and math.isqrt(t) ** 2 == t for m in range(M + 1)
         )
         assert (mine is not None) == oracle, a
+
+
+def test_represent_norm_form_scan_is_capped(monkeypatch, capsys):
+    monkeypatch.setattr(gaps, "_SCAN_CAP", 1000)
+    with pytest.raises(BudgetError):
+        represent_norm_form(2 ** 70 + 2)
+    assert represent_norm_form(2 ** 70) == (2 ** 35, 0)
+    assert main(["gap", "--pair", "tri", "--a", str(2 ** 70 + 2), "--x", "511"]) == 2
+    assert capsys.readouterr().err.startswith("budget exceeded:")
 
 
 def test_upsilon():
