@@ -22,11 +22,11 @@ so that
     beta = L(1, psi) / L(2, chi4 psi)
            * prod_{odd p | a} G_p (1 - psi(p)/p) / (1 - chi4(p) psi(p) / p^2).
 
-Two routes evaluate it.
-
-Odd psi (psi(-1) = -1) take a closed form.  Let chi* be the primitive
-character mod f that induces a real character chi mod k.  By the generalized
-Bernoulli numbers (Washington, Introduction to Cyclotomic Fields, ch. 4),
+Every main-term constant here (Mueller's C below too) is such an L-ratio times
+an exact rational factor.  Odd characters take the ratio in closed form
+(`_L_ratio_exact`).  Let chi* be the primitive character mod f that induces a
+real character chi mod k.  By the generalized Bernoulli numbers (Washington,
+Introduction to Cyclotomic Fields, ch. 4),
 
     odd chi:   L(1, chi*) = -pi B_{1,chi*} / sqrt(f),
                B_{1,chi} = (1/f) sum_{r=1..f} chi(r) r
@@ -34,34 +34,32 @@ Bernoulli numbers (Washington, Introduction to Cyclotomic Fields, ch. 4),
                B_{2,chi} = f sum_{r=1..f} chi(r) (r^2/f^2 - r/f + 1/6)
 
 (f = 1 gives zeta(2) = pi^2/6), and L(s, chi) is L(s, chi*) times
-prod_{p | k, p does not divide f} (1 - chi*(p) p^-s).  For odd psi, chi4 psi
-is even, so beta * pi is a rational times sqrt(f2^3 / f1); that radicand is
-checked to be a rational square, and beta * pi, the main term and Mueller's
-C and M for odd pairs come out as exact Fractions.  Their float values carry
-only the rounding of the last division as error bound, whatever eps asks.
+prod_{p | k, p does not divide f} (1 - chi*(p) p^-s).  So odd L(1) values
+over an even L(2) are a rational times a power of pi times sqrt(f2^3 / prod
+f1), a root checked to be rational: pi beta, the main term and Mueller's C
+and M of odd pairs are exact Fractions, whose floats carry only the rounding
+of the last division as error bound, whatever eps asks.
 
-Even psi keep the truncated route: L(1, psi) from the character series
-(`L_value`) times the Euler product of 1 - chi4(p) psi(p) / p^2 over p <= P,
-with P = 8/eps.  L(1, psi) then involves the log of a fundamental unit, for
-which no closed form is used here.  The Euler route (`beta_euler`) and
-`L_value` also stay as the oracles the closed forms are checked against.
+Every other ratio takes each L-value from the `L_value` series within eps/8
+(`_L_ratio`); L(1, psi) of even psi involves the log of a fundamental unit,
+which has no closed form here.  The Euler product (`beta_euler`) is kept only
+as the oracle both routes are checked against.
 
 Dirichlet L-values are computed from character partial sums: summing to a
 period boundary N leaves a tail whose first-order term is -(S1/k) N^-s with
 S1 = sum_{r=1..k} chi(r) r, and an explicit second-order remainder bound.
 No functional-equation machinery is used (only s in {1, 2} matters here).
 
-For primitive psi, rho mod k > 1 and a >= 1, the general correlation
+For real primitive psi, rho mod k > 1 and a >= 1, the general correlation
 sum_{n <= x} F_psi(n) F_rho(n+a) has main-term coefficient
 
     M(a) = C_{psi,rho}(a)
-           + { k^-1 sum_{t | P(a,k)} t^-1 sum_{j=1..k} psi(j) rho(a/t + j) }
-             * C_{conj psi, conj rho}(a),
+           * (1 + k^-1 sum_{t | P(a,k)} t^-1 sum_{j=1..k} psi(j) rho(a/t + j)),
     C_{psi,rho}(a) = L(1,rho) L(1,psi) / L(2, rho*psi)
                      * sum_{d | a} psi(d) rho(d) / d,
 
 where P(a,k) is the k-part of a.  When rho*psi degenerates to the principal
-character (e.g. psi = rho real), L(2, rho*psi) is evaluated as the literal
+character (e.g. psi = rho), L(2, rho*psi) is evaluated as the literal
 product-character series, i.e. zeta(2) with the p | k factors removed; that
 reading is a documented choice, not forced by the definitions.
 """
@@ -79,7 +77,6 @@ from .arith import divisors, factorize, nu, primes
 from .characters import (
     DirichletCharacter,
     chi4,
-    conjugate_character,
     primitive_character,
     product_character,
 )
@@ -114,13 +111,15 @@ class PiMultiple:
         return float(self.coeff) * math.pi
 
 
-def _require_beta_character(psi: DirichletCharacter) -> None:
+def _require_beta_character(psi: DirichletCharacter, a: int | None = None) -> None:
     if not psi.is_real:
         raise ValueError("a real character is required")
     if psi.is_trivial:
         raise ValueError("a non-trivial character is required")
     if psi.modulus % 2 or psi.modulus < 4:
         raise ValueError("an even modulus b >= 4 is required")
+    if a == 0:
+        raise ValueError("beta requires a != 0")
 
 
 def _zeta_em(s: float) -> tuple[float, float]:
@@ -134,7 +133,7 @@ def _zeta_em(s: float) -> tuple[float, float]:
 
 
 def L_value(chi: DirichletCharacter, s: float, eps: float = 1e-10) -> TruncatedValue:
-    """Dirichlet L-series value L(s, chi) within eps, for real s >= 1.
+    """Dirichlet L-series value L(s, chi) within eps, for real chi and real s >= 1.
 
     Principal characters are only admitted for s > 1 (the series diverges at
     s = 1) and are evaluated as zeta(s) with the p | k Euler factors removed,
@@ -142,6 +141,8 @@ def L_value(chi: DirichletCharacter, s: float, eps: float = 1e-10) -> TruncatedV
     """
     if s < 1:
         raise ValueError("L_value requires s >= 1")
+    if not chi.is_real:
+        raise ValueError("L_value requires a real character")
     if chi.is_trivial:
         if s <= 1:
             raise ValueError("the principal-character series diverges at s = 1")
@@ -164,14 +165,12 @@ def L_value(chi: DirichletCharacter, s: float, eps: float = 1e-10) -> TruncatedV
         N = min(2 * N, 1 << 28)
     if tail_bound(N) > eps:
         raise BudgetError("requested eps is out of reach for L_value")
-    table = chi.table().astype(np.complex128 if not chi.is_real else np.float64)
+    table = chi.table().astype(np.float64)
     val = 0
     for lo in range(1, N + 1, 1 << 20):  # blocks of 2^20 terms bound the memory
         n = np.arange(lo, min(lo + (1 << 20), N + 1))
         val += (table[n % k] * n.astype(np.float64) ** -s).sum()
-    val -= (S1 / k) * N ** -s
-    if chi.is_real:
-        val = float(val.real) if isinstance(val, complex) else float(val)
+    val = float(val - (S1 / k) * N ** -s)
     err = tail_bound(N) + 1e-14 * (1 + abs(val))
     return TruncatedValue(val, err, N)
 
@@ -216,27 +215,42 @@ def _rounded(q: Fraction, over_pi: bool = False) -> TruncatedValue:
     return TruncatedValue(v, 4 * sys.float_info.epsilon * abs(v), 0)
 
 
-def _lambda_pp_profile(p: int, a: int) -> tuple[list[Fraction], Fraction]:
-    """(head, tail): lambda_a(p^j) for j = 1..v, and its constant for j > v."""
-    v = nu(p, a)
-    head = [lambda_prime_power(p, j, a) for j in range(1, v + 1)]
-    tail = lambda_prime_power(p, v + 1, a)
-    return head, tail
+def _L_ratio_exact(ones: list[DirichletCharacter], two: DirichletCharacter) -> Fraction:
+    """c with prod_{chi in ones} L(1, chi) / L(2, two) = c pi^(len(ones) - 2), for
+    odd real characters in ones and an even real two; InvariantError if the
+    root of the conductors, f2^3 over the product of the f1, is not rational."""
+    c, f = L_value_exact(two, 2)
+    ratio, radicand = 1 / c, Fraction(f ** 3)
+    for chi in ones:
+        c1, f1 = L_value_exact(chi, 1)
+        ratio, radicand = ratio * c1, radicand / f1
+    return ratio * _sqrt_fraction(radicand)
+
+
+def _L_ratio(
+    ones: list[DirichletCharacter], two: DirichletCharacter, factor: Fraction, eps: float
+) -> TruncatedValue:
+    """prod_{chi in ones} L(1, chi) / L(2, two) * factor from the `L_value`
+    series, each L-value within eps/8, with the composed relative error."""
+    Ls = [L_value(chi, 1.0, eps / 8) for chi in ones] + [L_value(two, 2.0, eps / 8)]
+    value = math.prod(L.value for L in Ls[:-1]) / Ls[-1].value * float(factor)
+    err = _compose_rel_error(value, [(L.value, L.error_bound) for L in Ls])
+    return TruncatedValue(value, err, sum(L.terms_used for L in Ls))
 
 
 def _Gp(rho: DirichletCharacter, a: int, p: int, s: float) -> Fraction | float | complex:
-    """G_p(rho, a, s): the head where lambda_a(p^d) varies, then its constant
-    tail as a geometric series.  The sum runs in the number type of
-    r = rho(p) / p^s: a Fraction at integer s for real rho, so it is exact,
-    otherwise a float or complex."""
-    head, tail = _lambda_pp_profile(p, a)
+    """G_p(rho, a, s): the head d <= v = nu_p(a), where lambda_a(p^d) varies,
+    then its constant tail as a geometric series.  The sum runs in the number
+    type of r = rho(p) / p^s: a Fraction at integer s for real rho, so it is
+    exact, otherwise a float or complex."""
+    v = nu(p, a)
     exact = rho.is_real and float(s).is_integer()
     r = Fraction(rho(p), p ** int(s)) if exact else rho(p) / p ** s
     total = rd = 1
-    for lam in head:
+    for d in range(1, v + 1):
         rd *= r
-        total += lam * rd
-    return total + tail * (rd * r) / (1 - r)
+        total += lambda_prime_power(p, d, a) * rd
+    return total + lambda_prime_power(p, v + 1, a) * (rd * r) / (1 - r)
 
 
 def euler_factor_Gp(rho: DirichletCharacter, a: int, p: int, s: float) -> TruncatedValue:
@@ -251,8 +265,7 @@ def euler_factor_Gp(rho: DirichletCharacter, a: int, p: int, s: float) -> Trunca
     if a == 0:
         raise ValueError("euler_factor_Gp requires a != 0")
     g = _Gp(rho, a, p, s)
-    terms = len(_lambda_pp_profile(p, a)[0]) + 1
-    return TruncatedValue(float(g) if isinstance(g, Fraction) else g, 0.0, terms)
+    return TruncatedValue(float(g) if isinstance(g, Fraction) else g, 0.0, nu(p, a) + 1)
 
 
 @lru_cache(maxsize=8)
@@ -267,60 +280,50 @@ def _modified_prime_product(values: tuple, P: int) -> tuple[float, int]:
     return float(np.prod(fac)), int(ps.size)
 
 
-def _local_factor(psi: DirichletCharacter, a: int, p: int) -> Fraction:
-    """G_p (1 - psi(p)/p) / (1 - chi4(p) psi(p) / p^2), the change an odd p | a makes."""
-    return (
-        _Gp(psi, a, p, 1)
-        * (1 - Fraction(psi(p), p))
-        / (1 - Fraction(chi4()(p) * psi(p), p * p))
-    )
+def _local_factor(psi: DirichletCharacter, a: int) -> Fraction:
+    """prod_{odd p | a} G_p (1 - psi(p)/p) / (1 - chi4(p) psi(p) / p^2): the
+    change the odd primes of a make to L(1, psi) / L(2, chi4 psi)."""
+    out = Fraction(1)
+    for p, _ in factorize(abs(a)).factors:
+        if p != 2:
+            out *= _Gp(psi, a, p, 1) * (1 - Fraction(psi(p), p))
+            out /= 1 - Fraction(chi4()(p) * psi(p), p * p)
+    return out
 
 
 def beta_times_pi(psi: DirichletCharacter, a: int) -> Fraction:
     """pi * beta(psi, a) exactly, for odd psi: the closed-form route.
 
-    pi beta = pi L(1, psi) / L(2, chi4 psi) * prod_{odd p | a} (local factor),
-    a rational times sqrt(f2^3 / f1) for the conductors f1 of psi and f2 of
-    chi4 psi; InvariantError if that root is not rational.
+    pi beta = pi L(1, psi) / L(2, chi4 psi) * (local factor), from `_L_ratio_exact`.
     """
-    _require_beta_character(psi)
-    if a == 0:
-        raise ValueError("beta requires a != 0")
+    _require_beta_character(psi, a)
     if not _is_odd(psi):
         raise ValueError("the closed form of beta needs an odd character")
-    c1, f1 = L_value_exact(psi, 1)
-    c2, f2 = L_value_exact(product_character(chi4(), psi), 2)
-    out = c1 / c2 * _sqrt_fraction(Fraction(f2 ** 3, f1))
-    for p, _ in factorize(abs(a)).factors:
-        if p != 2:
-            out *= _local_factor(psi, a, p)
-    return out
+    return _L_ratio_exact([psi], product_character(chi4(), psi)) * _local_factor(psi, a)
 
 
 def beta(psi: DirichletCharacter, a: int, eps: float = 1e-6) -> TruncatedValue:
     """beta(psi, a) = sum_d psi(d) eta_a(d) / d^2 within eps, one route per family.
 
-    Odd psi take the closed form `beta_times_pi` / pi; its float is off by
-    rounding only, so every eps is met and no prime is sieved.  Even psi take
-    the Euler route `beta_euler`, which raises BudgetError when eps needs more
-    than EULER_PRIME_MAX primes.
+    L(1, psi) / L(2, chi4 psi) times the local factor: odd psi take the closed
+    form `beta_times_pi` / pi, off by rounding only, so every eps is met; even
+    psi take the `L_value` series (BudgetError when eps is out of its reach).
     """
     if _is_odd(psi):
         return _rounded(beta_times_pi(psi, a), over_pi=True)
-    return beta_euler(psi, a, eps)
+    _require_beta_character(psi, a)
+    return _L_ratio([psi], product_character(chi4(), psi), _local_factor(psi, a), eps)
 
 
 def beta_euler(psi: DirichletCharacter, a: int, eps: float = 1e-6) -> TruncatedValue:
-    """beta(psi, a) within eps by the Euler product: the route for even psi, and
-    the oracle the closed form of odd psi is checked against.
+    """beta(psi, a) within eps by the Euler product: the oracle `beta` is
+    checked against, in both character families.
 
     Truncation point P is chosen so the log-tail envelope sum_{p > P} 4/p^2
     stays below eps/2; the conditionally convergent part is carried by
     L(1, psi), and the p | a factors are restored exactly.
     """
-    _require_beta_character(psi)
-    if a == 0:
-        raise ValueError("beta requires a != 0")
+    _require_beta_character(psi, a)
     if eps <= 0 or 8.0 / eps > EULER_PRIME_MAX:
         raise BudgetError("eps is too small for the Euler-product budget")
     P = max(1000, math.ceil(8.0 / eps))
@@ -363,16 +366,15 @@ def main_term_exact(psi: DirichletCharacter, a: int) -> Fraction:
 def main_term(psi: DirichletCharacter, a: int, eps: float = 1e-6) -> TruncatedValue:
     """Coefficient beta(psi, a) * eta*(psi, a) of x in the correlation sum, within eps.
 
-    Odd psi round `main_term_exact` once, whatever eps; even psi scale the
-    Euler route of beta by the exact eta*.
+    Odd psi round `main_term_exact` once, whatever eps; even psi scale
+    `beta`, taken within eps / (2 eta*), by the exact eta*.
     """
     if _is_odd(psi):
         return _rounded(main_term_exact(psi, a))
     es = eta_star(psi, a)
     if es.coeff == 0:
         return TruncatedValue(0.0, 0.0, 0)
-    eps_beta = eps / (2 * es.value)
-    b = beta_euler(psi, a, eps_beta)
+    b = beta(psi, a, eps / (2 * es.value))
     return TruncatedValue(b.value * es.value, b.error_bound * es.value, b.terms_used)
 
 
@@ -399,6 +401,8 @@ def _compose_rel_error(value: float, parts: list[tuple[float, float]]) -> float:
 def _require_muller_pair(psi: DirichletCharacter, rho: DirichletCharacter, a: int) -> None:
     if psi.modulus != rho.modulus or psi.modulus <= 1:
         raise ValueError("muller_C requires equal moduli k > 1")
+    if not (psi.is_real and rho.is_real):
+        raise ValueError("muller_C requires real characters")
     if not (psi.is_primitive and rho.is_primitive):
         raise ValueError("muller_C requires primitive characters")
     if a < 1:
@@ -421,11 +425,7 @@ def _muller_bracket(psi: DirichletCharacter, rho: DirichletCharacter, a: int) ->
 
 def _muller_C_exact(psi: DirichletCharacter, rho: DirichletCharacter, a: int) -> Fraction:
     """C_{psi,rho}(a) for odd real psi, rho: the pi^2 of L(1) L(1) cancels that of L(2)."""
-    c_rho, f_rho = L_value_exact(rho, 1)
-    c_psi, f_psi = L_value_exact(psi, 1)
-    c2, f2 = L_value_exact(product_character(psi, rho), 2)
-    root = _sqrt_fraction(Fraction(f2 ** 3, f_rho * f_psi))
-    return c_rho * c_psi / c2 * root * _divisor_sum(psi, rho, a)
+    return _L_ratio_exact([rho, psi], product_character(psi, rho)) * _divisor_sum(psi, rho, a)
 
 
 def muller_C(
@@ -433,22 +433,13 @@ def muller_C(
 ) -> TruncatedValue:
     """C_{psi,rho}(a) = L(1,rho) L(1,psi) / L(2, rho psi) * sum_{d|a} psi(d) rho(d) / d.
 
-    A pair of odd real characters takes the exact L-values (`L_value_exact`)
-    and meets every eps; any other pair sums the `L_value` series within eps.
+    A pair of odd real characters takes the exact ratio (`_L_ratio_exact`) and
+    meets every eps; any other real pair sums the `L_value` series within eps.
     """
     _require_muller_pair(psi, rho, a)
     if _is_odd(psi) and _is_odd(rho):
         return _rounded(_muller_C_exact(psi, rho, a))
-    dsum = _divisor_sum(psi, rho, a)
-    L1r = L_value(rho, 1.0, eps / 8)
-    L1p = L_value(psi, 1.0, eps / 8)
-    L2 = L_value(product_character(psi, rho), 2.0, eps / 8)
-    value = L1r.value * L1p.value / L2.value * float(dsum)
-    err = _compose_rel_error(
-        value,
-        [(L1r.value, L1r.error_bound), (L1p.value, L1p.error_bound), (L2.value, L2.error_bound)],
-    )
-    return TruncatedValue(value, err, L1r.terms_used + L1p.terms_used + L2.terms_used)
+    return _L_ratio([rho, psi], product_character(psi, rho), _divisor_sum(psi, rho, a), eps)
 
 
 def muller_main_exact(psi: DirichletCharacter, rho: DirichletCharacter, a: int) -> Fraction:
@@ -462,9 +453,10 @@ def muller_main_exact(psi: DirichletCharacter, rho: DirichletCharacter, a: int) 
 def muller_main(
     psi: DirichletCharacter, rho: DirichletCharacter, a: int, eps: float = 1e-8
 ) -> TruncatedValue:
-    """Full main-term coefficient M_{psi,rho}(a) of sum_{n<=x} F_psi(n) F_rho(n+a).
+    """Full main-term coefficient M_{psi,rho}(a) = C (1 + bracket) of
+    sum_{n<=x} F_psi(n) F_rho(n+a), for real characters.
 
-    Exact for a pair of odd real characters (`muller_main_exact`), within eps
+    Exact for a pair of odd characters (`muller_main_exact`), within eps
     otherwise.  Only a >= 1 is admitted; negative shifts are rejected rather
     than extended.
     """
@@ -473,15 +465,9 @@ def muller_main(
     if _is_odd(psi) and _is_odd(rho):
         return _rounded(muller_main_exact(psi, rho, a))
     C = muller_C(psi, rho, a, eps / 2)
-    psi_bar, rho_bar = conjugate_character(psi), conjugate_character(rho)
-    if psi_bar is psi and rho_bar is rho:
-        C_bar = C
-    else:
-        C_bar = muller_C(psi_bar, rho_bar, a, eps / 2)
-    bracket = _muller_bracket(psi, rho, a)
-    value = C.value + float(bracket) * C_bar.value
-    err = C.error_bound + abs(float(bracket)) * C_bar.error_bound
-    return TruncatedValue(value, err, C.terms_used + C_bar.terms_used)
+    bracket = float(_muller_bracket(psi, rho, a))
+    value = C.value + bracket * C.value
+    return TruncatedValue(value, C.error_bound + abs(bracket) * C.error_bound, C.terms_used)
 
 
 def G_series(
@@ -495,6 +481,8 @@ def G_series(
     """
     if s <= 0:
         raise ValueError("G_series requires s > 0")
+    if not rho.is_real:
+        raise ValueError("G_series requires a real character")
     if rho.is_trivial:
         raise ValueError("G_series requires a non-trivial character")
     if rho.modulus % 2:

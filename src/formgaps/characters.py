@@ -225,13 +225,6 @@ def primitive_character(psi: DirichletCharacter) -> DirichletCharacter:
     return _build(f"primitive({psi.name})", f, tuple(vals), validate=False)
 
 
-def conjugate_character(psi: DirichletCharacter) -> DirichletCharacter:
-    if psi.is_real:
-        return psi
-    vals = tuple(v.conjugate() for v in psi.values)
-    return _build(f"conj({psi.name})", psi.modulus, vals, validate=False)
-
-
 def make_character(spec: str) -> DirichletCharacter:
     """Parse a character spec string: chi3 | chi4 | chi6 | trivial:K | kronecker:D."""
     spec = spec.strip()

@@ -3,19 +3,19 @@
     eta_a(q)    = #{ 1 <= alpha, beta <= q : alpha^2 + beta^2 = a (mod q) }
     lambda_a(q) = eta_a(q) / q        (multiplicative in q, for every fixed a)
 
-For odd primes p the value of lambda_a(p^j) is in closed form, branching on
-p mod 4 and the valuation v = nu_p(a):
+For a != 0 the value of lambda_a(p^j) is in closed form, branching on p mod 4
+and the valuation v = nu_p(a):
 
     p = 1 mod 4, p | a:   1 + j(1 - 1/p)         for 1 <= j <= v
                           (1 + v)(1 - 1/p)       for j >= v + 1
     p = 3 mod 4, p | a:   1/p  (j odd) or 1 (j even)   for 1 <= j <= v
                           1 + 1/p  (v even) or 0 (v odd)  for j >= v + 1
     p odd, p does not divide a:   1 - chi4(p)/p  for every j >= 1
+    p = 2:                1 for j <= v + 1, then 1 + chi4(a / 2^v) (2 or 0)
 
-Powers of two carry no closed form here, only the envelope
-0 <= lambda_a(2^j) <= 4, so they are counted directly.  All lambda values are
-exact rationals; the multiplicative assembly of eta must therefore come out
-an exact integer, which is enforced rather than assumed.
+Only a = 0 is counted directly (`eta_brute`, also the closed forms' oracle).
+The multiplicative assembly of these exact rationals must come out an exact
+integer, which is enforced rather than assumed.
 
 The progression sums S_{q,a}(x) = sum of F_chi4(n) over n <= x, n = a (mod q)
 have main term pi * eta_a(q) * x / (4 q^2).
@@ -89,9 +89,9 @@ def lambda_prime_power(p: int, j: int, a: int) -> Fraction:
         raise ValueError("lambda_prime_power requires a != 0 (valuations must be finite)")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p == 2:
-        return Fraction(eta_brute(a, 2 ** j), 2 ** j)
     v = nu(p, a)
+    if p == 2:
+        return Fraction(1 if j <= v + 1 else 1 + chi4()(a >> v))
     if v == 0:
         chi = 1 if p % 4 == 1 else -1
         return 1 - Fraction(chi, p)
@@ -105,9 +105,9 @@ def lambda_prime_power(p: int, j: int, a: int) -> Fraction:
 
 
 def _eta_prime_power(a: int, p: int, e: int) -> int:
-    """eta_a(p^e): the closed form for odd p and a != 0, direct counting otherwise."""
+    """eta_a(p^e): the closed form for a != 0, direct counting for a = 0."""
     pe = p ** e
-    if p == 2 or a == 0:
+    if a == 0:
         return eta_brute(a, pe)
     val = lambda_prime_power(p, e, a) * pe
     if val.denominator != 1:
@@ -118,9 +118,9 @@ def _eta_prime_power(a: int, p: int, e: int) -> int:
 def eta(a: int, q: int) -> int:
     """eta_a(q) assembled multiplicatively over the prime powers of q.
 
-    Odd prime powers use the closed forms when a != 0; powers of two, and
-    every prime power when a = 0, fall back to direct counting.  Each factor
-    must be an exact integer or the assembly is reported as faulty.
+    Prime powers use the closed forms when a != 0 and fall back to direct
+    counting when a = 0.  Each factor must be an exact integer or the
+    assembly is reported as faulty.
     """
     if q < 1:
         raise ValueError("eta requires q >= 1")

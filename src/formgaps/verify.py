@@ -199,6 +199,14 @@ def _constant_checks(budget: float, seed: int) -> list[CheckResult]:
             bad.append(a)
     out.append(CheckResult("constants", "beta_euler_vs_direct_series", not bad, 3, str(bad)))
 
+    bad = []  # primes(8e6) is already cached by the row above
+    for chi in (psi, characters.kronecker_character(8), characters.kronecker_character(12)):
+        for a in (1, 3, -7):
+            b, e = ac.beta(chi, a, 1e-6), ac.beta_euler(chi, a, 1e-6)
+            if abs(b.value - e.value) > b.error_bound + e.error_bound:
+                bad.append((chi.name, a))
+    out.append(CheckResult("constants", "beta_vs_euler_oracle", not bad, 9, str(bad)))
+
     bad, n = [], 0
     for p in [int(p) for p in arith.primes(_scaled(200, budget)) if p > 2]:
         for s in (1.0, 1.5, 2.0):

@@ -29,6 +29,7 @@ from formgaps.characters import (
     chi6,
     kronecker_character,
     product_character,
+    table_character,
     trivial_character,
 )
 from formgaps.errors import BudgetError, InvariantError
@@ -121,9 +122,9 @@ def test_beta_validation():
     # odd characters take the closed form, which meets any eps
     b6 = beta(chi6(), 1, 1e-12)
     assert abs(b6.value - 3 / math.pi) <= b6.error_bound
-    # even characters keep the Euler product and its budget
+    # the Euler-product oracle keeps its budget
     with pytest.raises(BudgetError):
-        beta(kronecker_character(8), 1, 1e-12)
+        beta_euler(kronecker_character(8), 1, 1e-12)
 
 
 def test_eta_star_values():
@@ -200,6 +201,20 @@ def test_G_series_consistency():
         G_series(trivial_character(6), 1, 1.0, 100)
 
 
+def test_constants_take_real_characters_only():
+    chi5 = table_character(5, (0, 1, 1j, -1j, -1))  # chi(2) = i
+    chi10 = table_character(10, (0, 1, 0, -1j, 0, 0, 0, 1j, 0, -1))  # chi5 lifted mod 10
+    with pytest.raises(ValueError):
+        muller_main(chi5, chi5, 1)
+    with pytest.raises(ValueError):
+        muller_C(chi5, chi5, 1)
+    with pytest.raises(ValueError):
+        L_value(chi5, 1.0)
+    for chi in (chi5, chi10):
+        with pytest.raises(ValueError):
+            G_series(chi, 1, 1.0, 100)
+
+
 def test_truncated_value_guard():
     with pytest.raises(ValueError):
         TruncatedValue(1.0, -1.0, 3)
@@ -242,7 +257,7 @@ def test_sqrt_fraction_enforces_squares():
 def test_beta_times_pi_values():
     assert [beta_times_pi(psi, 1) for psi in ODD_BETA_CHARACTERS] == [2, 3, 4, 4]
     with pytest.raises(ValueError):
-        beta_times_pi(kronecker_character(8), 1)  # even: the Euler route only
+        beta_times_pi(kronecker_character(8), 1)  # even: the L_value series only
 
 
 def test_main_term_exact_chi6():
@@ -269,6 +284,14 @@ def test_beta_closed_form_matches_euler_oracle():
             euler = beta_euler(psi, a, 1e-6)
             assert closed.error_bound < 1e-15 * max(1.0, abs(closed.value))
             assert abs(closed.value - euler.value) <= euler.error_bound + closed.error_bound, (
+                psi.name, a)
+    # even characters take the L_value series, past the Euler product's budget
+    for psi in (kronecker_character(D) for D in (8, 12, 24, 40)):
+        for a in [s * v for v in (1, 2, 3, 5, 7, 9, 15, 25, 45, 60) for s in (1, -1)]:
+            series = beta(psi, a, 1e-9)
+            euler = beta_euler(psi, a, 1e-6)
+            assert series.error_bound <= 1e-9
+            assert abs(series.value - euler.value) <= euler.error_bound + series.error_bound, (
                 psi.name, a)
 
 

@@ -143,9 +143,12 @@ def test_exact_main_terms_meet_any_eps(capsys):
     code, out, _ = run(capsys, "mainterm", "--psi", "chi6", "--a", "1", "--eps", "1e-12")
     assert code == 0
     assert out.strip().splitlines()[1].split(",")[2] == "0.333333333333333"
-    # kronecker:8 is even: the Euler product keeps its budget
-    code, _, err = run(capsys, "beta", "--psi", "kronecker:8", "--a", "1", "--eps", "1e-12")
-    assert code == 2 and "budget" in err
+    # kronecker:8 is even: the L_value series meets eps far below the Euler budget
+    code, out, _ = run(capsys, "beta", "--psi", "kronecker:8", "--a", "1", "--eps", "1e-9")
+    assert code == 0 and out.splitlines()[1].startswith("kronecker(8),1,")
+    for eps in ("0", "-1"):
+        code, _, err = run(capsys, "beta", "--psi", "kronecker:8", "--a", "1", "--eps", eps)
+        assert code == 2 and err.startswith("budget exceeded:"), eps
 
 
 def test_correlate(capsys):
@@ -235,6 +238,11 @@ NUMPY_FREE_FORMS = [
     "muller --psi chi4 --rho chi4 --a 3",
     "gap --pair sq2 --a 3 --x 1000000",
     "gap --pair tri --a 5 --x 1000000",
+    "mainterm --psi chi6 --a 1",
+    "etastar --psi chi4 --a 3",
+    "eta --a 7 --q 90",
+    "lambda --p 2 --j 3 --a 1",
+    "lambda --a 3 --bar 15",
 ]
 BOUNDARY_CHILD = """
 import contextlib, io, sys

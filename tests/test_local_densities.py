@@ -46,8 +46,8 @@ def test_lambda_prime_power_validation():
 
 
 def test_lambda_prime_power_matches_brute_small_grid():
-    for p in (3, 5, 7, 11, 13):
-        for j in (1, 2, 3):
+    for p, js in [(2, range(1, 13))] + [(p, (1, 2, 3)) for p in (3, 5, 7, 11, 13)]:
+        for j in js:
             q = p ** j
             for a in range(-12, 13):
                 if a == 0:
