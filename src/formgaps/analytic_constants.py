@@ -112,8 +112,6 @@ class PiMultiple:
 
 
 def _require_beta_character(psi: DirichletCharacter, a: int | None = None) -> None:
-    if not psi.is_real:
-        raise ValueError("a real character is required")
     if psi.is_trivial:
         raise ValueError("a non-trivial character is required")
     if psi.modulus % 2 or psi.modulus < 4:
@@ -141,8 +139,6 @@ def L_value(chi: DirichletCharacter, s: float, eps: float = 1e-10) -> TruncatedV
     """
     if s < 1:
         raise ValueError("L_value requires s >= 1")
-    if not chi.is_real:
-        raise ValueError("L_value requires a real character")
     if chi.is_trivial:
         if s <= 1:
             raise ValueError("the principal-character series diverges at s = 1")
@@ -176,7 +172,7 @@ def L_value(chi: DirichletCharacter, s: float, eps: float = 1e-10) -> TruncatedV
 
 
 def _is_odd(chi: DirichletCharacter) -> bool:
-    return chi.is_real and chi(-1) == -1
+    return chi(-1) == -1
 
 
 def L_value_exact(chi: DirichletCharacter, s: int) -> tuple[Fraction, int]:
@@ -187,8 +183,8 @@ def L_value_exact(chi: DirichletCharacter, s: int) -> tuple[Fraction, int]:
     Bernoulli number of the primitive character times the Euler factors at the
     primes that divide the modulus but not f; see the module docstring.
     """
-    if not chi.is_real or s not in (1, 2) or _is_odd(chi) != (s == 1):
-        raise ValueError("L_value_exact needs a real character, odd at s = 1 or even at s = 2")
+    if s not in (1, 2) or _is_odd(chi) != (s == 1):
+        raise ValueError("L_value_exact needs an odd character at s = 1 or an even one at s = 2")
     prim = primitive_character(chi)
     f = prim.modulus
     if s == 1:
@@ -238,14 +234,13 @@ def _L_ratio(
     return TruncatedValue(value, err, sum(L.terms_used for L in Ls))
 
 
-def _Gp(rho: DirichletCharacter, a: int, p: int, s: float) -> Fraction | float | complex:
+def _Gp(rho: DirichletCharacter, a: int, p: int, s: float) -> Fraction | float:
     """G_p(rho, a, s): the head d <= v = nu_p(a), where lambda_a(p^d) varies,
     then its constant tail as a geometric series.  The sum runs in the number
-    type of r = rho(p) / p^s: a Fraction at integer s for real rho, so it is
-    exact, otherwise a float or complex."""
+    type of r = rho(p) / p^s: a Fraction at integer s, so it is exact,
+    otherwise a float."""
     v = nu(p, a)
-    exact = rho.is_real and float(s).is_integer()
-    r = Fraction(rho(p), p ** int(s)) if exact else rho(p) / p ** s
+    r = Fraction(rho(p), p ** int(s)) if float(s).is_integer() else rho(p) / p ** s
     total = rd = 1
     for d in range(1, v + 1):
         rd *= r
@@ -265,7 +260,7 @@ def euler_factor_Gp(rho: DirichletCharacter, a: int, p: int, s: float) -> Trunca
     if a == 0:
         raise ValueError("euler_factor_Gp requires a != 0")
     g = _Gp(rho, a, p, s)
-    return TruncatedValue(float(g) if isinstance(g, Fraction) else g, 0.0, nu(p, a) + 1)
+    return TruncatedValue(float(g), 0.0, nu(p, a) + 1)
 
 
 @lru_cache(maxsize=8)
@@ -401,8 +396,6 @@ def _compose_rel_error(value: float, parts: list[tuple[float, float]]) -> float:
 def _require_muller_pair(psi: DirichletCharacter, rho: DirichletCharacter, a: int) -> None:
     if psi.modulus != rho.modulus or psi.modulus <= 1:
         raise ValueError("muller_C requires equal moduli k > 1")
-    if not (psi.is_real and rho.is_real):
-        raise ValueError("muller_C requires real characters")
     if not (psi.is_primitive and rho.is_primitive):
         raise ValueError("muller_C requires primitive characters")
     if a < 1:
@@ -481,8 +474,6 @@ def G_series(
     """
     if s <= 0:
         raise ValueError("G_series requires s > 0")
-    if not rho.is_real:
-        raise ValueError("G_series requires a real character")
     if rho.is_trivial:
         raise ValueError("G_series requires a non-trivial character")
     if rho.modulus % 2:

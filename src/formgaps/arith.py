@@ -26,23 +26,6 @@ _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # increments from 7 through the 2-3-5 wheel
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-class _InfinityType:
-    """Valuation of zero.  A dedicated type, so arithmetic with it raises."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _InfinityType()
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 2^64."""
     if n < 2:
@@ -173,12 +156,12 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(fac))
 
 
-def nu(p: int, w: int):
-    """Largest t with p^t | w; INFINITY when w == 0.  p must be prime."""
+def nu(p: int, w: int) -> int:
+    """Largest t with p^t | w, for prime p and w != 0."""
     if not is_prime(p):
         raise ValueError(f"nu requires a prime p, got {p}")
     if w == 0:
-        return INFINITY
+        raise ValueError("nu requires w != 0")
     w = abs(w)
     t = 0
     while w % p == 0:
@@ -208,16 +191,6 @@ def mobius(n: int) -> int:
     if any(e > 1 for _, e in f.factors):
         return 0
     return -1 if len(f.factors) % 2 else 1
-
-
-def tau(n: int) -> int:
-    """Number of divisors of n."""
-    if n < 1:
-        raise ValueError("tau requires n >= 1")
-    out = 1
-    for _, e in factorize(n).factors:
-        out *= e + 1
-    return out
 
 
 PRIME_CACHE_MAX = 1 << 24  # the cache doubles up to here; larger limits are taken as asked

@@ -16,24 +16,23 @@ The correlation sums are the exact integers
 
 summed over n >= max(1, 1 - a) so that n + a stays >= 1.  Census and sums are
 one shifted product over a window, of the indicators F > 0 or of the values F,
-and both run through one kernel, _shifted_windows, over F_window.  Ratio reports divide
-J by its predicted main term coefficient times x; trend toward 1 is the
-empirical face of the asymptotic, since the error term's logarithmic factors
-dwarf any reachable x and make absolute-error checks vacuous.
+and both run through one kernel, _shifted_windows, over F_window.
 
-The error J(x) - m*x changes sign as x grows, so the ratio at a single x is not
-monotone in x: |r - 1| can sit near a zero crossing at one x and be larger at a
-later one.  A trend toward 1 is read from the maximum of |r - 1| over a range
-of x (for instance each decade), never from a comparison of two single points.
+The ratio r = J(x) / (m x) to the main term coefficient m (the `correlate`
+command prints it) trends toward 1; that is the empirical face of the
+asymptotic, since the error term's logarithmic factors dwarf any reachable x
+and make absolute-error checks vacuous.  The error J(x) - m*x changes sign as
+x grows, so r is not monotone in x: |r - 1| can sit near a zero crossing at
+one x and be larger at a later one.  A trend toward 1 is read from the maximum
+of |r - 1| over a range of x (for instance each decade), never from a
+comparison of two single points.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import _np as np
-from .analytic_constants import main_term
 from .characters import F, DirichletCharacter, F_window, chi4
 from .errors import BudgetError
 from .repr_sets import WINDOW_MAX, SetId, member_character
@@ -54,18 +53,6 @@ class CensusRecord:
     H: int
     count: int
     witnesses: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    """One correlation data point against its main-term prediction."""
-
-    psi: str
-    a: int
-    x: int
-    J: int
-    main: float
-    ratio: float
 
 
 def _shifted_windows(psi, rho, a: int, lo: int, hi: int, threads: int, reduce) -> list:
@@ -173,24 +160,3 @@ def census_interval(
     wits = head + [n for _, found in parts for n in found.tolist()]
     return CensusRecord(set1, set2, a, x, H, count, tuple(wits[:witness_cap]))
 
-
-def ratio_report(
-    psi: DirichletCharacter,
-    a: int,
-    xs: list[int],
-) -> list[CorrelationReport]:
-    """One CorrelationReport per x in xs (increasing): J, main term, and ratio.
-
-    Each ratio is J(x) / (m x) at that single x.  Since J - m*x changes sign,
-    these ratios are not monotone in x; judge the trend toward 1 by the maximum
-    of |ratio - 1| over a range of x, not by comparing two of the points.
-    """
-    if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
-        raise ValueError("xs must be increasing")
-    m = main_term(psi, a).value
-    out = []
-    for x in xs:
-        J = correlation_J(psi, a, x)
-        ratio = J / (m * x) if m > 0 and x > 0 else math.nan
-        out.append(CorrelationReport(psi.name, a, x, J, m, ratio))
-    return out

@@ -7,7 +7,7 @@ a value table indexed by residue, giving O(1) lookups inside sieve loops.
 psi is completely multiplicative and periodic; it is extended to the reals by
 psi(w) = 0 for non-integer w, which is what the square-root shortcut for F
 relies on.  F itself is multiplicative, with per-prime geometric sums
-sum_{i <= e} psi(p)^i at p^e || n: e + 1, the parity of e, or 1 for a real
+sum_{i <= e} psi(p)^i at p^e || n: e + 1, the parity of e, or 1 for
 psi(p) = 1, -1, 0.
 
 F_window evaluates F on a window by exactly that product, as a segmented
@@ -94,8 +94,9 @@ def is_fundamental_discriminant(D: int) -> bool:
 class DirichletCharacter:
     """Completely multiplicative periodic function mod `modulus`, as a table.
 
-    values[r] is psi(r); it is 0 exactly when gcd(r, modulus) > 1.  The
-    primitivity flag is computed by the induced-modulus test at construction.
+    values[r] is psi(r), one of the ints -1, 0, 1 (every character here is
+    real); it is 0 exactly when gcd(r, modulus) > 1.  The primitivity flag is
+    computed by the induced-modulus test at construction.
     """
 
     name: str
@@ -103,14 +104,12 @@ class DirichletCharacter:
     values: tuple
     is_trivial: bool
     is_primitive: bool
-    is_real: bool
 
     def __call__(self, n: int):
         return self.values[n % self.modulus]
 
     def table(self) -> np.ndarray:
-        dtype = np.int32 if self.is_real else complex
-        return np.array(self.values, dtype=dtype)
+        return np.array(self.values, dtype=np.int32)
 
 
 def _check_table(k: int, values: tuple) -> None:
@@ -149,19 +148,17 @@ def _build(name: str, k: int, values: tuple, validate: bool = True) -> Dirichlet
     if k < 1:
         raise ValueError("modulus must be >= 1")
     values = tuple(values)
+    if any(type(v) is not int or v not in (-1, 0, 1) for v in values):
+        raise ValueError("character values must be the ints -1, 0 or 1")
     if validate:
         _check_table(k, values)
     trivial = all(values[r] == 1 for r in range(k) if math.gcd(r, k) == 1)
-    real = all(isinstance(v, int) or getattr(v, "imag", 0) == 0 for v in values)
-    if real:
-        values = tuple(int(v.real) if not isinstance(v, int) else v for v in values)
     return DirichletCharacter(
         name=name,
         modulus=k,
         values=values,
         is_trivial=trivial,
         is_primitive=_conductor(k, values) == k,
-        is_real=real,
     )
 
 
@@ -198,11 +195,6 @@ def kronecker_character(D: int) -> DirichletCharacter:
     k = abs(D)
     vals = tuple(kronecker_symbol(D, r) for r in range(k))
     return _build(f"kronecker({D})", k, vals)
-
-
-def table_character(k: int, values, name: str | None = None) -> DirichletCharacter:
-    """A character from an explicit residue-indexed value table (validated)."""
-    return _build(name or f"table({k})", k, tuple(values))
 
 
 def product_character(psi: DirichletCharacter, rho: DirichletCharacter) -> DirichletCharacter:
@@ -250,12 +242,7 @@ def F(psi: DirichletCharacter, n: int):
         v = psi(p)
         if v == 0:
             continue
-        if v == 1:
-            s = e + 1
-        elif v == -1:
-            s = 1 - (e % 2)
-        else:
-            s = sum(v ** i for i in range(e + 1))
+        s = e + 1 if v == 1 else 1 - e % 2
         if s == 0:
             return 0
         total = total * s
@@ -268,8 +255,6 @@ def sqrt_trick_F(psi: DirichletCharacter, n: int):
     Uses the pairing d <-> n/d, under which psi(n/d) = psi(d) when psi(n) = 1:
     F = 2 * sum over divisors d with d < sqrt(n) of psi(d), plus psi(sqrt(n)).
     """
-    if not psi.is_real:
-        raise ValueError("sqrt_trick_F is for real characters")
     if n < 1 or psi(n) != 1:
         raise ValueError("sqrt_trick_F requires psi(n) = 1")
     total = 0
@@ -327,9 +312,9 @@ def F_window(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
     util.pair_blocks, PAIR_BLOCK (prime, multiple) pairs at a time, with
     unbuffered products since two primes can divide one n.  Primes come from
     arith.prime_blocks, so memory is O(width + SEGMENT + PAIR_BLOCK) plus the
-    bounded prime cache for any hi < 2^63.  Real characters give int32
+    bounded prime cache for any hi < 2^63.  The values are int32
     (|F_psi(n)| <= tau(n) < 2^31 for n < 2^63; widen before multiplying two
-    windows), complex characters complex128.
+    windows).
     """
     if lo < 1 or hi < lo:
         raise ValueError("window must satisfy 1 <= lo <= hi")

@@ -65,7 +65,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None, help="write output to a file instead of stdout")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: all cores)")
+                        help="worker threads; none or a value below 1 means all cores")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, help, run):
@@ -129,7 +129,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--a", type=int, required=True)
     s.add_argument("--x", type=int, required=True)
     s.add_argument("--len", type=int, required=True, dest="length")
-    s.add_argument("--witness-cap", type=int, default=10_000)
+    s.add_argument("--witness-cap", type=int, default=10_000,
+                   help="witnesses to print; a negative value prints every witness")
 
     s = add("gap", "explicit gap witness (JSON output)", _run_gap)
     s.add_argument("--a", type=int, required=True)

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BudgetError, InvariantError
 from .repr_sets import R2, r2
@@ -125,13 +124,6 @@ def represent_norm_form(a: int) -> tuple[int, int] | None:
     return None
 
 
-def upsilon(a: int) -> Fraction:
-    """Gap exponent: 1/2 when a is a norm-form value n^2 - 3 m^2, else 5/8."""
-    if a == 0:
-        raise ValueError("upsilon requires a != 0")
-    return Fraction(1, 2) if represent_norm_form(a) is not None else Fraction(5, 8)
-
-
 def gap_square2_square2(a: int, x: int) -> GapWitness:
     """Least witness of the explicit family for the square2/square2 pair."""
     if a == 0 or x < 1:
@@ -213,16 +205,6 @@ def _side_conditions_hold(st: dict, a: int) -> bool:
     return True
 
 
-def x_min(a: int) -> int:
-    """Smallest x at which all side conditions of the generic construction hold."""
-    if a == 0:
-        raise ValueError("x_min requires a != 0")
-    for x in range(1, 1_000_001):
-        if _side_conditions_hold(_generic_state(a, x), a):
-            return x
-    raise InvariantError("side conditions never hold up to 10^6")
-
-
 def _scan_forward(a: int, x: int) -> GapWitness:
     # guaranteed-correct fallback for small x: first member above x
     n = x + 1
@@ -237,7 +219,8 @@ def _scan_forward(a: int, x: int) -> GapWitness:
 
 
 def gap_triangle_square2(a: int, x: int) -> GapWitness:
-    """A witness of the triangle/square2 pair in (x, x + O(x^upsilon(a))].
+    """A witness of the triangle/square2 pair in (x, x + O(x^(1/2))] when a is
+    a norm-form value n^2 - 3 m^2, else in (x, x + O(x^(5/8))].
 
     Representable shifts take the norm-form branch with the least valid s;
     otherwise the generic construction runs whenever its side conditions hold
@@ -271,8 +254,7 @@ def gap_triangle_square2(a: int, x: int) -> GapWitness:
     v -= (v - l1) % 2
     if v < 0:
         return _verify(_scan_forward(a, x))
-    c = (v * v - B) // 2
-    n = c * c + 3 * Qstar * Qstar
+    n = f_vd(v, Qstar, a)
     wstar = (B - 2.0 * math.sqrt(disc4)) / 2.0
     return _verify(
         GapWitness(
@@ -284,10 +266,3 @@ def gap_triangle_square2(a: int, x: int) -> GapWitness:
         )
     )
 
-
-def empirical_D(a: int, xs: list[int]) -> float:
-    """Largest offset / x^upsilon(a) over the sample points xs."""
-    if not xs:
-        raise ValueError("empirical_D requires a nonempty sample")
-    u = float(upsilon(a))
-    return max(gap_triangle_square2(a, x).offset / x ** u for x in xs)

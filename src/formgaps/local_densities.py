@@ -16,9 +16,6 @@ and the valuation v = nu_p(a):
 Only a = 0 is counted directly (`eta_brute`, also the closed forms' oracle).
 The multiplicative assembly of these exact rationals must come out an exact
 integer, which is enforced rather than assumed.
-
-The progression sums S_{q,a}(x) = sum of F_chi4(n) over n <= x, n = a (mod q)
-have main term pi * eta_a(q) * x / (4 q^2).
 """
 
 from __future__ import annotations
@@ -30,13 +27,11 @@ from functools import lru_cache
 
 from . import _np as np
 from .arith import factorize, is_prime, nu, primes
-from .characters import chi4, F_window
+from .characters import chi4
 from .errors import BudgetError, InvariantError
 from .util import chunk_ranges
 
 ETA_BRUTE_MAX = 1 << 23  # direct residue counting cap (memory: a few arrays of q)
-
-PROGRESSION_MAX = 1_000_000_000
 
 
 @dataclass(frozen=True)
@@ -147,25 +142,6 @@ def lambda_bar(a: int, n: int) -> Fraction:
         if m:
             total += m * Fraction(eta(a, d), d)
     return total
-
-
-def tolev_main(q: int, a: int, x: float) -> float:
-    """Main term pi * eta_a(q) / (4 q^2) * x of the progression sum S_{q,a}(x)."""
-    if q < 1 or x < 1:
-        raise ValueError("tolev_main requires q >= 1 and x >= 1")
-    return math.pi * eta(a, q) * x / (4 * q * q)
-
-
-def S_qa(q: int, a: int, x: int) -> int:
-    """Exact sum of F_chi4(n) over n <= x with n = a (mod q)."""
-    if q < 1 or x < 1:
-        raise ValueError("S_qa requires q >= 1 and x >= 1")
-    if x > PROGRESSION_MAX:
-        raise BudgetError(f"S_qa length {x} exceeds {PROGRESSION_MAX}")
-    # the first n = a (mod q) of the chunk [lo, hi] sits at entry (a - lo) % q
-    return sum(
-        int(F_window(chi4(), lo, hi)[(a - lo) % q :: q].sum()) for lo, hi in chunk_ranges(1, x)
-    )
 
 
 @lru_cache(maxsize=16)

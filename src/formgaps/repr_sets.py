@@ -36,6 +36,8 @@ from .util import chunk_ranges
 
 WINDOW_MAX = 1_000_000_000
 
+ENUMERATE_MAX = 10 ** 12  # lattice enumeration loops over about sqrt(n) points
+
 _SCAN_BLOCK = 1 << 14  # d values per step of the triangle_star membership scan
 
 
@@ -108,6 +110,8 @@ def r2(n: int, mode: str = "formula") -> int:
     if mode == "formula":
         return 4 * F(chi4(), n)
     if mode == "enumerate":
+        if n > ENUMERATE_MAX:
+            raise BudgetError(f"enumeration of n = {n} exceeds {ENUMERATE_MAX}")
         return _r2_enumerate(n)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -119,6 +123,8 @@ def R2(n: int, mode: str = "formula") -> int:
     if mode == "formula":
         return 6 * F(chi3(), n)
     if mode == "enumerate":
+        if n > ENUMERATE_MAX:
+            raise BudgetError(f"enumeration of n = {n} exceeds {ENUMERATE_MAX}")
         return _R2_enumerate(n)
     raise ValueError(f"unknown mode {mode!r}")
 

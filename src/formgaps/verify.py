@@ -15,6 +15,9 @@ from fractions import Fraction
 from . import _np as np
 from . import analytic_constants as ac
 from . import arith, census, characters, gaps, local_densities as ld, repr_sets as rs
+from .errors import BudgetError
+
+BUDGET_MAX = 5.0  # `verify --suite all` runs 68 s at this scale on a 2-vCPU host
 
 
 @dataclass(frozen=True)
@@ -345,9 +348,14 @@ _SUITES = {
 
 
 def run_suite(suite: str, budget: float = 1.0, seed: int = 20250810) -> list[CheckResult]:
-    """Run one suite (or `all`); budget <= 0 yields an empty report."""
+    """Run one suite (or `all`); budget <= 0 yields an empty report.  A
+    non-finite budget is a ValueError, one above BUDGET_MAX a BudgetError."""
     if suite not in _SUITES and suite != "all":
         raise ValueError(f"unknown suite {suite!r}")
+    if not math.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget}")
+    if budget > BUDGET_MAX:
+        raise BudgetError(f"verify budget {budget} exceeds {BUDGET_MAX}")
     if budget <= 0:
         return []
     names = list(_SUITES) if suite == "all" else [suite]

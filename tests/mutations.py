@@ -1,0 +1,156 @@
+"""Checked-in mutation checks for src/formgaps.
+
+Each entry of MUTATIONS breaks one piece of src/ by an exact text edit and
+names the tests that must catch it.  Run
+
+    python tests/mutations.py
+
+It copies src/ and tests/ to a temporary directory and first runs every named
+test on the unchanged copy, where all must pass.  Then it applies one
+mutation at a time, runs only that mutation's tests and requires a failure.
+An old text that does not occur exactly once in its file is an error, so a
+refactor has to carry its mutations along instead of dropping them.
+SURVIVORS are mutations their tests are known to miss, each with the reason;
+the runner requires that they still pass, so a survivor that gets caught has
+to move to MUTATIONS.
+
+The file name keeps the runner out of the tier-1 run, which collects only
+test_*.py files.  Exit status: 0 when every check holds, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutation(NamedTuple):
+    file: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+    what: str
+
+
+MUTATIONS = [
+    Mutation("src/formgaps/characters.py",
+             "s = e + 1 if v == 1 else 1 - e % 2",
+             "s = e + 1 if v == 1 else 1",
+             ("tests/test_characters.py::test_F_examples",
+              "tests/test_characters.py::test_vanishing_when_psi_is_minus_one"),
+             "F: the parity branch at psi(p) = -1 always gives 1"),
+    Mutation("src/formgaps/characters.py",
+             "    psi_q *= q > 1\n",
+             "",
+             ("tests/test_characters.py::test_F_sieve_row",),
+             "F_window: the leftover mask is dropped, so a smooth n takes 1 + psi(1)"),
+    Mutation("src/formgaps/characters.py",
+             "f[offset::pj] = saved[(offset - o2) // p2 :: pj // p2] * g",
+             "f[offset::pj] = f[offset::pj] * g",
+             ("tests/test_characters.py::test_F_sieve_matches_per_n",),
+             "_strided_prime: level j rewrites from the live values, not the saved ones"),
+    Mutation("src/formgaps/local_densities.py",
+             "Fraction(1 if j <= v + 1 else",
+             "Fraction(1 if j <= v else",
+             ("tests/test_local_densities.py::test_lambda_prime_power_matches_brute_small_grid",),
+             "lambda_prime_power: j <= v for j <= v + 1 in the 2-adic closed form"),
+    Mutation("src/formgaps/census.py",
+             "_product_sum(psi, chi4(), a, x, threads, b=psi.modulus)",
+             "_product_sum(psi, chi4(), a, x, threads)",
+             ("tests/test_census.py::test_correlation_J_examples",),
+             "correlation_J: the coprimality mask gcd(n, b) = 1 is dropped"),
+    Mutation("src/formgaps/analytic_constants.py",
+             "_L_ratio([psi], product_character(chi4(), psi), _local_factor(psi, a), eps)",
+             "_L_ratio([psi], psi, _local_factor(psi, a), eps)",
+             ("tests/test_analytic_constants.py::test_beta_closed_form_matches_euler_oracle",),
+             "beta, even route: L(2, psi) for L(2, chi4 psi)"),
+    Mutation("src/formgaps/gaps.py",
+             "pair = (c * c + 3 * q * q, (c - 1) ** 2 + v * v)",
+             "pair = (n, n + a)",
+             ("tests/test_gaps.py::test_verify_rejects_forged_witnesses",),
+             "_certified: the GENERIC certificate accepts any n"),
+    Mutation("src/formgaps/characters.py",
+             "if any(type(v) is not int or v not in (-1, 0, 1) for v in values):",
+             "if False:",
+             ("tests/test_characters.py::test_build_rejects_a_complex_table",),
+             "_build: a complex value table is accepted"),
+    Mutation("src/formgaps/verify.py",
+             "if budget > BUDGET_MAX:",
+             "if budget > 1e300:",
+             ("tests/test_cli.py::test_verify_budget_is_finite_and_capped",),
+             "run_suite: the budget cap is lifted"),
+    Mutation("src/formgaps/repr_sets.py",
+             "        if n > ENUMERATE_MAX:\n"
+             "            raise BudgetError(f\"enumeration of n = {n} exceeds {ENUMERATE_MAX}\")\n"
+             "        return _R2_enumerate(n)",
+             "        return _R2_enumerate(n)",
+             ("tests/test_cli.py::test_enumerate_is_capped",),
+             "R2: the enumeration cap is dropped"),
+]
+
+SURVIVORS = [
+    Mutation("src/formgaps/analytic_constants.py",
+             "return coeff * beta_times_pi(psi, a) if coeff else Fraction(0)",
+             "return coeff * beta_times_pi(psi, a) * Fraction(103, 100) if coeff else Fraction(0)",
+             ("tests/test_acceptance.py::test_criterion_08_main_theorem_trend",),
+             "main_term_exact biased by 3%: criterion 08 only asks the decade maxima of "
+             "|J / (m x) - 1| to shrink below 0.15, which a 3% bias in m meets; the windowed "
+             "criterion 13 of ROADMAP item 1 is to catch it"),
+]
+
+
+def run_tests(root: Path, tests) -> int:
+    """pytest's exit status for the tests on the tree at root: 0 all passed, 1 some failed."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=root, env=env, capture_output=True, text=True,
+    ).returncode
+
+
+def main() -> int:
+    every = MUTATIONS + SURVIVORS
+    stale = [m for m in every if (ROOT / m.file).read_text().count(m.old) != 1]
+    for m in stale:
+        print(f"STALE {m.file}: the old text of '{m.what}' does not occur exactly once")
+    if stale:
+        return 1
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, root / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        code = run_tests(root, sorted({t for m in every for t in m.tests}))
+        if code != 0:
+            print(f"ERROR the named tests do not pass on the unchanged tree (pytest exit {code})")
+            return 1
+        for m in every:
+            path = root / m.file
+            original = path.read_text()
+            path.write_text(original.replace(m.old, m.new))
+            start = time.perf_counter()
+            try:
+                code = run_tests(root, m.tests)
+            finally:
+                path.write_text(original)
+            want = 0 if m in SURVIVORS else 1
+            verdict = {0: "survived", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            ok = code == want
+            failed += not ok
+            print(f"{'ok  ' if ok else 'FAIL'} {verdict:<8} {time.perf_counter() - start:5.1f} s"
+                  f"  {m.file}: {m.what}", flush=True)
+    print(f"{len(every) - failed} of {len(every)} mutations behave as listed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

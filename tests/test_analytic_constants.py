@@ -29,7 +29,6 @@ from formgaps.characters import (
     chi6,
     kronecker_character,
     product_character,
-    table_character,
     trivial_character,
 )
 from formgaps.errors import BudgetError, InvariantError
@@ -199,20 +198,6 @@ def test_G_series_consistency():
         G_series(chi6(), 1, 0.0, 100)
     with pytest.raises(ValueError):
         G_series(trivial_character(6), 1, 1.0, 100)
-
-
-def test_constants_take_real_characters_only():
-    chi5 = table_character(5, (0, 1, 1j, -1j, -1))  # chi(2) = i
-    chi10 = table_character(10, (0, 1, 0, -1j, 0, 0, 0, 1j, 0, -1))  # chi5 lifted mod 10
-    with pytest.raises(ValueError):
-        muller_main(chi5, chi5, 1)
-    with pytest.raises(ValueError):
-        muller_C(chi5, chi5, 1)
-    with pytest.raises(ValueError):
-        L_value(chi5, 1.0)
-    for chi in (chi5, chi10):
-        with pytest.raises(ValueError):
-            G_series(chi, 1, 1.0, 100)
 
 
 def test_truncated_value_guard():

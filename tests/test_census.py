@@ -17,7 +17,6 @@ from formgaps.census import (
     correlation_J,
     correlation_general,
     estermann_correlation,
-    ratio_report,
 )
 from formgaps.characters import F, F_window, chi4, chi6, kronecker_character
 from formgaps.errors import BudgetError
@@ -160,17 +159,6 @@ def test_census_boundary_point_skips_the_membership_oracle(monkeypatch):
     assert [census_interval(*c, witness_cap=None) for c in cases] == before
 
 
-def test_ratio_report_shape():
-    reps = ratio_report(chi6(), 1, [100, 1000])
-    assert len(reps) == 2
-    assert all(r.psi == "chi6" and r.a == 1 for r in reps)
-    assert reps[0].main == reps[1].main > 0
-    assert reps[0].J == correlation_J(chi6(), 1, 100)
-    assert reps[0].ratio == pytest.approx(reps[0].J / (reps[0].main * 100))
-    with pytest.raises(ValueError):
-        ratio_report(chi6(), 1, [1000, 100])
-
-
 SMALL_CHUNK = 1000  # shifts below it share one window per chunk, larger ones do not
 
 
@@ -308,3 +296,17 @@ def test_census_loads_numpy_first_inside_worker_threads():
     assert proc.returncode == 0, proc.stderr
     expected = census_interval(SQUARE2, TRIANGLE, 1, 10 ** 9, 1 << 23, witness_cap=0, threads=2)
     assert int(proc.stdout) == expected.count
+
+
+def test_census_imports_no_constants():
+    # census counts and sums exactly; the main-term constants and local
+    # densities belong to the commands that print them
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = "import sys, formgaps.census; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "formgaps.census" in loaded
+    assert "formgaps.analytic_constants" not in loaded
+    assert "formgaps.local_densities" not in loaded

@@ -24,7 +24,6 @@ from formgaps.characters import (
     primitive_character,
     product_character,
     sqrt_trick_F,
-    table_character,
     trivial_character,
 )
 from formgaps.errors import BudgetError
@@ -35,7 +34,7 @@ REALS = (chi3(), chi4(), chi6())
 def test_chi4_table_and_flags():
     c = chi4()
     assert [c(r) for r in (1, 2, 3, 4)] == [1, 0, -1, 0]
-    assert c.is_primitive and c.is_real and not c.is_trivial
+    assert c.is_primitive and not c.is_trivial
 
 
 def test_chi6_table_and_flags():
@@ -75,15 +74,27 @@ def test_trivial_characters():
     assert t6.is_trivial and not t6.is_primitive
 
 
-def test_table_character_validation():
-    ok = table_character(4, (0, 1, 0, -1))
+def test_build_validation():
+    ok = characters._build("table(4)", 4, (0, 1, 0, -1))
     assert ok.values == chi4().values
     with pytest.raises(ValueError):
-        table_character(4, (0, 1, 0, 2))  # not multiplicative: 3*3 = 1 but 2*2 != 1
+        characters._build("t", 4, (0, 1, 0, 2))  # 2 is no character value
     with pytest.raises(ValueError):
-        table_character(4, (0, 1, 1, -1))  # nonzero value off the units
+        characters._build("t", 8, (0, 1, 0, -1, 0, -1, 0, -1))  # psi(3) psi(5) = 1 but psi(15) = psi(7) = -1
     with pytest.raises(ValueError):
-        table_character(3, (0, -1, 1))  # psi(1) must be 1
+        characters._build("t", 4, (0, 1, 1, -1))  # nonzero value off the units
+    with pytest.raises(ValueError):
+        characters._build("t", 3, (0, -1, 1))  # psi(1) must be 1
+
+
+def test_build_rejects_a_complex_table():
+    # every character is real; chi mod 5 with chi(2) = i, and its lift mod 10
+    for k, values in ((5, (0, 1, 1j, -1j, -1)), (10, (0, 1, 0, -1j, 0, 0, 0, 1j, 0, -1))):
+        for validate in (True, False):
+            with pytest.raises(ValueError):
+                characters._build("complex", k, values, validate=validate)
+    with pytest.raises(ValueError):
+        characters._build("float", 4, (0, 1.0, 0, -1.0))
 
 
 def test_make_character_dispatch():
@@ -181,7 +192,7 @@ KERNEL_CHARACTERS = (
     chi6(),
     kronecker_character(5),
     kronecker_character(-23),
-    table_character(5, (0, 1, 1j, -1j, -1)),
+    kronecker_character(8),
 )
 
 
@@ -264,7 +275,7 @@ def test_F_window_matches_multiplicative_F(lo):
         refs = zip(_F_reference(chars, lo, hi), _F_divisor_reference(chars, lo, hi))
         for psi, (ref, divisor_ref) in zip(chars, refs):
             w = F_window(psi, lo, hi)
-            assert w.dtype == (np.int32 if psi.is_real else np.complex128)
+            assert w.dtype == np.int32
             assert np.array_equal(w, ref), (psi.name, lo, width)
             assert np.array_equal(w, divisor_ref), (psi.name, lo, width)
             for n in (lo, hi):

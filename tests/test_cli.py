@@ -206,6 +206,35 @@ def test_verify_empty_budget(capsys):
     assert out.strip().splitlines()[-1] == "summary,oracles,pass,0"
 
 
+def test_enumerate_is_capped(capsys, monkeypatch):
+    from formgaps import repr_sets
+
+    for fn in ("r2", "R2"):
+        for n in (10 ** 12 + 1, 10 ** 18, 2 ** 70):
+            code, out, err = run(capsys, "repr", "--fn", fn, "--n", str(n), "--mode", "enumerate")
+            assert (code, out) == (2, "") and err.startswith("budget exceeded:"), (fn, n)
+    monkeypatch.setattr(repr_sets, "ENUMERATE_MAX", 100)
+    assert run(capsys, "repr", "--fn", "r2", "--n", "100", "--mode", "enumerate")[:2] == (0, "100,12\n")
+    assert run(capsys, "repr", "--fn", "R2", "--n", "100", "--mode", "enumerate")[:2] == (0, "100,6\n")
+    assert run(capsys, "repr", "--fn", "R2", "--n", "101", "--mode", "enumerate")[0] == 2
+
+
+def test_verify_budget_is_finite_and_capped(capsys, monkeypatch):
+    from formgaps import verify
+
+    def ran(budget, seed):
+        raise AssertionError(f"a suite ran at budget {budget}")
+
+    monkeypatch.setattr(verify, "_SUITES", dict.fromkeys(verify._SUITES, ran))
+    for budget in ("inf", "-inf", "nan"):
+        code, out, err = run(capsys, "verify", "--budget", budget)
+        assert (code, out) == (1, "") and err.startswith("usage error:"), budget
+    for budget in ("1e300", str(verify.BUDGET_MAX * 1.01)):
+        code, out, err = run(capsys, "verify", "--budget", budget)
+        assert (code, out) == (2, "") and err.startswith("budget exceeded:"), budget
+    assert run(capsys, "verify", "--budget", str(verify.BUDGET_MAX))[0] == 3  # runs
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "row.csv"
     code, out, _ = run(capsys, "repr", "--fn", "r2", "--n", "25", "--out", str(path))
@@ -294,12 +323,14 @@ SET = st.sampled_from(["square2", "triangle", "triangle_star", "diamond:-4", "di
 EPS = st.sampled_from([1e-3, 1e-2, 0, -1])
 
 # (form, its flags and their values); triangle_star members stay below 1e12,
-# enumeration, brute counts, correlations and gap shifts stay small (the
+# enumeration stays small or passes its cap, brute counts, correlations and
+# gap shifts stay small (the
 # norm-form scan of gap runs over m <= sqrt(14 |a|)), verify runs no check
 SWEEP = [
     ("repr", {"--fn": st.sampled_from(["r2", "R2", "ideal", "r3"]), "--n": ANY,
               "--disc": st.sampled_from([-3, -4, 5, 12, 0])}),
-    ("repr --mode enumerate", {"--fn": st.sampled_from(["r2", "R2"]), "--n": SMALL}),
+    ("repr --mode enumerate", {"--fn": st.sampled_from(["r2", "R2"]),
+                               "--n": st.one_of(SMALL, st.sampled_from([10 ** 12 + 1, *HUGE]))}),
     ("member", {"--set": SET, "--n": st.one_of(ANY, st.integers(10 ** 11, 10 ** 12))}),
     ("eta", {"--a": ANY, "--q": ANY}),
     ("eta --brute", {"--a": ANY, "--q": SMALL}),

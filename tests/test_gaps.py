@@ -18,15 +18,38 @@ from formgaps.gaps import (
     GapWitness,
     _f0_times4,
     _generic_state,
-    empirical_D,
+    _side_conditions_hold,
     f_vd,
     gap_square2_square2,
     gap_triangle_square2,
     represent_norm_form,
-    upsilon,
-    x_min,
 )
 from formgaps.repr_sets import SQUARE2, TRIANGLE, is_member
+
+
+def upsilon(a: int) -> Fraction:
+    """Gap exponent: 1/2 when a is a norm-form value n^2 - 3 m^2, else 5/8."""
+    if a == 0:
+        raise ValueError("upsilon requires a != 0")
+    return Fraction(1, 2) if represent_norm_form(a) is not None else Fraction(5, 8)
+
+
+def x_min(a: int) -> int:
+    """Smallest x at which all side conditions of the generic construction hold."""
+    if a == 0:
+        raise ValueError("x_min requires a != 0")
+    for x in range(1, 1_000_001):
+        if _side_conditions_hold(_generic_state(a, x), a):
+            return x
+    raise InvariantError("side conditions never hold up to 10^6")
+
+
+def empirical_D(a: int, xs: list[int]) -> float:
+    """Largest offset / x^upsilon(a) over the sample points xs."""
+    if not xs:
+        raise ValueError("empirical_D requires a nonempty sample")
+    u = float(upsilon(a))
+    return max(gap_triangle_square2(a, x).offset / x ** u for x in xs)
 
 
 def test_represent_norm_form_examples():

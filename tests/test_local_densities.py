@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 
 from formgaps.arith import divisors, factorize, nu
+from formgaps.characters import F, F_sieve, chi4
 from formgaps.errors import BudgetError
 from formgaps.local_densities import (
     LocalDensity,
-    S_qa,
     eta,
     eta_brute,
     eta_table,
     lambda_bar,
     lambda_prime_power,
     local_density,
-    tolev_main,
 )
 
 
@@ -119,7 +118,17 @@ def test_lambda_bar_odd_support_bound():
             assert abs(z * lambda_bar(a, z)) <= a * a * D
 
 
+def S_qa(q, a, x):
+    """The progression sum of F_chi4(n) over n <= x with n = a (mod q): a
+    stride of F_sieve, whose entry 0 is a zero pad."""
+    return int(F_sieve(chi4(), x)[a % q :: q].sum())
+
+
 def test_tolev_main_examples():
+    # the main term pi eta_a(q) x / (4 q^2) of S_qa(x) at three points
+    def tolev_main(q, a, x):
+        return math.pi * eta(a, q) * x / (4 * q * q)
+
     assert abs(tolev_main(1, 0, 100.0) - math.pi * 25) < 1e-12
     assert abs(tolev_main(5, 5, 100.0) - 9 * math.pi) < 1e-12
     assert abs(tolev_main(2, 0, 8.0) - math.pi) < 1e-12
@@ -133,14 +142,11 @@ def test_S_qa_values():
 
 
 def test_S_qa_splits_by_residue():
+    # each class against F by factorization, independent of the sieve
     x = 5000
-    total = S_qa(1, 0, x)
-    assert total == sum(S_qa(7, r, x) for r in range(7))
-
-
-def test_S_qa_budget():
-    with pytest.raises(BudgetError):
-        S_qa(3, 1, 2_000_000_000)
+    parts = [S_qa(7, r, x) for r in range(7)]
+    assert parts == [sum(F(chi4(), n) for n in range(r or 7, x + 1, 7)) for r in range(7)]
+    assert sum(parts) == S_qa(1, 0, x)
 
 
 def test_eta_table_matches_brute():
