@@ -40,10 +40,12 @@ f1), a root checked to be rational: pi beta, the main term and Mueller's C
 and M of odd pairs are exact Fractions, whose floats carry only the rounding
 of the last division as error bound, whatever eps asks.
 
-Every other ratio takes each L-value from the `L_value` series within eps/8
-(`_L_ratio`); L(1, psi) of even psi involves the log of a fundamental unit,
-which has no closed form here.  The Euler product (`beta_euler`) is kept only
-as the oracle both routes are checked against.
+Every other ratio (`_L_ratio`) takes each L(1) from the `L_value` series
+within eps/8, since L(1, psi) of even psi involves the log of a fundamental
+unit, which has no closed form here; its L(2) is the same series when the
+character is odd and the exact Bernoulli value when it is even.  The Euler
+product (`beta_euler`) is kept only as the oracle both routes are checked
+against.
 
 Dirichlet L-values are computed from character partial sums: summing to a
 period boundary N leaves a tail whose first-order term is -(S1/k) N^-s with
@@ -59,8 +61,9 @@ sum_{n <= x} F_psi(n) F_rho(n+a) has main-term coefficient
                      * sum_{d | a} psi(d) rho(d) / d,
 
 where P(a,k) is the k-part of a.  When rho*psi degenerates to the principal
-character (e.g. psi = rho), L(2, rho*psi) is evaluated as the literal
-product-character series, i.e. zeta(2) with the p | k factors removed; that
+character (e.g. psi = rho), L(2, rho*psi) is read as the literal
+product-character series, i.e. zeta(2) with the p | k factors removed, and
+taken as the exact Bernoulli value of that series (f = 1 above); that
 reading is a documented choice, not forced by the definitions.
 """
 
@@ -73,7 +76,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _np as np
-from .arith import divisors, factorize, nu, primes
+from .arith import divisors, factorize, nu, prime_blocks
 from .characters import (
     DirichletCharacter,
     chi4,
@@ -120,33 +123,15 @@ def _require_beta_character(psi: DirichletCharacter, a: int | None = None) -> No
         raise ValueError("beta requires a != 0")
 
 
-def _zeta_em(s: float) -> tuple[float, float]:
-    """zeta(s) for real s > 1 by Euler-Maclaurin, with an error bound."""
-    N = 1000
-    n = np.arange(1, N + 1, dtype=np.float64)
-    val = float(np.sum(n ** -s))
-    val += N ** (1 - s) / (s - 1) - 0.5 * N ** -s + s * N ** (-s - 1) / 12
-    err = abs(s * (s + 1) * (s + 2)) * N ** (-s - 3) / 720 + 1e-14
-    return val, err
-
-
 def L_value(chi: DirichletCharacter, s: float, eps: float = 1e-10) -> TruncatedValue:
-    """Dirichlet L-series value L(s, chi) within eps, for real chi and real s >= 1.
-
-    Principal characters are only admitted for s > 1 (the series diverges at
-    s = 1) and are evaluated as zeta(s) with the p | k Euler factors removed,
-    which is the literal value of the series with zeros retained.
+    """Dirichlet L-series value L(s, chi) within eps, for a real non-principal
+    chi and real s >= 1.  A principal chi raises ValueError: its L(2) is the
+    exact `L_value_exact`, and its series diverges at s = 1.
     """
     if s < 1:
         raise ValueError("L_value requires s >= 1")
     if chi.is_trivial:
-        if s <= 1:
-            raise ValueError("the principal-character series diverges at s = 1")
-        z, zerr = _zeta_em(s)
-        corr = 1.0
-        for p, _ in factorize(chi.modulus).factors:
-            corr *= 1 - p ** -s
-        return TruncatedValue(z * corr, zerr * corr + 1e-15 * abs(z), 1000)
+        raise ValueError("L_value takes non-principal characters only")
     k = chi.modulus
     S1 = sum(chi(r) * r for r in range(1, k + 1))
     Sk2 = sum(abs(chi(r)) * r * r for r in range(1, k + 1))
@@ -172,7 +157,7 @@ def L_value(chi: DirichletCharacter, s: float, eps: float = 1e-10) -> TruncatedV
 
 
 def _is_odd(chi: DirichletCharacter) -> bool:
-    return chi(-1) == -1
+    return chi.disc < 0
 
 
 def L_value_exact(chi: DirichletCharacter, s: int) -> tuple[Fraction, int]:
@@ -226,9 +211,17 @@ def _L_ratio_exact(ones: list[DirichletCharacter], two: DirichletCharacter) -> F
 def _L_ratio(
     ones: list[DirichletCharacter], two: DirichletCharacter, factor: Fraction, eps: float
 ) -> TruncatedValue:
-    """prod_{chi in ones} L(1, chi) / L(2, two) * factor from the `L_value`
-    series, each L-value within eps/8, with the composed relative error."""
-    Ls = [L_value(chi, 1.0, eps / 8) for chi in ones] + [L_value(two, 2.0, eps / 8)]
+    """prod_{chi in ones} L(1, chi) / L(2, two) * factor, with the composed
+    relative error: each L(1) from the `L_value` series within eps/8, and
+    L(2, two) too when two is odd; an even two (principal ones included) takes
+    its exact `L_value_exact`, off by rounding only."""
+    Ls = [L_value(chi, 1.0, eps / 8) for chi in ones]
+    if _is_odd(two):
+        Ls.append(L_value(two, 2.0, eps / 8))
+    else:
+        c, f = L_value_exact(two, 2)
+        v = float(c) * math.pi ** 2 / f ** 1.5
+        Ls.append(TruncatedValue(v, 4 * sys.float_info.epsilon * abs(v), 0))
     value = math.prod(L.value for L in Ls[:-1]) / Ls[-1].value * float(factor)
     err = _compose_rel_error(value, [(L.value, L.error_bound) for L in Ls])
     return TruncatedValue(value, err, sum(L.terms_used for L in Ls))
@@ -264,15 +257,16 @@ def euler_factor_Gp(rho: DirichletCharacter, a: int, p: int, s: float) -> Trunca
 
 
 @lru_cache(maxsize=8)
-def _modified_prime_product(values: tuple, P: int) -> tuple[float, int]:
+def _modified_prime_product(psi: DirichletCharacter, P: int) -> tuple[float, int]:
     """prod over odd p <= P of (1 - chi4(p) psi(p) / p^2), and the prime count,
-    for the character psi with this value table."""
-    ps = primes(P)
-    ps = ps[ps > 2]
-    chi4v = np.where(ps % 4 == 1, 1.0, -1.0)
-    psiv = np.asarray(values, dtype=np.float64)[ps % len(values)]
-    fac = 1.0 - chi4v * psiv / ps.astype(np.float64) ** 2
-    return float(np.prod(fac)), int(ps.size)
+    one block of `prime_blocks` at a time."""
+    table = psi.table().astype(np.float64)
+    prod, count = 1.0, 0
+    for ps in prime_blocks(3, P):
+        chi4v = np.where(ps % 4 == 1, 1.0, -1.0)
+        prod *= float(np.prod(1.0 - chi4v * table[ps % psi.modulus] / ps.astype(np.float64) ** 2))
+        count += int(ps.size)
+    return prod, count
 
 
 def _local_factor(psi: DirichletCharacter, a: int) -> Fraction:
@@ -323,7 +317,7 @@ def beta_euler(psi: DirichletCharacter, a: int, eps: float = 1e-6) -> TruncatedV
         raise BudgetError("eps is too small for the Euler-product budget")
     P = max(1000, math.ceil(8.0 / eps))
     L1 = L_value(psi, 1.0, eps / 8)
-    base, nprimes = _modified_prime_product(psi.values, P)
+    base, nprimes = _modified_prime_product(psi, P)
     val = L1.value * base
     extra_terms = 0
     for p, _ in factorize(abs(a)).factors:

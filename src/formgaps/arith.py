@@ -193,7 +193,7 @@ def mobius(n: int) -> int:
     return -1 if len(f.factors) % 2 else 1
 
 
-PRIME_CACHE_MAX = 1 << 24  # the cache doubles up to here; larger limits are taken as asked
+PRIME_CACHE_MAX = 1 << 24  # the cache doubles up to here and no further
 
 PRIME_SEGMENT = 1 << 20  # integers per block of the segmented sieve beyond the cache
 
@@ -203,8 +203,12 @@ _prime_cache = (0, None)
 
 
 def primes(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (cached, grow-only)."""
+    """All primes <= limit as an int64 array: a slice of the cache, grow-only up
+    to PRIME_CACHE_MAX; larger limits join the blocks of `prime_blocks` and
+    leave the cache as it is."""
     global _prime_cache
+    if limit > PRIME_CACHE_MAX:
+        return np.concatenate(list(prime_blocks(2, limit)))
     cached_limit, cache = _prime_cache
     if limit > cached_limit or cache is None:
         new_limit = max(limit, min(2 * cached_limit, PRIME_CACHE_MAX), 1 << 16)

@@ -1,14 +1,17 @@
-"""Dirichlet characters as dense residue tables, and the divisor transform
+"""Real Dirichlet characters in Kronecker form, and the divisor transform
 
     F_psi(n) = sum_{d | n} psi(d).
 
-Moduli used here are tiny (3, 4, 5, 6, 12, |D|), so a character is stored as
-a value table indexed by residue, giving O(1) lookups inside sieve loops.
-psi is completely multiplicative and periodic; it is extended to the reals by
-psi(w) = 0 for non-integer w, which is what the square-root shortcut for F
-relies on.  F itself is multiplicative, with per-prime geometric sums
-sum_{i <= e} psi(p)^i at p^e || n: e + 1, the parity of e, or 1 for
-psi(p) = 1, -1, 0.
+Every character here is real, so it is the Kronecker symbol (D/.) of a
+discriminant D (1 for the principal ones) on the units mod a modulus k that
+|D| divides: its conductor is |D| and its parity the sign of D.  Products and
+primitive characters are arithmetic on (D, k).  The value table indexed by
+residue is computed from the symbol, giving O(1) lookups inside sieve loops;
+moduli are tiny (3, 4, 5, 6, 12, |D|).  psi is completely multiplicative and
+periodic; it is extended to the reals by psi(w) = 0 for non-integer w, which
+is what the square-root shortcut for F relies on.  F itself is
+multiplicative, with per-prime geometric sums sum_{i <= e} psi(p)^i at
+p^e || n: e + 1, the parity of e, or 1 for psi(p) = 1, -1, 0.
 
 F_window evaluates F on a window by exactly that product, as a segmented
 sieve over the primes up to sqrt(hi): each prime multiplies its local factor
@@ -23,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import _np as np
 from .arith import divisors, factorize, prime_blocks
@@ -35,8 +38,6 @@ F_SIEVE_MAX = 150_000_000  # materialized-array guard; windows go further
 DENSE_HITS = 128  # primes with at least this many multiples in a window take strided passes
 
 SEGMENT = 1 << 18  # F_window sieves this many integers at a time
-
-_FULL_VALIDATE_MAX = 600  # moduli above this get spot-checked, not O(k^2)
 
 
 def jacobi_symbol(a: int, n: int) -> int:
@@ -92,99 +93,63 @@ def is_fundamental_discriminant(D: int) -> bool:
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """Completely multiplicative periodic function mod `modulus`, as a table.
+    """The real character r -> (disc/r) on the units mod `modulus`, 0 off them.
 
-    values[r] is psi(r), one of the ints -1, 0, 1 (every character here is
-    real); it is 0 exactly when gcd(r, modulus) > 1.  The primitivity flag is
-    computed by the induced-modulus test at construction.
+    Every real Dirichlet character is a Kronecker symbol (disc/.) times a
+    principal character (Davenport, Multiplicative Number Theory, ch. 5):
+    disc is 1 or a fundamental discriminant, |disc| divides the modulus and is
+    the conductor, and the character is odd exactly when disc < 0.  values[r]
+    is psi(r), one of the ints -1, 0, 1, computed once on first use.
     """
 
     name: str
+    disc: int
     modulus: int
-    values: tuple
-    is_trivial: bool
-    is_primitive: bool
 
     def __call__(self, n: int):
         return self.values[n % self.modulus]
+
+    @cached_property
+    def values(self) -> tuple:
+        k, D = self.modulus, self.disc
+        return tuple(kronecker_symbol(D, r) if math.gcd(r, k) == 1 else 0 for r in range(k))
+
+    @property
+    def is_trivial(self) -> bool:
+        return self.disc == 1
+
+    @property
+    def is_primitive(self) -> bool:
+        return self.modulus == abs(self.disc)
 
     def table(self) -> np.ndarray:
         return np.array(self.values, dtype=np.int32)
 
 
-def _check_table(k: int, values: tuple) -> None:
-    if len(values) != k:
-        raise ValueError("value table length must equal the modulus")
-    for r in range(k):
-        on_unit = math.gcd(r, k) == 1
-        if (values[r] != 0) != on_unit:
-            raise ValueError("values must vanish exactly off the units")
-    if values[1 % k] != 1:
-        raise ValueError("psi(1) must be 1")
-    if k <= _FULL_VALIDATE_MAX:
-        pairs = ((r, s) for r in range(k) for s in range(r, k))
-    else:
-        step = max(1, k // 48)
-        pairs = ((r, s) for r in range(1, k, step) for s in range(1, k, step))
-    for r, s in pairs:
-        if values[(r * s) % k] != values[r] * values[s]:
-            raise ValueError("table is not completely multiplicative")
-
-
-def _conductor(k: int, values: tuple) -> int:
-    """The least divisor f of k such that the character is induced from mod f."""
-    for d in divisors(factorize(k)):
-        induced = all(
-            values[n % k] == 1
-            for n in range(1, k + 1)
-            if math.gcd(n, k) == 1 and n % d == 1 % d
-        )
-        if induced:
-            return d
-    return k
-
-
-def _build(name: str, k: int, values: tuple, validate: bool = True) -> DirichletCharacter:
-    if k < 1:
-        raise ValueError("modulus must be >= 1")
-    values = tuple(values)
-    if any(type(v) is not int or v not in (-1, 0, 1) for v in values):
-        raise ValueError("character values must be the ints -1, 0 or 1")
-    if validate:
-        _check_table(k, values)
-    trivial = all(values[r] == 1 for r in range(k) if math.gcd(r, k) == 1)
-    return DirichletCharacter(
-        name=name,
-        modulus=k,
-        values=values,
-        is_trivial=trivial,
-        is_primitive=_conductor(k, values) == k,
-    )
-
-
 @lru_cache(maxsize=None)
 def chi4() -> DirichletCharacter:
     """The primitive character mod 4: (1, 0, -1, 0) on residues (1, 2, 3, 0)."""
-    return _build("chi4", 4, (0, 1, 0, -1))
+    return DirichletCharacter("chi4", -4, 4)
 
 
 @lru_cache(maxsize=None)
 def chi3() -> DirichletCharacter:
     """The non-trivial character mod 3."""
-    return _build("chi3", 3, (0, 1, -1))
+    return DirichletCharacter("chi3", -3, 3)
 
 
 @lru_cache(maxsize=None)
 def chi6() -> DirichletCharacter:
     """The non-trivial real character mod 6: +1 at 1, -1 at 5."""
-    return _build("chi6", 6, (0, 1, 0, 0, 0, -1))
+    return DirichletCharacter("chi6", -3, 6)
 
 
 @lru_cache(maxsize=None)
 def trivial_character(k: int) -> DirichletCharacter:
     """The principal character mod k (identically 1 when k = 1)."""
-    vals = tuple(1 if math.gcd(r, k) == 1 else 0 for r in range(k))
-    return _build(f"trivial({k})", k, vals)
+    if k < 1:
+        raise ValueError("modulus must be >= 1")
+    return DirichletCharacter(f"trivial({k})", 1, k)
 
 
 @lru_cache(maxsize=None)
@@ -192,29 +157,28 @@ def kronecker_character(D: int) -> DirichletCharacter:
     """The quadratic character r -> (D/r) for a fundamental discriminant D."""
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
-    k = abs(D)
-    vals = tuple(kronecker_symbol(D, r) for r in range(k))
-    return _build(f"kronecker({D})", k, vals)
+    return DirichletCharacter(f"kronecker({D})", D, abs(D))
+
+
+def _field_disc(n: int) -> int:
+    """The discriminant of Q(sqrt(n)) for n != 0 (1 for a square): the
+    squarefree core c of n, times 4 unless c = 1 mod 4."""
+    c = math.prod(p for p, e in factorize(abs(n)).factors if e % 2) * (1 if n > 0 else -1)
+    return c if c % 4 == 1 else 4 * c
 
 
 def product_character(psi: DirichletCharacter, rho: DirichletCharacter) -> DirichletCharacter:
-    """Pointwise product of two characters, as a character mod the lcm of their moduli."""
+    """Pointwise product of two characters, as a character mod the lcm of their moduli:
+    (D1/r)(D2/r) = (D1 D2/r) on the units, the symbol of the field discriminant of D1 D2."""
     k = math.lcm(psi.modulus, rho.modulus)
-    vals = tuple(psi(r) * rho(r) for r in range(k))
-    return _build(f"{psi.name}*{rho.name}", k, vals, validate=False)
+    return DirichletCharacter(f"{psi.name}*{rho.name}", _field_disc(psi.disc * rho.disc), k)
 
 
 def primitive_character(psi: DirichletCharacter) -> DirichletCharacter:
-    """The primitive character mod the conductor of psi that induces psi."""
-    k = psi.modulus
-    f = _conductor(k, psi.values)
-    if f == k:
+    """The primitive character mod the conductor |disc| of psi that induces psi."""
+    if psi.is_primitive:
         return psi
-    vals = [0] * f
-    for n in range(1, k + 1):
-        if math.gcd(n, k) == 1:
-            vals[n % f] = psi(n)  # well defined: psi is induced from mod f
-    return _build(f"primitive({psi.name})", f, tuple(vals), validate=False)
+    return DirichletCharacter(f"primitive({psi.name})", psi.disc, abs(psi.disc))
 
 
 def make_character(spec: str) -> DirichletCharacter:

@@ -121,7 +121,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--rho", default="chi4")
     s.add_argument("--a", type=int, required=True)
     s.add_argument("--x", type=int, required=True)
-    s.add_argument("--eps", type=float, default=1e-6, help=EPS_HELP)
+    s.add_argument("--eps", type=float, default=1e-8, help=EPS_HELP)
 
     s = add("census", "interval census of a shifted pair set", _run_census)
     s.add_argument("--set1", required=True)
@@ -238,7 +238,7 @@ def _run_correlate(args):
         name = f"{psi.name}*{rho.name}"
         J = correlation_general(psi, rho, args.a, args.x, threads=threads)
         try:
-            m = muller_main(psi, rho, args.a).value
+            m = muller_main(psi, rho, args.a, args.eps).value
         except ValueError:  # the pair has no Müller main term
             pass
     else:

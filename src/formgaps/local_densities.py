@@ -161,7 +161,7 @@ def eta_table(a: int, n_max: int) -> np.ndarray:
     root = math.isqrt(n_max)
     ps = primes(root).tolist()
     if a:
-        ps += [p for p in primes(min(abs(a), n_max)).tolist() if p > root and a % p == 0]
+        ps += [p for p, _ in factorize(abs(a)).factors if root < p <= n_max]
     for p in ps:
         below = out[p::p].copy()  # the factors of the smaller primes, at n = p, 2p, ...
         pe, e = p, 1

@@ -78,10 +78,30 @@ MUTATIONS = [
              ("tests/test_gaps.py::test_verify_rejects_forged_witnesses",),
              "_certified: the GENERIC certificate accepts any n"),
     Mutation("src/formgaps/characters.py",
-             "if any(type(v) is not int or v not in (-1, 0, 1) for v in values):",
-             "if False:",
-             ("tests/test_characters.py::test_build_rejects_a_complex_table",),
-             "_build: a complex value table is accepted"),
+             "return c if c % 4 == 1 else 4 * c",
+             "return c",
+             ("tests/test_characters.py::test_character_oracle",),
+             "_field_disc: the core c stands for 4c, so chi3 * chi4 takes (3/.) mod 12"),
+    Mutation("src/formgaps/analytic_constants.py",
+             "return chi.disc < 0",
+             "return chi.disc > 0",
+             ("tests/test_characters.py::test_character_oracle",),
+             "_is_odd: the parity tests disc > 0"),
+    Mutation("src/formgaps/characters.py",
+             "return self.modulus == abs(self.disc)",
+             "return self.modulus == self.disc",
+             ("tests/test_characters.py::test_character_oracle",),
+             "is_primitive: modulus == disc, so no odd character is primitive"),
+    Mutation("src/formgaps/analytic_constants.py",
+             "c, f = L_value_exact(two, 2)\n        v = float(c)",
+             "c, f = L_value_exact(ones[-1], 2)\n        v = float(c)",
+             ("tests/test_analytic_constants.py::test_muller_C_even_pairs_match_class_number_formula",),
+             "_L_ratio: L(2, psi) for L(2, two) when two is even"),
+    Mutation("src/formgaps/analytic_constants.py",
+             "for ps in prime_blocks(3, P):",
+             "for ps in prime_blocks(2, P):",
+             ("tests/test_analytic_constants.py::test_beta_euler_counts_the_odd_primes",),
+             "_modified_prime_product: p = 2 is counted among the Euler factors"),
     Mutation("src/formgaps/verify.py",
              "if budget > BUDGET_MAX:",
              "if budget > 1e300:",

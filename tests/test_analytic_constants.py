@@ -2,8 +2,10 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from formgaps import arith
 from formgaps.analytic_constants import (
     G_series,
     L_value,
@@ -23,6 +25,7 @@ from formgaps.analytic_constants import (
     muller_main,
     muller_main_exact,
 )
+from formgaps.arith import PRIME_CACHE_MAX, factorize
 from formgaps.characters import (
     chi3,
     chi4,
@@ -45,12 +48,21 @@ def test_L_value_closed_forms():
     assert abs(L42.value - 0.915965594177219) <= L42.error_bound + 1e-12
 
 
+def _principal_L2(k):
+    """L(2) of the principal character mod k, the literal series with zeros
+    retained, from mpmath: zeta(2) prod_{p | k} (1 - p^-2)."""
+    return float(mpmath.zeta(2) * mpmath.fprod(1 - mpmath.mpf(p) ** -2
+                                               for p, _ in factorize(k).factors))
+
+
 def test_L_value_principal():
-    # literal series with zeros retained: zeta(s) times the removed factors
-    L = L_value(trivial_character(5), 2.0, 1e-10)
-    assert abs(L.value - (math.pi ** 2 / 6) * (1 - 1 / 25)) <= L.error_bound + 1e-12
-    with pytest.raises(ValueError):
-        L_value(trivial_character(5), 1.0)
+    # L(2) of a principal character is exact; the series route refuses it
+    for k in (1, 2, 5, 6, 12, 60):
+        c, f = L_value_exact(trivial_character(k), 2)
+        assert f == 1 and float(c) * math.pi ** 2 == pytest.approx(_principal_L2(k), rel=1e-15)
+    for s in (1.0, 2.0):
+        with pytest.raises(ValueError):
+            L_value(trivial_character(5), s)
 
 
 def test_L_value_refinement():
@@ -220,12 +232,16 @@ def test_L_value_exact_matches_series():
     cases = [(chi, 1) for chi in (chi3(), chi4(), chi6(), kronecker_character(-8),
                                    kronecker_character(-24), kronecker_character(-7))]
     cases += [(product_character(chi4(), psi), 2) for psi in ODD_BETA_CHARACTERS]
-    cases += [(chi, 2) for chi in (kronecker_character(5), kronecker_character(8),
-                                   trivial_character(1), trivial_character(6))]
+    chi5 = kronecker_character(5)
+    cases += [(chi, 2) for chi in (chi5, kronecker_character(8), trivial_character(1),
+                                   trivial_character(6), product_character(chi5, chi5))]
     for chi, s in cases:
         c, f = L_value_exact(chi, s)
-        series = L_value(chi, float(s), 1e-12)
         exact = float(c) * math.pi ** s / f ** (s - 0.5)
+        if chi.is_trivial:  # chi4 * chi4 among them; no series, the mpmath oracle
+            assert exact == pytest.approx(_principal_L2(chi.modulus), rel=1e-15), chi.name
+            continue
+        series = L_value(chi, float(s), 1e-12)
         assert abs(exact - series.value) <= series.error_bound + 1e-15, (chi.name, s)
     with pytest.raises(ValueError):
         L_value_exact(chi4(), 2)  # odd character at s = 2
@@ -285,7 +301,41 @@ def test_muller_C_odd_pairs_match_series():
         for a in (1, 2, 3, 6, 12):
             C = muller_C(chi, chi, a, 1e-9)
             L1 = L_value(chi, 1.0, 1e-12)
-            L2 = L_value(product_character(chi, chi), 2.0, 1e-12)
             dsum = sum(Fraction(chi(d) ** 2, d) for d in range(1, a + 1) if a % d == 0)
-            series = L1.value ** 2 / L2.value * float(dsum)
+            series = L1.value ** 2 / _principal_L2(chi.modulus) * float(dsum)
             assert C.terms_used == 0 and C.value == pytest.approx(series, abs=1e-11), (chi.name, a)
+
+
+def test_muller_C_even_pairs_match_class_number_formula():
+    # L(1, chi_D) = 2 h log(epsilon) / sqrt(D) with h = 1 for D = 5 (epsilon the
+    # golden ratio) and D = 8 (epsilon = 1 + sqrt 2); L(2) of chi_D^2 is principal
+    for D, unit in ((5, (1 + mpmath.sqrt(5)) / 2), (8, 1 + mpmath.sqrt(2))):
+        chi = kronecker_character(D)
+        L1 = float(2 * mpmath.log(unit) / mpmath.sqrt(D))
+        for a in (1, 2, 5, 6):
+            dsum = sum(Fraction(chi(d) ** 2, d) for d in range(1, a + 1) if a % d == 0)
+            C = muller_C(chi, chi, a, 1e-10)
+            want = L1 ** 2 / _principal_L2(D) * float(dsum)
+            assert abs(C.value - want) <= C.error_bound + 1e-15, (D, a)
+            assert C.error_bound <= 1e-10
+
+
+def test_beta_euler_counts_the_odd_primes():
+    # P = 8 / eps = 8000; pi(8000) = 1007, less p = 2, plus the odd primes 3, 5 of a
+    assert beta_euler(chi4(), 15, 1e-3).terms_used == 1006 + 2
+
+
+def test_beta_euler_memory_bounded_past_the_prime_cache():
+    # P = 8e7 > PRIME_CACHE_MAX: the Euler product walks segments of primes
+    # and leaves the prime cache at most PRIME_CACHE_MAX long
+    tracemalloc.start()
+    try:
+        euler = beta_euler(chi6(), 1, 1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert arith._prime_cache[0] <= PRIME_CACHE_MAX
+    assert euler.terms_used == 4_669_382 - 1  # pi(8e7), less p = 2
+    closed = beta(chi6(), 1)
+    assert abs(euler.value - closed.value) <= euler.error_bound + closed.error_bound

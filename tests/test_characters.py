@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formgaps import characters, util
-from formgaps.arith import primes
+from formgaps.analytic_constants import _is_odd
+from formgaps.arith import divisors, factorize, primes
 from formgaps.characters import (
     F_SIEVE_MAX,
     F,
@@ -74,35 +76,71 @@ def test_trivial_characters():
     assert t6.is_trivial and not t6.is_primitive
 
 
-def test_build_validation():
-    ok = characters._build("table(4)", 4, (0, 1, 0, -1))
-    assert ok.values == chi4().values
-    with pytest.raises(ValueError):
-        characters._build("t", 4, (0, 1, 0, 2))  # 2 is no character value
-    with pytest.raises(ValueError):
-        characters._build("t", 8, (0, 1, 0, -1, 0, -1, 0, -1))  # psi(3) psi(5) = 1 but psi(15) = psi(7) = -1
-    with pytest.raises(ValueError):
-        characters._build("t", 4, (0, 1, 1, -1))  # nonzero value off the units
-    with pytest.raises(ValueError):
-        characters._build("t", 3, (0, -1, 1))  # psi(1) must be 1
+def _conductor(psi):
+    """The least divisor f of the modulus from which psi is induced: psi(n) = 1
+    at every unit n = 1 mod f (a brute search, independent of disc)."""
+    k = psi.modulus
+    n = np.arange(1, k + 1)
+    units = np.gcd(n, k) == 1
+    values = np.array(psi.values)
+    for f in divisors(factorize(k)):
+        if (values[n[units & (n % f == 1 % f)] % k] == 1).all():
+            return f
 
 
-def test_build_rejects_a_complex_table():
-    # every character is real; chi mod 5 with chi(2) = i, and its lift mod 10
-    for k, values in ((5, (0, 1, 1j, -1j, -1)), (10, (0, 1, 0, -1j, 0, 0, 0, 1j, 0, -1))):
-        for validate in (True, False):
-            with pytest.raises(ValueError):
-                characters._build("complex", k, values, validate=validate)
-    with pytest.raises(ValueError):
-        characters._build("float", 4, (0, 1.0, 0, -1.0))
+def _check_character(psi):
+    """Every property a real character mod k must have, over the whole modulus."""
+    k = psi.modulus
+    r = np.arange(k)
+    v = np.array(psi.values)
+    assert len(psi.values) == k and all(type(x) is int and x in (-1, 0, 1) for x in psi.values)
+    assert psi(1) == 1
+    assert np.array_equal(v != 0, np.gcd(r, k) == 1)  # zero exactly off the units
+    assert np.array_equal(v[np.outer(r, r) % k], np.outer(v, v))  # completely multiplicative
+    assert all(psi(n) == psi(n + k) == psi(n - k) for n in range(k))
+    f = _conductor(psi)
+    assert f == abs(psi.disc)
+    assert psi.is_primitive == (f == k)
+    assert psi.is_trivial == (f == 1) == bool((v[np.gcd(r, k) == 1] == 1).all())
+    assert psi(-1) == (-1 if psi.disc < 0 else 1) and _is_odd(psi) == (psi(-1) == -1)
+
+
+CLI_CHARACTERS = (
+    [make_character(s) for s in ("chi3", "chi4", "chi6")]
+    + [make_character(f"trivial:{k}") for k in range(1, 65)]
+    + [make_character(f"kronecker:{D}") for D in range(-500, 501) if is_fundamental_discriminant(D)]
+)
+
+PRODUCT_FACTORS = (
+    [chi3(), chi4(), chi6(), trivial_character(1), trivial_character(6), trivial_character(12)]
+    + [kronecker_character(D) for D in (5, -7, -8, 8, 12, -15, -20, 21, -24, 40)]
+)
+
+
+def test_character_oracle():
+    # every character the CLI can name, the products of a fixed set of them,
+    # and the primitive characters of all of these
+    products = [product_character(psi, rho) for psi in PRODUCT_FACTORS for rho in PRODUCT_FACTORS]
+    assert len(CLI_CHARACTERS) == 3 + 64 + 306
+    for psi in CLI_CHARACTERS + products:
+        _check_character(psi)
+        prim = primitive_character(psi)
+        _check_character(prim)
+        assert prim.is_primitive and prim.modulus == _conductor(psi)
+        assert all(prim(n) == psi(n) for n in range(psi.modulus) if math.gcd(n, psi.modulus) == 1)
+    for (psi, rho), prod in zip(itertools.product(PRODUCT_FACTORS, repeat=2), products):
+        k = prod.modulus
+        assert k == math.lcm(psi.modulus, rho.modulus)
+        assert all(prod(n) == psi(n) * rho(n) for n in range(k)), prod.name
 
 
 def test_make_character_dispatch():
     assert make_character("chi6") is chi6()
     assert make_character("trivial:4") is trivial_character(4)
     assert make_character("kronecker:-3") is kronecker_character(-3)
-    with pytest.raises(ValueError):
-        make_character("nope")
+    for spec in ("nope", "trivial:0", "trivial:-4", "kronecker:9"):
+        with pytest.raises(ValueError):
+            make_character(spec)
 
 
 def test_product_character_of_real_pair_is_principal():

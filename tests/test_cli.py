@@ -161,6 +161,20 @@ def test_correlate(capsys):
     assert out.strip().splitlines()[1] == "r2,1,2,16,,"
 
 
+def test_correlate_general_takes_eps(capsys):
+    # the general main term is muller's at the same eps, and 1e-8 by default
+    base = ["--psi", "kronecker:5", "--rho", "kronecker:5", "--a", "1"]
+    mains = {}
+    for eps in ("1e-3", "1e-8", "1e-12", None):
+        tail = [] if eps is None else ["--eps", eps]
+        code, out, _ = run(capsys, "correlate", "--kind", "general", *base, "--x", "1000", *tail)
+        assert code == 0
+        mains[eps] = out.splitlines()[1].split(",")[4]
+        code, out, _ = run(capsys, "muller", *base, "--eps", eps or "1e-8")
+        assert code == 0 and out.splitlines()[1].split(",")[3] == mains[eps], eps
+    assert mains[None] == mains["1e-8"] and mains["1e-3"] != mains["1e-12"]
+
+
 def test_census(capsys):
     code, out, _ = run(capsys, "census", "--set1", "square2", "--set2", "square2",
                        "--a", "1", "--x", "1", "--len", "9")
