@@ -227,11 +227,11 @@ def _L_ratio(
     return TruncatedValue(value, err, sum(L.terms_used for L in Ls))
 
 
-def _Gp(rho: DirichletCharacter, a: int, p: int, s: float) -> Fraction | float:
-    """G_p(rho, a, s): the head d <= v = nu_p(a), where lambda_a(p^d) varies,
-    then its constant tail as a geometric series.  The sum runs in the number
-    type of r = rho(p) / p^s: a Fraction at integer s, so it is exact,
-    otherwise a float."""
+def euler_factor_Gp(rho: DirichletCharacter, a: int, p: int, s: float) -> Fraction | float:
+    """G_p(rho, a, s) = 1 + sum_{d >= 1} rho(p^d) lambda_a(p^d) p^(-ds), a != 0: the head
+    d <= v = nu_p(a), where lambda_a(p^d) varies, then its constant tail as a geometric
+    series.  The sum runs in the number type of r = rho(p) / p^s: the value is an exact
+    Fraction at integer s, otherwise a float."""
     v = nu(p, a)
     r = Fraction(rho(p), p ** int(s)) if float(s).is_integer() else rho(p) / p ** s
     total = rd = 1
@@ -239,21 +239,6 @@ def _Gp(rho: DirichletCharacter, a: int, p: int, s: float) -> Fraction | float:
         rd *= r
         total += lambda_prime_power(p, d, a) * rd
     return total + lambda_prime_power(p, v + 1, a) * (rd * r) / (1 - r)
-
-
-def euler_factor_Gp(rho: DirichletCharacter, a: int, p: int, s: float) -> TruncatedValue:
-    """Euler factor G_p(rho, a, s) = 1 + sum_d rho(p^d) lambda_a(p^d) p^(-ds).
-
-    The lambda sequence is eventually constant in d, so the value is a finite
-    sum plus a closed geometric tail: no truncation, error bound 0 (exact in
-    rationals at integer s; float powers otherwise).
-    """
-    if p == 2 or not math.isfinite(s) or s <= 0.5:
-        raise ValueError("euler_factor_Gp requires an odd prime and s > 1/2")
-    if a == 0:
-        raise ValueError("euler_factor_Gp requires a != 0")
-    g = _Gp(rho, a, p, s)
-    return TruncatedValue(float(g), 0.0, nu(p, a) + 1)
 
 
 @lru_cache(maxsize=8)
@@ -275,7 +260,7 @@ def _local_factor(psi: DirichletCharacter, a: int) -> Fraction:
     out = Fraction(1)
     for p, _ in factorize(abs(a)).factors:
         if p != 2:
-            out *= _Gp(psi, a, p, 1) * (1 - Fraction(psi(p), p))
+            out *= euler_factor_Gp(psi, a, p, 1) * (1 - Fraction(psi(p), p))
             out /= 1 - Fraction(chi4()(p) * psi(p), p * p)
     return out
 
@@ -325,7 +310,7 @@ def beta_euler(psi: DirichletCharacter, a: int, eps: float = 1e-6) -> TruncatedV
             continue
         if p <= P:
             val /= 1 - (1 if p % 4 == 1 else -1) * psi(p) / p ** 2
-        exact = _Gp(psi, a, p, 1) * (1 - Fraction(psi(p), p))
+        exact = euler_factor_Gp(psi, a, p, 1) * (1 - Fraction(psi(p), p))
         val *= float(exact)
         extra_terms += 1
     tail_rel = math.expm1(4.0 / P)

@@ -183,16 +183,6 @@ def divisors(f: Factorization) -> list[int]:
     return out
 
 
-def mobius(n: int) -> int:
-    """Moebius function: 0 unless n is squarefree, else (-1)^(number of primes)."""
-    if n < 1:
-        raise ValueError("mobius requires n >= 1")
-    f = factorize(n)
-    if any(e > 1 for _, e in f.factors):
-        return 0
-    return -1 if len(f.factors) % 2 else 1
-
-
 PRIME_CACHE_MAX = 1 << 24  # the cache doubles up to here and no further
 
 PRIME_SEGMENT = 1 << 20  # integers per block of the segmented sieve beyond the cache

@@ -7,10 +7,10 @@ discriminant D (1 for the principal ones) on the units mod a modulus k that
 |D| divides: its conductor is |D| and its parity the sign of D.  Products and
 primitive characters are arithmetic on (D, k).  The value table indexed by
 residue is computed from the symbol, giving O(1) lookups inside sieve loops;
-moduli are tiny (3, 4, 5, 6, 12, |D|).  psi is completely multiplicative and
-periodic; it is extended to the reals by psi(w) = 0 for non-integer w, which
-is what the square-root shortcut for F relies on.  F itself is
-multiplicative, with per-prime geometric sums sum_{i <= e} psi(p)^i at
+moduli are small (3, 4, 5, 6, 12, |D| <= MODULUS_MAX).  psi is completely
+multiplicative and periodic; it is extended to the reals by psi(w) = 0 for
+non-integer w, which is what the square-root shortcut for F relies on.  F
+itself is multiplicative, with per-prime geometric sums sum_{i <= e} psi(p)^i at
 p^e || n: e + 1, the parity of e, or 1 for psi(p) = 1, -1, 0.
 
 F_window evaluates F on a window by exactly that product, as a segmented
@@ -38,6 +38,8 @@ F_SIEVE_MAX = 150_000_000  # materialized-array guard; windows go further
 DENSE_HITS = 128  # primes with at least this many multiples in a window take strided passes
 
 SEGMENT = 1 << 18  # F_window sieves this many integers at a time
+
+MODULUS_MAX = 10 ** 5  # trivial:K and kronecker:D, whose value tables have K or |D| entries
 
 
 def jacobi_symbol(a: int, n: int) -> int:
@@ -149,12 +151,16 @@ def trivial_character(k: int) -> DirichletCharacter:
     """The principal character mod k (identically 1 when k = 1)."""
     if k < 1:
         raise ValueError("modulus must be >= 1")
+    if k > MODULUS_MAX:
+        raise BudgetError(f"modulus {k} exceeds {MODULUS_MAX}")
     return DirichletCharacter(f"trivial({k})", 1, k)
 
 
 @lru_cache(maxsize=None)
 def kronecker_character(D: int) -> DirichletCharacter:
     """The quadratic character r -> (D/r) for a fundamental discriminant D."""
+    if abs(D) > MODULUS_MAX:
+        raise BudgetError(f"|D| = {abs(D)} exceeds {MODULUS_MAX}")
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
     return DirichletCharacter(f"kronecker({D})", D, abs(D))
@@ -182,7 +188,7 @@ def primitive_character(psi: DirichletCharacter) -> DirichletCharacter:
 
 
 def make_character(spec: str) -> DirichletCharacter:
-    """Parse a character spec string: chi3 | chi4 | chi6 | trivial:K | kronecker:D."""
+    """Parse chi3 | chi4 | chi6 | trivial:K | kronecker:D, K and |D| <= MODULUS_MAX."""
     spec = spec.strip()
     if spec == "chi3":
         return chi3()

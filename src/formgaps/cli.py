@@ -30,6 +30,8 @@ EPS_HELP = (
     "error bound asked of the constant; odd real characters take the exact closed form, "
     "which meets any eps, and other characters a truncated series (exit 2 past its budget)"
 )
+PSI_HELP = "chi3, chi4, chi6, trivial:K or kronecker:D, with K and |D| at most 10^5 (exit 2 above)"
+SET_HELP = "square2, triangle, triangle_star or diamond:D, with |D| at most 10^5 (exit 2 above)"
 
 
 class _UsageError(Exception):
@@ -80,7 +82,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--disc", type=int, default=-3, help="fundamental discriminant for ideal counts")
 
     s = add("member", "set membership test", _run_member)
-    s.add_argument("--set", dest="set1", required=True)
+    s.add_argument("--set", dest="set1", required=True, help=SET_HELP)
     s.add_argument("--n", type=int, required=True)
 
     s = add("eta", "local density eta_a(q) and lambda_a(q)", _run_eta)
@@ -96,36 +98,36 @@ def _build_parser() -> _Parser:
                    help="emit (lambda_a * mu)(N) with its companion f = N * value")
 
     s = add("beta", "series coefficient beta(psi, a)", _run_beta)
-    s.add_argument("--psi", required=True)
+    s.add_argument("--psi", required=True, help=PSI_HELP)
     s.add_argument("--a", type=int, required=True)
     s.add_argument("--eps", type=float, default=1e-6, help=EPS_HELP)
 
     s = add("etastar", "eta*(psi, a), an exact multiple of pi", _run_etastar)
-    s.add_argument("--psi", required=True)
+    s.add_argument("--psi", required=True, help=PSI_HELP)
     s.add_argument("--a", type=int, required=True)
 
     s = add("mainterm", "main-term coefficient beta * eta*", _run_mainterm)
-    s.add_argument("--psi", required=True)
+    s.add_argument("--psi", required=True, help=PSI_HELP)
     s.add_argument("--a", type=int, required=True)
     s.add_argument("--eps", type=float, default=1e-6, help=EPS_HELP)
 
     s = add("muller", "main-term coefficient for primitive pairs", _run_muller)
-    s.add_argument("--psi", required=True)
-    s.add_argument("--rho", required=True)
+    s.add_argument("--psi", required=True, help=PSI_HELP)
+    s.add_argument("--rho", required=True, help=PSI_HELP)
     s.add_argument("--a", type=int, required=True)
     s.add_argument("--eps", type=float, default=1e-8, help=EPS_HELP)
 
     s = add("correlate", "exact shifted correlation sums", _run_correlate)
     s.add_argument("--kind", choices=("j", "general", "estermann"), default="j")
-    s.add_argument("--psi", default="chi6")
-    s.add_argument("--rho", default="chi4")
+    s.add_argument("--psi", default="chi6", help=PSI_HELP)
+    s.add_argument("--rho", default="chi4", help=PSI_HELP)
     s.add_argument("--a", type=int, required=True)
     s.add_argument("--x", type=int, required=True)
     s.add_argument("--eps", type=float, default=1e-8, help=EPS_HELP)
 
     s = add("census", "interval census of a shifted pair set", _run_census)
-    s.add_argument("--set1", required=True)
-    s.add_argument("--set2", required=True)
+    s.add_argument("--set1", required=True, help=SET_HELP)
+    s.add_argument("--set2", required=True, help=SET_HELP)
     s.add_argument("--a", type=int, required=True)
     s.add_argument("--x", type=int, required=True)
     s.add_argument("--len", type=int, required=True, dest="length")
@@ -163,14 +165,10 @@ def _run_member(args):
 
 
 def _run_eta(args):
-    from .local_densities import eta_brute, local_density
-    if args.brute:
-        e = eta_brute(args.a, args.q)
-        lam = Fraction(e, args.q)
-    else:
-        d = local_density(args.a, args.q)
-        e, lam = d.eta, d.lam
-    return _render(args, {"a": args.a, "q": args.q, "eta": e, "lambda": str(lam)}, header=False)
+    from .local_densities import eta, eta_brute
+    e = (eta_brute if args.brute else eta)(args.a, args.q)
+    return _render(args, {"a": args.a, "q": args.q, "eta": e, "lambda": str(Fraction(e, args.q))},
+                   header=False)
 
 
 def _run_lambda(args):

@@ -33,7 +33,7 @@ f(v*, Q*) > x, so the constructed witness can never land at or below x.
 Every witness is checked by its certificate before it is returned: n and n + a
 are rebuilt in integers from the branch's parameters by the identities above,
 so the check holds at any height.  Only the small-x forward scan has none; its
-witnesses are checked through r2 and R2, which factorize.
+witnesses are checked through `is_member`, which factorizes.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetError, InvariantError
-from .repr_sets import R2, r2
+from .repr_sets import SQUARE2, TRIANGLE, is_member
 
 BRANCH_SQ2_SQ2 = "SQ2_SQ2"
 BRANCH_REPRESENTABLE = "REPRESENTABLE"
@@ -67,20 +67,12 @@ class GapWitness:
             raise InvariantError("witness must lie strictly above x")
 
 
-def _in_square2(n: int) -> bool:
-    return n == 0 or r2(n, "formula") > 0
-
-
-def _in_triangle(n: int) -> bool:
-    return n == 0 or R2(n, "formula") > 0
-
-
 def _certified(w: GapWitness) -> bool:
     """True when n and n + a are the form values the branch's params build, by
-    the identities of the module docstring; scan witnesses go through r2, R2."""
+    the identities of the module docstring; scan witnesses go through is_member."""
     n, a, p = w.n, w.a, w.params
     if "scan" in p:
-        return n + a >= 0 and _in_triangle(n) and _in_square2(n + a)
+        return n + a >= 0 and is_member(TRIANGLE, n) and is_member(SQUARE2, n + a)
     if w.branch == BRANCH_SQ2_SQ2:
         s, t, o = p["s"], p["t"], p["odd_shift"]
         pair = ((s * s + ((o - 1) // 2) ** 2) << t, (s * s + ((o + 1) // 2) ** 2) << t)
@@ -209,7 +201,7 @@ def _scan_forward(a: int, x: int) -> GapWitness:
     # guaranteed-correct fallback for small x: first member above x
     n = x + 1
     while n <= x + _SCAN_CAP:
-        if n + a >= 0 and _in_triangle(n) and _in_square2(n + a):
+        if n + a >= 0 and is_member(TRIANGLE, n) and is_member(SQUARE2, n + a):
             return GapWitness(
                 a=a, x=x, n=n, offset=n - x, branch=BRANCH_GENERIC,
                 params={"scan": True},

@@ -14,14 +14,17 @@ and the valuation v = nu_p(a):
     p = 2:                1 for j <= v + 1, then 1 + chi4(a / 2^v) (2 or 0)
 
 Only a = 0 is counted directly (`eta_brute`, also the closed forms' oracle).
-The multiplicative assembly of these exact rationals must come out an exact
-integer, which is enforced rather than assumed.
+The rest is read off these prime powers, with lambda_a(1) = 1:
+
+    eta_a(q)        = prod_{p^e || q} eta_a(p^e), an integer in [0, q^2]
+    lambda_bar_a(n) = (lambda_a * mu)(n) = prod_{p^e || n} (lambda_a(p^e) - lambda_a(p^(e-1)))
+
+Each eta_a(p^e) must be an exact integer and each eta_a(q) lie in [0, q^2]: enforced.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,22 +35,6 @@ from .errors import BudgetError, InvariantError
 from .util import chunk_ranges
 
 ETA_BRUTE_MAX = 1 << 23  # direct residue counting cap (memory: a few arrays of q)
-
-
-@dataclass(frozen=True)
-class LocalDensity:
-    """One local count: eta = eta_a(q) and its normalized form lambda = eta/q."""
-
-    a: int
-    q: int
-    eta: int
-    lam: Fraction
-
-    def __post_init__(self):
-        if not (0 <= self.eta <= self.q * self.q):
-            raise InvariantError("eta out of range [0, q^2]")
-        if self.lam * self.q != self.eta:
-            raise InvariantError("lambda * q != eta")
 
 
 @lru_cache(maxsize=8)
@@ -114,33 +101,28 @@ def eta(a: int, q: int) -> int:
     """eta_a(q) assembled multiplicatively over the prime powers of q.
 
     Prime powers use the closed forms when a != 0 and fall back to direct
-    counting when a = 0.  Each factor must be an exact integer or the
-    assembly is reported as faulty.
+    counting when a = 0.  Each factor must be an exact integer and the
+    product must lie in [0, q^2], or the assembly is reported as faulty.
     """
     if q < 1:
         raise ValueError("eta requires q >= 1")
     total = 1
     for p, e in factorize(q).factors:
         total *= _eta_prime_power(a, p, e)
+    if not 0 <= total <= q * q:
+        raise InvariantError(f"eta({a}, {q}) came out as {total}, outside [0, q^2]")
     return total
 
 
-def local_density(a: int, q: int) -> LocalDensity:
-    e = eta(a, q)
-    return LocalDensity(a=a, q=q, eta=e, lam=Fraction(e, q))
-
-
 def lambda_bar(a: int, n: int) -> Fraction:
-    """Moebius convolution (lambda_a * mu)(n) = sum_{d|n} mu(n/d) lambda_a(d)."""
+    """(lambda_a * mu)(n) = prod_{p^e || n} (lambda_a(p^e) - lambda_a(p^(e-1))),
+    with lambda_a(1) = 1 and lambda_a(p^k) = eta_a(p^k) / p^k."""
     if n < 1:
         raise ValueError("lambda_bar requires n >= 1")
-    from .arith import divisors, mobius
-
-    total = Fraction(0)
-    for d in divisors(factorize(n)):
-        m = mobius(n // d)
-        if m:
-            total += m * Fraction(eta(a, d), d)
+    total = Fraction(1)
+    for p, e in factorize(n).factors:
+        below = Fraction(_eta_prime_power(a, p, e - 1), p ** (e - 1)) if e > 1 else 1
+        total *= Fraction(_eta_prime_power(a, p, e), p ** e) - below
     return total
 
 

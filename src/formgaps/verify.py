@@ -214,12 +214,10 @@ def _constant_checks(budget: float, seed: int) -> list[CheckResult]:
     for p in [int(p) for p in arith.primes(_scaled(200, budget)) if p > 2]:
         for s in (1.0, 1.5, 2.0):
             n += 1
-            g = ac.euler_factor_Gp(psi, 1, p, s)
-            if not g.value > 0:
+            if not ac.euler_factor_Gp(psi, 1, p, s) > 0:
                 bad.append((p, s))
         n += 1
-        g1 = ac.euler_factor_Gp(psi, 2, p, 1.0)
-        if p >= 5 and not abs(g1.value) >= 1 - 2 / (p - 1):
+        if p >= 5 and not abs(ac.euler_factor_Gp(psi, 2, p, 1.0)) >= 1 - 2 / (p - 1):
             bad.append((p, "lower"))
     out.append(CheckResult("constants", "euler_factors_positive_and_bounded", not bad, n, str(bad[:3])))
 

@@ -114,6 +114,27 @@ MUTATIONS = [
              "        return _R2_enumerate(n)",
              ("tests/test_cli.py::test_enumerate_is_capped",),
              "R2: the enumeration cap is dropped"),
+    Mutation("src/formgaps/local_densities.py",
+             "Fraction(_eta_prime_power(a, p, e - 1), p ** (e - 1))",
+             "Fraction(_eta_prime_power(a, p, e), p ** e)",
+             ("tests/test_local_densities.py::test_lambda_bar_matches_divisor_sum",),
+             "lambda_bar: lambda_a(p^e) in place of lambda_a(p^(e-1))"),
+    Mutation("src/formgaps/local_densities.py",
+             "    if not 0 <= total <= q * q:\n"
+             "        raise InvariantError(f\"eta({a}, {q}) came out as {total}, outside [0, q^2]\")\n",
+             "",
+             ("tests/test_local_densities.py::test_eta_rejects_a_product_outside_its_range",),
+             "eta: the range check [0, q^2] is dropped"),
+    Mutation("src/formgaps/gaps.py",
+             "return n + a >= 0 and is_member(TRIANGLE, n) and is_member(SQUARE2, n + a)",
+             "return n + a >= 0 and is_member(SQUARE2, n) and is_member(TRIANGLE, n + a)",
+             ("tests/test_gaps.py::test_gap_triangle_small_x_scan_fallback",),
+             "_certified: TRIANGLE and SQUARE2 swapped in the scan certificate"),
+    Mutation("src/formgaps/characters.py",
+             "MODULUS_MAX = 10 ** 5",
+             "MODULUS_MAX = 10 ** 30",
+             ("tests/test_characters.py::test_user_named_moduli_are_capped",),
+             "trivial_character, kronecker_character: the modulus cap is lifted"),
 ]
 
 SURVIVORS = [

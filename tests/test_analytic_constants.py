@@ -87,24 +87,27 @@ def test_L_value_sums_in_bounded_blocks():
 
 
 def test_euler_factor_examples():
-    g = euler_factor_Gp(chi6(), 1, 5, 1.0)
-    assert g.value == pytest.approx(1 - 2 / 15, abs=1e-15)
-    assert g.error_bound == 0
-    assert euler_factor_Gp(chi6(), 3, 3, 1.0).value == 1.0
-    assert euler_factor_Gp(chi6(), 5, 7, 2.0).value > 0
+    assert euler_factor_Gp(chi6(), 1, 5, 1) == 1 - Fraction(2, 15)
+    assert euler_factor_Gp(chi6(), 1, 5, 1.0) == 1 - Fraction(2, 15)  # exact at integer s
+    assert euler_factor_Gp(chi6(), 3, 3, 1) == 1
+    assert euler_factor_Gp(chi6(), 5, 7, 2) == 1 + Fraction(8, 7) / 48  # lambda = 8/7, r = 1/49
+    g = euler_factor_Gp(chi6(), 1, 5, 1.5)
+    assert isinstance(g, float) and g == pytest.approx(1 - 0.8 * 5 ** -1.5 / (1 + 5 ** -1.5))
+    with pytest.raises(ValueError):
+        euler_factor_Gp(chi6(), 0, 5, 1)  # nu rejects a = 0
 
 
 def test_euler_factor_lower_bound():
     for p in (5, 7, 11, 13, 101):
         for a in (1, 2, 12):
-            g = euler_factor_Gp(chi6(), a, p, 1.0)
-            assert abs(g.value) >= 1 - 2 / (p - 1)
+            g = euler_factor_Gp(chi6(), a, p, 1)
+            assert isinstance(g, Fraction) and abs(g) >= 1 - Fraction(2, p - 1)
 
 
 def test_euler_factor_positive_for_real_characters():
     for p in (3, 5, 7, 97, 997):
-        for s in (1.0, 1.5, 2.0):
-            assert euler_factor_Gp(chi6(), 1, p, s).value > 0
+        for s in (1, 1.5, 2):
+            assert euler_factor_Gp(chi6(), 1, p, s) > 0
 
 
 def test_beta_positive_and_consistent():

@@ -12,7 +12,6 @@ from formgaps.arith import (
     divisors,
     factorize,
     is_prime,
-    mobius,
     nu,
     primes,
 )
@@ -90,20 +89,6 @@ def test_divisors_length_equals_tau():
     assert [len(divisors(factorize(n))) for n in (1, 12, 64)] == [1, 6, 7]
     for n in range(1, 10_001):
         assert len(divisors(factorize(n))) == math.prod(e + 1 for _, e in factorize(n).factors)
-
-
-def test_mobius_values():
-    assert mobius(1) == 1
-    assert mobius(6) == 1
-    assert mobius(12) == 0
-    assert mobius(30) == -1
-
-
-def test_mobius_multiplicative_on_coprime_pairs():
-    for m in range(1, 40):
-        for n in range(1, 1000 // max(m, 1)):
-            if math.gcd(m, n) == 1:
-                assert mobius(m * n) == mobius(m) * mobius(n)
 
 
 def test_is_prime_against_sieve():

@@ -143,6 +143,17 @@ def test_make_character_dispatch():
             make_character(spec)
 
 
+def test_user_named_moduli_are_capped():
+    # K and |D| up to 10^5 are built; above it no character (and no value table)
+    # is made, even for a fundamental D such as -1000003 (1000003 is prime)
+    top = next(D for D in range(-10 ** 5, 0) if is_fundamental_discriminant(D))
+    assert make_character(f"kronecker:{top}").modulus == -top
+    assert make_character(f"trivial:{10 ** 5}").modulus == 10 ** 5
+    for spec in ("kronecker:-1000003", "kronecker:100001", "kronecker:-400008", "trivial:100001"):
+        with pytest.raises(BudgetError):
+            make_character(spec)
+
+
 def test_product_character_of_real_pair_is_principal():
     chi5 = kronecker_character(5)
     sq = product_character(chi5, chi5)

@@ -220,6 +220,18 @@ def test_verify_empty_budget(capsys):
     assert out.strip().splitlines()[-1] == "summary,oracles,pass,0"
 
 
+def test_character_moduli_are_capped(capsys):
+    for argv in (
+        ("census", "--set1", "diamond:-1000003", "--set2", "square2", "--a", "1", "--x", "1",
+         "--len", "9"),
+        ("mainterm", "--psi", "kronecker:-400008", "--a", "1"),
+        ("beta", "--psi", "trivial:100001", "--a", "1"),
+        ("repr", "--fn", "ideal", "--n", "12345", "--disc", "-1000003"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("budget exceeded:"), argv
+
+
 def test_enumerate_is_capped(capsys, monkeypatch):
     from formgaps import repr_sets
 

@@ -1,21 +1,43 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from formgaps import local_densities
 from formgaps.arith import divisors, factorize, nu
 from formgaps.characters import F, F_sieve, chi4
-from formgaps.errors import BudgetError
+from formgaps.errors import BudgetError, InvariantError
 from formgaps.local_densities import (
-    LocalDensity,
     eta,
     eta_brute,
     eta_table,
     lambda_bar,
     lambda_prime_power,
-    local_density,
 )
+
+# the highly composite numbers of bench/workloads.py, where lambda --bar is timed
+HIGHLY_COMPOSITE = (
+    5040, 55440, 720720, 1441440, 4324320, 8648640, 21621600,
+    36756720, 61261200, 245044800, 367567200, 735134400,
+)
+
+
+@lru_cache(maxsize=None)
+def mobius(n: int) -> int:
+    """Moebius function: 0 unless n is squarefree, else (-1)^(number of primes)."""
+    f = factorize(n)
+    if any(e > 1 for _, e in f.factors):
+        return 0
+    return -1 if len(f.factors) % 2 else 1
+
+
+def lambda_bar_divisor_sum(a: int, n: int) -> Fraction:
+    """The oracle (lambda_a * mu)(n) = sum_{d | n} mu(n/d) eta_a(d) / d, term by term
+    (the terms with mu(n/d) = 0 skipped)."""
+    ds = [d for d in divisors(factorize(n)) if mobius(n // d)]
+    return sum((mobius(n // d) * Fraction(eta(a, d), d) for d in ds), Fraction(0))
 
 
 def test_eta_brute_examples():
@@ -80,17 +102,46 @@ def test_eta_zero_shift_falls_back_to_counting():
         assert eta(0, q) == eta_brute(0, q)
 
 
-def test_local_density_record():
-    d = local_density(5, 5)
-    assert d.eta == 9 and d.lam == Fraction(9, 5)
-    with pytest.raises(Exception):
-        LocalDensity(a=1, q=2, eta=5, lam=Fraction(5, 2))  # eta > q^2
+def test_eta_rejects_a_product_outside_its_range(monkeypatch):
+    assert eta(5, 5) == 9
+    monkeypatch.setattr(local_densities, "_eta_prime_power", lambda a, p, e: p ** (2 * e) + 1)
+    with pytest.raises(InvariantError):
+        eta(5, 5)  # 26 > 5^2
+    monkeypatch.setattr(local_densities, "_eta_prime_power", lambda a, p, e: -1)
+    with pytest.raises(InvariantError):
+        eta(1, 3)
 
 
 def test_lambda_bar_examples():
     assert lambda_bar(7, 1) == 1
     assert lambda_bar(1, 3) == Fraction(1, 3)
     assert lambda_bar(1, 9) == 0
+
+
+def test_mobius_values():
+    assert mobius(1) == 1
+    assert mobius(6) == 1
+    assert mobius(12) == 0
+    assert mobius(30) == -1
+
+
+def test_mobius_multiplicative_on_coprime_pairs():
+    for m in range(1, 40):
+        for n in range(1, 1000 // max(m, 1)):
+            if math.gcd(m, n) == 1:
+                assert mobius(m * n) == mobius(m) * mobius(n)
+
+
+def test_lambda_bar_matches_divisor_sum():
+    for a in range(-30, 31):
+        for n in range(1, 400):
+            assert lambda_bar(a, n) == lambda_bar_divisor_sum(a, n), (a, n)
+
+
+@pytest.mark.parametrize("n", HIGHLY_COMPOSITE)
+def test_lambda_bar_matches_divisor_sum_at_highly_composite(n):
+    for a in range(-30, 31):
+        assert lambda_bar(a, n) == lambda_bar_divisor_sum(a, n), (a, n)
 
 
 def test_lambda_bar_is_mobius_inverse():
