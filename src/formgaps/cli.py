@@ -31,6 +31,7 @@ EPS_HELP = (
     "which meets any eps, and other characters a truncated series (exit 2 past its budget)"
 )
 PSI_HELP = "chi3, chi4, chi6, trivial:K or kronecker:D, with K and |D| at most 10^5 (exit 2 above)"
+SHIFT_HELP = "the shift a: any integer, 0 included"
 SET_HELP = "square2, triangle, triangle_star or diamond:D, with |D| at most 10^5 (exit 2 above)"
 
 
@@ -86,14 +87,14 @@ def _build_parser() -> _Parser:
     s.add_argument("--n", type=int, required=True)
 
     s = add("eta", "local density eta_a(q) and lambda_a(q)", _run_eta)
-    s.add_argument("--a", type=int, required=True)
+    s.add_argument("--a", type=int, required=True, help=SHIFT_HELP)
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--brute", action="store_true", help="use the direct-count oracle")
 
     s = add("lambda", "lambda_a(p^j), or the convolution (lambda_a * mu)(n)", _run_lambda)
     s.add_argument("--p", type=int)
     s.add_argument("--j", type=int)
-    s.add_argument("--a", type=int, required=True)
+    s.add_argument("--a", type=int, required=True, help=SHIFT_HELP)
     s.add_argument("--bar", type=int, metavar="N",
                    help="emit (lambda_a * mu)(N) with its companion f = N * value")
 

@@ -3,9 +3,10 @@
     eta_a(q)    = #{ 1 <= alpha, beta <= q : alpha^2 + beta^2 = a (mod q) }
     lambda_a(q) = eta_a(q) / q        (multiplicative in q, for every fixed a)
 
-For a != 0 the value of lambda_a(p^j) is in closed form, branching on p mod 4
-and the valuation v = nu_p(a):
+The value of lambda_a(p^j) is in closed form, branching on p mod 4 and the
+valuation v = nu_p(a):
 
+    a = 0:                v = infinity (p^j | 0), so only the j <= v rows apply
     p = 1 mod 4, p | a:   1 + j(1 - 1/p)         for 1 <= j <= v
                           (1 + v)(1 - 1/p)       for j >= v + 1
     p = 3 mod 4, p | a:   1/p  (j odd) or 1 (j even)   for 1 <= j <= v
@@ -13,7 +14,7 @@ and the valuation v = nu_p(a):
     p odd, p does not divide a:   1 - chi4(p)/p  for every j >= 1
     p = 2:                1 for j <= v + 1, then 1 + chi4(a / 2^v) (2 or 0)
 
-Only a = 0 is counted directly (`eta_brute`, also the closed forms' oracle).
+`eta_brute` counts residues directly; it is the closed forms' oracle only.
 The rest is read off these prime powers, with lambda_a(1) = 1:
 
     eta_a(q)        = prod_{p^e || q} eta_a(p^e), an integer in [0, q^2]
@@ -64,14 +65,12 @@ def eta_brute(a: int, q: int) -> int:
 
 
 def lambda_prime_power(p: int, j: int, a: int) -> Fraction:
-    """lambda_a(p^j) as an exact rational, for prime p, j >= 1, a != 0."""
+    """lambda_a(p^j) as an exact rational, for prime p, j >= 1 and any a."""
     if j < 1:
         raise ValueError("lambda_prime_power requires j >= 1")
-    if a == 0:
-        raise ValueError("lambda_prime_power requires a != 0 (valuations must be finite)")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    v = nu(p, a)
+    v = nu(p, a) if a else j  # every p^j divides 0
     if p == 2:
         return Fraction(1 if j <= v + 1 else 1 + chi4()(a >> v))
     if v == 0:
@@ -87,10 +86,8 @@ def lambda_prime_power(p: int, j: int, a: int) -> Fraction:
 
 
 def _eta_prime_power(a: int, p: int, e: int) -> int:
-    """eta_a(p^e): the closed form for a != 0, direct counting for a = 0."""
+    """eta_a(p^e) = p^e lambda_a(p^e), which must be an exact integer."""
     pe = p ** e
-    if a == 0:
-        return eta_brute(a, pe)
     val = lambda_prime_power(p, e, a) * pe
     if val.denominator != 1:
         raise InvariantError(f"eta({a}, {pe}) came out as the non-integer {val}")
@@ -100,9 +97,8 @@ def _eta_prime_power(a: int, p: int, e: int) -> int:
 def eta(a: int, q: int) -> int:
     """eta_a(q) assembled multiplicatively over the prime powers of q.
 
-    Prime powers use the closed forms when a != 0 and fall back to direct
-    counting when a = 0.  Each factor must be an exact integer and the
-    product must lie in [0, q^2], or the assembly is reported as faulty.
+    Each prime-power factor must be an exact integer and the product must lie
+    in [0, q^2], or the assembly is reported as faulty.
     """
     if q < 1:
         raise ValueError("eta requires q >= 1")
@@ -116,13 +112,13 @@ def eta(a: int, q: int) -> int:
 
 def lambda_bar(a: int, n: int) -> Fraction:
     """(lambda_a * mu)(n) = prod_{p^e || n} (lambda_a(p^e) - lambda_a(p^(e-1))),
-    with lambda_a(1) = 1 and lambda_a(p^k) = eta_a(p^k) / p^k."""
+    with lambda_a(1) = 1."""
     if n < 1:
         raise ValueError("lambda_bar requires n >= 1")
     total = Fraction(1)
     for p, e in factorize(n).factors:
-        below = Fraction(_eta_prime_power(a, p, e - 1), p ** (e - 1)) if e > 1 else 1
-        total *= Fraction(_eta_prime_power(a, p, e), p ** e) - below
+        below = lambda_prime_power(p, e - 1, a) if e > 1 else 1
+        total *= lambda_prime_power(p, e, a) - below
     return total
 
 

@@ -42,8 +42,6 @@ def _oracle_checks(budget: float, seed: int) -> list[CheckResult]:
     n = 0
     for q in range(1, qmax + 1):
         for a in range(-amax, amax + 1):
-            if a == 0:
-                continue
             n += 1
             if ld.eta(a, q) != ld.eta_brute(a, q):
                 bad.append((a, q))
@@ -103,8 +101,6 @@ def _lemma_checks(budget: float, seed: int) -> list[CheckResult]:
         for j in range(1, 4):
             q = p ** j
             for a in range(-amax, amax + 1):
-                if a == 0:
-                    continue
                 n += 1
                 if ld.lambda_prime_power(p, j, a) != Fraction(ld.eta_brute(a, q), q):
                     bad.append((p, j, a))
@@ -113,8 +109,6 @@ def _lemma_checks(budget: float, seed: int) -> list[CheckResult]:
     bad, n = [], 0
     for j in range(1, _scaled(12, budget, floor=4) + 1):
         for a in range(-50, 51):
-            if a == 0:
-                continue
             n += 1
             lam = ld.lambda_prime_power(2, j, a)
             if not (0 <= lam <= 4):
@@ -221,7 +215,7 @@ def _constant_checks(budget: float, seed: int) -> list[CheckResult]:
             bad.append((p, "lower"))
     out.append(CheckResult("constants", "euler_factors_positive_and_bounded", not bad, n, str(bad[:3])))
 
-    etas = [ld.eta(j, 6) if j else ld.eta_brute(0, 6) for j in range(6)]
+    etas = [ld.eta(j, 6) for j in range(6)]
     ok = etas == [2, 8, 8, 2, 8, 8]
     stars = [ac.eta_star(psi, a) for a in range(6)]
     ok &= all(s.coeff > 0 for s in stars)

@@ -115,8 +115,8 @@ MUTATIONS = [
              ("tests/test_cli.py::test_enumerate_is_capped",),
              "R2: the enumeration cap is dropped"),
     Mutation("src/formgaps/local_densities.py",
-             "Fraction(_eta_prime_power(a, p, e - 1), p ** (e - 1))",
-             "Fraction(_eta_prime_power(a, p, e), p ** e)",
+             "below = lambda_prime_power(p, e - 1, a)",
+             "below = lambda_prime_power(p, e, a)",
              ("tests/test_local_densities.py::test_lambda_bar_matches_divisor_sum",),
              "lambda_bar: lambda_a(p^e) in place of lambda_a(p^(e-1))"),
     Mutation("src/formgaps/local_densities.py",
@@ -135,6 +135,22 @@ MUTATIONS = [
              "MODULUS_MAX = 10 ** 30",
              ("tests/test_characters.py::test_user_named_moduli_are_capped",),
              "trivial_character, kronecker_character: the modulus cap is lifted"),
+    Mutation("src/formgaps/local_densities.py",
+             "v = nu(p, a) if a else j",
+             "v = nu(p, a) if a else 0",
+             ("tests/test_local_densities.py::test_eta_zero_shift_closed_form",),
+             "lambda_prime_power: nu_p(0) read as 0 instead of infinite"),
+    Mutation("src/formgaps/local_densities.py",
+             "    if not is_prime(p):\n"
+             "        raise ValueError(f\"{p} is not prime\")\n",
+             "",
+             ("tests/test_local_densities.py::test_lambda_prime_power_validation",),
+             "lambda_prime_power: the prime check is dropped"),
+    Mutation("src/formgaps/local_densities.py",
+             "if a else q + chi * (q - 1)",
+             "if a else q - chi",
+             ("tests/test_local_densities.py::test_eta_table_matches_eta[0]",),
+             "eta_table: the a = 0 leftover factor q + chi4(q) (q - 1) becomes q - chi4(q)"),
 ]
 
 SURVIVORS = [

@@ -298,6 +298,9 @@ NUMPY_FREE_FORMS = [
     "eta --a 7 --q 90",
     "lambda --p 2 --j 3 --a 1",
     "lambda --a 3 --bar 15",
+    "eta --a 0 --q 12",
+    "lambda --p 3 --j 2 --a 0",
+    "lambda --a 0 --bar 45",
 ]
 BOUNDARY_CHILD = """
 import contextlib, io, sys

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from formgaps import local_densities
-from formgaps.arith import divisors, factorize, nu
+from formgaps.arith import divisors, factorize, nu, primes
 from formgaps.characters import F, F_sieve, chi4
 from formgaps.errors import BudgetError, InvariantError
 from formgaps.local_densities import (
@@ -63,7 +63,8 @@ def test_lambda_prime_power_validation():
     with pytest.raises(ValueError):
         lambda_prime_power(3, 0, 1)
     with pytest.raises(ValueError):
-        lambda_prime_power(3, 1, 0)
+        lambda_prime_power(4, 1, 0)
+    assert lambda_prime_power(3, 1, 0) == Fraction(1, 3)
 
 
 def test_lambda_prime_power_matches_brute_small_grid():
@@ -71,16 +72,12 @@ def test_lambda_prime_power_matches_brute_small_grid():
         for j in js:
             q = p ** j
             for a in range(-12, 13):
-                if a == 0:
-                    continue
                 assert lambda_prime_power(p, j, a) == Fraction(eta_brute(a, q), q), (p, j, a)
 
 
 def test_lambda_two_power_bound():
     for j in range(1, 13):
         for a in range(-40, 41):
-            if a == 0:
-                continue
             lam = lambda_prime_power(2, j, a)
             assert 0 <= lam <= 4
 
@@ -97,9 +94,17 @@ def test_eta_matches_brute_sweep():
             assert eta(a, q) == eta_brute(a, q), (a, q)
 
 
-def test_eta_zero_shift_falls_back_to_counting():
-    for q in (1, 2, 3, 4, 6, 9, 12, 18, 25):
-        assert eta(0, q) == eta_brute(0, q)
+def test_eta_zero_shift_closed_form():
+    # v = nu_p(0) is infinite: every p^j <= 2^21 with p < 60 against the direct count
+    for p in primes(59).tolist():
+        q = p
+        while q <= 1 << 21:
+            assert eta(0, q) == eta_brute(0, q), q
+            q *= p
+    # moduli past the direct count's cap
+    assert eta(0, 10000019) == 1
+    assert eta(0, 5 ** 10) == 9 * 5 ** 10
+    assert lambda_bar(0, 5 ** 10) == Fraction(4, 5)
 
 
 def test_eta_rejects_a_product_outside_its_range(monkeypatch):
