@@ -1,4 +1,4 @@
-"""The main-term constants of the correlation sums, by one route per character family.
+"""The main-term constants of the correlation sums, all by one route.
 
 Central objects, for a real non-trivial character psi mod even b >= 4 and a
 shift a != 0:
@@ -22,11 +22,14 @@ so that
     beta = L(1, psi) / L(2, chi4 psi)
            * prod_{odd p | a} G_p (1 - psi(p)/p) / (1 - chi4(p) psi(p) / p^2).
 
-Every main-term constant here (Mueller's C below too) is such an L-ratio times
-an exact rational factor.  Odd characters take the ratio in closed form
-(`_L_ratio_exact`).  Let chi* be the primitive character mod f that induces a
-real character chi mod k.  By the generalized Bernoulli numbers (Washington,
-Introduction to Cyclotomic Fields, ch. 4),
+Every main-term constant here (Mueller's C and M below too) is such an
+L-ratio times an exact rational factor, and each takes one route, `_L_ratio`,
+with one contract: its error bound is at most eps, or it raises BudgetError.
+`_L_ratio` takes the ratio in closed form (`_L_ratio_exact`) when every L(1)
+belongs to an odd character and L(2) to an even one.  Let chi* be the
+primitive character mod f that induces a real character chi mod k.  By the
+generalized Bernoulli numbers (Washington, Introduction to Cyclotomic
+Fields, ch. 4),
 
     odd chi:   L(1, chi*) = -pi B_{1,chi*} / sqrt(f),
                B_{1,chi} = (1/f) sum_{r=1..f} chi(r) r
@@ -37,20 +40,21 @@ Introduction to Cyclotomic Fields, ch. 4),
 prod_{p | k, p does not divide f} (1 - chi*(p) p^-s).  So odd L(1) values
 over an even L(2) are a rational times a power of pi times sqrt(f2^3 / prod
 f1), a root checked to be rational: pi beta, the main term and Mueller's C
-and M of odd pairs are exact Fractions, whose floats carry only the rounding
-of the last division as error bound, whatever eps asks.
+and M of odd pairs are exact Fractions, rounded once, whose floats carry only
+that rounding as error bound.
 
-Every other ratio (`_L_ratio`) takes each L(1) from the `L_value` series
-within eps/8, since L(1, psi) of even psi involves the log of a fundamental
-unit, which has no closed form here; its L(2) is the same series when the
-character is odd and the exact Bernoulli value when it is even.  The Euler
-product (`beta_euler`) is kept only as the oracle both routes are checked
-against.
+Every other ratio takes each L(1) from the `L_value` series within eps/8,
+since L(1, psi) of even psi involves the log of a fundamental unit, which has
+no closed form here; its L(2) is the same series when the character is odd
+and the exact Bernoulli value when it is even.  The Euler product
+(`beta_euler`) is kept only as the oracle both routes are checked against.
 
 Dirichlet L-values are computed from character partial sums: summing to a
 period boundary N leaves a tail whose first-order term is -(S1/k) N^-s with
 S1 = sum_{r=1..k} chi(r) r, and an explicit second-order remainder bound.
-No functional-equation machinery is used (only s in {1, 2} matters here).
+Both hold only at a period boundary, so N stops at the last multiple of k
+below L_TERMS_MAX, and an eps out of reach there raises before any term is
+summed.  No functional-equation machinery is used (only s in {1, 2} matters here).
 
 For real primitive psi, rho mod k > 1 and a >= 1, the general correlation
 sum_{n <= x} F_psi(n) F_rho(n+a) has main-term coefficient
@@ -87,6 +91,10 @@ from .errors import BudgetError, InvariantError
 from .local_densities import eta, eta_table, lambda_prime_power
 
 EULER_PRIME_MAX = 100_000_000  # cap on the truncation point of the Euler product
+L_TERMS_MAX = 1 << 28  # cap on the terms of the L_value series, cut to whole periods
+
+# (ones, two, factor): a constant prod_{chi in ones} L(1, chi) / L(2, two) * factor
+RatioParts = tuple[list[DirichletCharacter], DirichletCharacter, Fraction]
 
 
 @dataclass(frozen=True)
@@ -103,17 +111,6 @@ class TruncatedValue:
             raise ValueError("error_bound must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class PiMultiple:
-    """An exact rational multiple of pi."""
-
-    coeff: Fraction
-
-    @property
-    def value(self) -> float:
-        return float(self.coeff) * math.pi
-
-
 def _require_beta_character(psi: DirichletCharacter, a: int | None = None) -> None:
     if psi.is_trivial:
         raise ValueError("a non-trivial character is required")
@@ -126,7 +123,9 @@ def _require_beta_character(psi: DirichletCharacter, a: int | None = None) -> No
 def L_value(chi: DirichletCharacter, s: float, eps: float = 1e-10) -> TruncatedValue:
     """Dirichlet L-series value L(s, chi) within eps, for a real non-principal
     chi and real s >= 1.  A principal chi raises ValueError: its L(2) is the
-    exact `L_value_exact`, and its series diverges at s = 1.
+    exact `L_value_exact`, and its series diverges at s = 1.  An eps that the
+    tail at the last whole period below L_TERMS_MAX plus the rounding allowance
+    of 1e-14 cannot meet raises BudgetError before any term is summed.
     """
     if s < 1:
         raise ValueError("L_value requires s >= 1")
@@ -141,11 +140,12 @@ def L_value(chi: DirichletCharacter, s: float, eps: float = 1e-10) -> TruncatedV
         e2 = (s * (s + 1) / 2) * Sk2 * (N ** (-s - 2) + N ** (-s - 1) / ((s + 1) * k))
         return e1 + e2
 
-    N = k * 32
-    while tail_bound(N) > eps * 0.9 and N < 1 << 28:
-        N = min(2 * N, 1 << 28)
-    if tail_bound(N) > eps:
+    cap = L_TERMS_MAX // k * k  # the tail bound and the S1/k term need whole periods
+    if tail_bound(cap) + 1e-14 > eps:
         raise BudgetError("requested eps is out of reach for L_value")
+    N = k * 32
+    while tail_bound(N) > eps * 0.9 and N < cap:
+        N = min(2 * N, cap)
     table = chi.table().astype(np.float64)
     val = 0
     for lo in range(1, N + 1, 1 << 20):  # blocks of 2^20 terms bound the memory
@@ -190,12 +190,6 @@ def _sqrt_fraction(q: Fraction) -> Fraction:
     return Fraction(n, d)
 
 
-def _rounded(q: Fraction, over_pi: bool = False) -> TruncatedValue:
-    """q (or q / pi) as a float, with a bound that covers its rounding alone."""
-    v = float(q) / math.pi if over_pi else float(q)
-    return TruncatedValue(v, 4 * sys.float_info.epsilon * abs(v), 0)
-
-
 def _L_ratio_exact(ones: list[DirichletCharacter], two: DirichletCharacter) -> Fraction:
     """c with prod_{chi in ones} L(1, chi) / L(2, two) = c pi^(len(ones) - 2), for
     odd real characters in ones and an even real two; InvariantError if the
@@ -209,22 +203,46 @@ def _L_ratio_exact(ones: list[DirichletCharacter], two: DirichletCharacter) -> F
 
 
 def _L_ratio(
-    ones: list[DirichletCharacter], two: DirichletCharacter, factor: Fraction, eps: float
+    ones: list[DirichletCharacter],
+    two: DirichletCharacter,
+    factor: Fraction,
+    eps: float,
+    pi_power: int = 0,
 ) -> TruncatedValue:
-    """prod_{chi in ones} L(1, chi) / L(2, two) * factor, with the composed
-    relative error: each L(1) from the `L_value` series within eps/8, and
-    L(2, two) too when two is odd; an even two (principal ones included) takes
-    its exact `L_value_exact`, off by rounding only."""
-    Ls = [L_value(chi, 1.0, eps / 8) for chi in ones]
-    if _is_odd(two):
-        Ls.append(L_value(two, 2.0, eps / 8))
+    """prod_{chi in ones} L(1, chi) / L(2, two) * factor * pi^pi_power within eps:
+    the route of every main-term constant, and the one place its contract is
+    kept: the bound returned is at most eps, or BudgetError is raised.
+
+    Odd characters in ones over an even two take the closed form
+    (`_L_ratio_exact`) times factor, rounded once: off by rounding only, with
+    terms_used = 0.  Any other ratio takes each L(1) from the `L_value`
+    series within eps/8, and L(2, two) too when two is odd; an even two
+    (principal ones included) takes its exact `L_value_exact`, off by rounding
+    only.  A zero factor gives 0 exactly.
+    """
+    rounding = 4 * sys.float_info.epsilon
+    if not factor:
+        value, err, terms = 0.0, 0.0, 0
+    elif all(_is_odd(chi) for chi in ones) and not _is_odd(two):
+        q = _L_ratio_exact(ones, two) * factor  # times pi^(len(ones) - 2 + pi_power)
+        value = float(q) / math.pi ** (2 - len(ones) - pi_power)
+        err, terms = rounding * abs(value), 0
     else:
-        c, f = L_value_exact(two, 2)
-        v = float(c) * math.pi ** 2 / f ** 1.5
-        Ls.append(TruncatedValue(v, 4 * sys.float_info.epsilon * abs(v), 0))
-    value = math.prod(L.value for L in Ls[:-1]) / Ls[-1].value * float(factor)
-    err = _compose_rel_error(value, [(L.value, L.error_bound) for L in Ls])
-    return TruncatedValue(value, err, sum(L.terms_used for L in Ls))
+        Ls = [L_value(chi, 1.0, eps / 8) for chi in ones]
+        if _is_odd(two):
+            Ls.append(L_value(two, 2.0, eps / 8))
+        else:
+            c, f = L_value_exact(two, 2)
+            v = float(c) * math.pi ** 2 / f ** 1.5
+            Ls.append(TruncatedValue(v, rounding * abs(v), 0))
+        value = (math.prod(L.value for L in Ls[:-1]) / Ls[-1].value * float(factor)
+                 * math.pi ** pi_power)
+        rel = sum(L.error_bound / (abs(L.value) - L.error_bound)
+                  if abs(L.value) > L.error_bound else math.inf for L in Ls)
+        err, terms = abs(value) * rel * (1 + rel) + 1e-15, sum(L.terms_used for L in Ls)
+    if not err <= eps:  # an infinite or nan bound fails too
+        raise BudgetError(f"the error bound {err:.3g} would exceed eps = {eps:.3g}")
+    return TruncatedValue(value, err, terms)
 
 
 def euler_factor_Gp(rho: DirichletCharacter, a: int, p: int, s: float) -> Fraction | float:
@@ -254,39 +272,23 @@ def _modified_prime_product(psi: DirichletCharacter, P: int) -> tuple[float, int
     return prod, count
 
 
-def _local_factor(psi: DirichletCharacter, a: int) -> Fraction:
-    """prod_{odd p | a} G_p (1 - psi(p)/p) / (1 - chi4(p) psi(p) / p^2): the
-    change the odd primes of a make to L(1, psi) / L(2, chi4 psi)."""
-    out = Fraction(1)
+def _beta_parts(psi: DirichletCharacter, a: int) -> RatioParts:
+    """(ones, two, factor) of beta(psi, a) = L(1, psi) / L(2, chi4 psi) * factor, the
+    factor prod_{odd p | a} G_p (1 - psi(p)/p) / (1 - chi4(p) psi(p) / p^2) being the
+    change the odd primes of a make to the ratio."""
+    _require_beta_character(psi, a)
+    factor = Fraction(1)
     for p, _ in factorize(abs(a)).factors:
         if p != 2:
-            out *= euler_factor_Gp(psi, a, p, 1) * (1 - Fraction(psi(p), p))
-            out /= 1 - Fraction(chi4()(p) * psi(p), p * p)
-    return out
-
-
-def beta_times_pi(psi: DirichletCharacter, a: int) -> Fraction:
-    """pi * beta(psi, a) exactly, for odd psi: the closed-form route.
-
-    pi beta = pi L(1, psi) / L(2, chi4 psi) * (local factor), from `_L_ratio_exact`.
-    """
-    _require_beta_character(psi, a)
-    if not _is_odd(psi):
-        raise ValueError("the closed form of beta needs an odd character")
-    return _L_ratio_exact([psi], product_character(chi4(), psi)) * _local_factor(psi, a)
+            factor *= euler_factor_Gp(psi, a, p, 1) * (1 - Fraction(psi(p), p))
+            factor /= 1 - Fraction(chi4()(p) * psi(p), p * p)
+    return [psi], product_character(chi4(), psi), factor
 
 
 def beta(psi: DirichletCharacter, a: int, eps: float = 1e-6) -> TruncatedValue:
-    """beta(psi, a) = sum_d psi(d) eta_a(d) / d^2 within eps, one route per family.
-
-    L(1, psi) / L(2, chi4 psi) times the local factor: odd psi take the closed
-    form `beta_times_pi` / pi, off by rounding only, so every eps is met; even
-    psi take the `L_value` series (BudgetError when eps is out of its reach).
-    """
-    if _is_odd(psi):
-        return _rounded(beta_times_pi(psi, a), over_pi=True)
-    _require_beta_character(psi, a)
-    return _L_ratio([psi], product_character(chi4(), psi), _local_factor(psi, a), eps)
+    """beta(psi, a) = sum_d psi(d) eta_a(d) / d^2 by `_L_ratio`: within eps, or
+    BudgetError.  Odd psi take the closed form, even psi the `L_value` series."""
+    return _L_ratio(*_beta_parts(psi, a), eps)
 
 
 def beta_euler(psi: DirichletCharacter, a: int, eps: float = 1e-6) -> TruncatedValue:
@@ -319,37 +321,24 @@ def beta_euler(psi: DirichletCharacter, a: int, eps: float = 1e-6) -> TruncatedV
     return TruncatedValue(val, err, nprimes + extra_terms)
 
 
-def eta_star(psi: DirichletCharacter, a: int) -> PiMultiple:
-    """eta*(psi, a): sum of pi * eta_j(b) / (2 b^2) over j in [1, b] with
-    psi(j - a) = 1.  Exact as a rational multiple of pi."""
+def eta_star(psi: DirichletCharacter, a: int) -> Fraction:
+    """eta*(psi, a) / pi exactly: the sum of eta_j(b) / (2 b^2) over j in [1, b]
+    with psi(j - a) = 1."""
     _require_beta_character(psi)
     b = psi.modulus
     coeff = Fraction(0)
     for j in range(1, b + 1):
         if psi((j - a) % b) == 1:
             coeff += Fraction(eta(j, b), 2 * b * b)
-    return PiMultiple(coeff)
-
-
-def main_term_exact(psi: DirichletCharacter, a: int) -> Fraction:
-    """beta(psi, a) * eta*(psi, a) exactly, for odd psi: (pi beta) times (eta* / pi)."""
-    coeff = eta_star(psi, a).coeff
-    return coeff * beta_times_pi(psi, a) if coeff else Fraction(0)
+    return coeff
 
 
 def main_term(psi: DirichletCharacter, a: int, eps: float = 1e-6) -> TruncatedValue:
-    """Coefficient beta(psi, a) * eta*(psi, a) of x in the correlation sum, within eps.
-
-    Odd psi round `main_term_exact` once, whatever eps; even psi scale
-    `beta`, taken within eps / (2 eta*), by the exact eta*.
-    """
-    if _is_odd(psi):
-        return _rounded(main_term_exact(psi, a))
-    es = eta_star(psi, a)
-    if es.coeff == 0:
-        return TruncatedValue(0.0, 0.0, 0)
-    b = beta(psi, a, eps / (2 * es.value))
-    return TruncatedValue(b.value * es.value, b.error_bound * es.value, b.terms_used)
+    """Coefficient beta(psi, a) * eta*(psi, a) of x in the correlation sum by
+    `_L_ratio`: beta's parts with the exact eta*/pi on the factor and the pi
+    on pi_power.  Within eps, or BudgetError."""
+    ones, two, factor = _beta_parts(psi, a)
+    return _L_ratio(ones, two, factor * eta_star(psi, a), eps, pi_power=1)
 
 
 def P_part(a: int, k: int) -> int:
@@ -363,26 +352,17 @@ def P_part(a: int, k: int) -> int:
     return t
 
 
-def _compose_rel_error(value: float, parts: list[tuple[float, float]]) -> float:
-    rel = 0.0
-    for v, e in parts:
-        rel += e / max(abs(v) - e, 1e-300) if abs(v) > e else float("inf")
-    if not math.isfinite(rel):
-        return float("inf") if value else 0.0
-    return abs(value) * rel * (1 + rel) + 1e-15
-
-
-def _require_muller_pair(psi: DirichletCharacter, rho: DirichletCharacter, a: int) -> None:
+def _muller_parts(psi: DirichletCharacter, rho: DirichletCharacter, a: int) -> RatioParts:
+    """(ones, two, factor) of C_{psi,rho}(a) = L(1,rho) L(1,psi) / L(2, rho psi) *
+    sum_{d|a} psi(d) rho(d) / d, for real primitive psi, rho mod k > 1 and a >= 1."""
     if psi.modulus != rho.modulus or psi.modulus <= 1:
-        raise ValueError("muller_C requires equal moduli k > 1")
+        raise ValueError("Mueller's main term requires equal moduli k > 1")
     if not (psi.is_primitive and rho.is_primitive):
-        raise ValueError("muller_C requires primitive characters")
+        raise ValueError("Mueller's main term requires primitive characters")
     if a < 1:
-        raise ValueError("muller_C requires a >= 1")
-
-
-def _divisor_sum(psi: DirichletCharacter, rho: DirichletCharacter, a: int) -> Fraction:
-    return sum(Fraction(psi(d) * rho(d), d) for d in divisors(factorize(a)))
+        raise ValueError("Mueller's main term requires a >= 1")
+    factor = sum(Fraction(psi(d) * rho(d), d) for d in divisors(factorize(a)))
+    return [rho, psi], product_character(psi, rho), factor
 
 
 def _muller_bracket(psi: DirichletCharacter, rho: DirichletCharacter, a: int) -> Fraction:
@@ -395,51 +375,26 @@ def _muller_bracket(psi: DirichletCharacter, rho: DirichletCharacter, a: int) ->
     return bracket / k
 
 
-def _muller_C_exact(psi: DirichletCharacter, rho: DirichletCharacter, a: int) -> Fraction:
-    """C_{psi,rho}(a) for odd real psi, rho: the pi^2 of L(1) L(1) cancels that of L(2)."""
-    return _L_ratio_exact([rho, psi], product_character(psi, rho)) * _divisor_sum(psi, rho, a)
-
-
 def muller_C(
     psi: DirichletCharacter, rho: DirichletCharacter, a: int, eps: float = 1e-8
 ) -> TruncatedValue:
-    """C_{psi,rho}(a) = L(1,rho) L(1,psi) / L(2, rho psi) * sum_{d|a} psi(d) rho(d) / d.
-
-    A pair of odd real characters takes the exact ratio (`_L_ratio_exact`) and
-    meets every eps; any other real pair sums the `L_value` series within eps.
-    """
-    _require_muller_pair(psi, rho, a)
-    if _is_odd(psi) and _is_odd(rho):
-        return _rounded(_muller_C_exact(psi, rho, a))
-    return _L_ratio([rho, psi], product_character(psi, rho), _divisor_sum(psi, rho, a), eps)
-
-
-def muller_main_exact(psi: DirichletCharacter, rho: DirichletCharacter, a: int) -> Fraction:
-    """M_{psi,rho}(a) exactly, for odd real primitive psi, rho mod k: C (1 + bracket)."""
-    _require_muller_pair(psi, rho, a)
-    if not (_is_odd(psi) and _is_odd(rho)):
-        raise ValueError("muller_main_exact needs two odd real characters")
-    return _muller_C_exact(psi, rho, a) * (1 + _muller_bracket(psi, rho, a))
+    """C_{psi,rho}(a) = L(1,rho) L(1,psi) / L(2, rho psi) * sum_{d|a} psi(d) rho(d) / d
+    by `_L_ratio`: within eps, or BudgetError.  A pair of odd characters takes
+    the closed form, any other real pair the `L_value` series."""
+    return _L_ratio(*_muller_parts(psi, rho, a), eps)
 
 
 def muller_main(
     psi: DirichletCharacter, rho: DirichletCharacter, a: int, eps: float = 1e-8
 ) -> TruncatedValue:
     """Full main-term coefficient M_{psi,rho}(a) = C (1 + bracket) of
-    sum_{n<=x} F_psi(n) F_rho(n+a), for real characters.
-
-    Exact for a pair of odd characters (`muller_main_exact`), within eps
-    otherwise.  Only a >= 1 is admitted; negative shifts are rejected rather
+    sum_{n<=x} F_psi(n) F_rho(n+a), for real characters: C's parts with the
+    exact (1 + bracket) on the factor, by `_L_ratio`, so within eps or
+    BudgetError.  Only a >= 1 is admitted; negative shifts are rejected rather
     than extended.
     """
-    if a < 1:
-        raise ValueError("muller_main requires a >= 1")
-    if _is_odd(psi) and _is_odd(rho):
-        return _rounded(muller_main_exact(psi, rho, a))
-    C = muller_C(psi, rho, a, eps / 2)
-    bracket = float(_muller_bracket(psi, rho, a))
-    value = C.value + bracket * C.value
-    return TruncatedValue(value, C.error_bound + abs(bracket) * C.error_bound, C.terms_used)
+    ones, two, factor = _muller_parts(psi, rho, a)
+    return _L_ratio(ones, two, factor * (1 + _muller_bracket(psi, rho, a)), eps)
 
 
 def G_series(
@@ -453,12 +408,7 @@ def G_series(
     """
     if s <= 0:
         raise ValueError("G_series requires s > 0")
-    if rho.is_trivial:
-        raise ValueError("G_series requires a non-trivial character")
-    if rho.modulus % 2:
-        raise ValueError("G_series requires an even modulus")
-    if a == 0:
-        raise ValueError("G_series requires a != 0")
+    _require_beta_character(rho, a)
     et = eta_table(a, n_max)[1:].astype(np.float64)
     n = np.arange(1, n_max + 1, dtype=np.int64)
     rhov = np.asarray(rho.values, dtype=np.float64)[n % rho.modulus]

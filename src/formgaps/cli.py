@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -27,8 +28,8 @@ from .errors import BudgetError, InvariantError
 
 
 EPS_HELP = (
-    "error bound asked of the constant; odd real characters take the exact closed form, "
-    "which meets any eps, and other characters a truncated series (exit 2 past its budget)"
+    "error bound asked of the constant; odd real characters take the exact closed form, rounded "
+    "once, and other characters a truncated series; exit 2 when the bound would exceed eps"
 )
 PSI_HELP = "chi3, chi4, chi6, trivial:K or kronecker:D, with K and |D| at most 10^5 (exit 2 above)"
 SHIFT_HELP = "the shift a: any integer, 0 included"
@@ -198,9 +199,9 @@ def _run_etastar(args):
     from .analytic_constants import eta_star
     from .characters import make_character
     psi = make_character(args.psi)
-    es = eta_star(psi, args.a)
-    return _render(args, {"psi": psi.name, "a": args.a, "pi_coeff": str(es.coeff),
-                          "value": es.value})
+    coeff = eta_star(psi, args.a)
+    return _render(args, {"psi": psi.name, "a": args.a, "pi_coeff": str(coeff),
+                          "value": float(coeff) * math.pi})
 
 
 def _run_mainterm(args):

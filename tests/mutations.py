@@ -68,10 +68,10 @@ MUTATIONS = [
              ("tests/test_census.py::test_correlation_J_examples",),
              "correlation_J: the coprimality mask gcd(n, b) = 1 is dropped"),
     Mutation("src/formgaps/analytic_constants.py",
-             "_L_ratio([psi], product_character(chi4(), psi), _local_factor(psi, a), eps)",
-             "_L_ratio([psi], psi, _local_factor(psi, a), eps)",
+             "return [psi], product_character(chi4(), psi), factor",
+             "return [psi], psi, factor",
              ("tests/test_analytic_constants.py::test_beta_closed_form_matches_euler_oracle",),
-             "beta, even route: L(2, psi) for L(2, chi4 psi)"),
+             "_beta_parts: L(2, psi) for L(2, chi4 psi)"),
     Mutation("src/formgaps/gaps.py",
              "pair = (c * c + 3 * q * q, (c - 1) ** 2 + v * v)",
              "pair = (n, n + a)",
@@ -93,8 +93,8 @@ MUTATIONS = [
              ("tests/test_characters.py::test_character_oracle",),
              "is_primitive: modulus == disc, so no odd character is primitive"),
     Mutation("src/formgaps/analytic_constants.py",
-             "c, f = L_value_exact(two, 2)\n        v = float(c)",
-             "c, f = L_value_exact(ones[-1], 2)\n        v = float(c)",
+             "c, f = L_value_exact(two, 2)\n            v = float(c)",
+             "c, f = L_value_exact(ones[-1], 2)\n            v = float(c)",
              ("tests/test_analytic_constants.py::test_muller_C_even_pairs_match_class_number_formula",),
              "_L_ratio: L(2, psi) for L(2, two) when two is even"),
     Mutation("src/formgaps/analytic_constants.py",
@@ -151,16 +151,31 @@ MUTATIONS = [
              "if a else q - chi",
              ("tests/test_local_densities.py::test_eta_table_matches_eta[0]",),
              "eta_table: the a = 0 leftover factor q + chi4(q) (q - 1) becomes q - chi4(q)"),
+    Mutation("src/formgaps/analytic_constants.py",
+             "elif all(_is_odd(chi) for chi in ones) and not _is_odd(two):",
+             "elif False:",
+             ("tests/test_analytic_constants.py::test_main_term_closed_form_chi6",),
+             "_L_ratio: the closed form is dropped, so odd characters take the series"),
+    Mutation("src/formgaps/analytic_constants.py",
+             "cap = L_TERMS_MAX // k * k",
+             "cap = L_TERMS_MAX",
+             ("tests/test_analytic_constants.py::test_L_value_stops_at_a_whole_period",),
+             "L_value: the term cap is not cut to a whole period of k"),
+    Mutation("src/formgaps/analytic_constants.py",
+             "    if not err <= eps:",
+             "    if False:",
+             ("tests/test_analytic_constants.py::test_closed_form_refuses_an_eps_below_its_rounding",),
+             "_L_ratio: the eps contract check is dropped"),
 ]
 
 SURVIVORS = [
     Mutation("src/formgaps/analytic_constants.py",
-             "return coeff * beta_times_pi(psi, a) if coeff else Fraction(0)",
-             "return coeff * beta_times_pi(psi, a) * Fraction(103, 100) if coeff else Fraction(0)",
+             "factor * eta_star(psi, a), eps, pi_power=1)",
+             "factor * eta_star(psi, a) * Fraction(103, 100), eps, pi_power=1)",
              ("tests/test_acceptance.py::test_criterion_08_main_theorem_trend",),
-             "main_term_exact biased by 3%: criterion 08 only asks the decade maxima of "
+             "main_term's factor biased by 3%: criterion 08 only asks the decade maxima of "
              "|J / (m x) - 1| to shrink below 0.15, which a 3% bias in m meets; the windowed "
-             "criterion 13 of ROADMAP item 1 is to catch it"),
+             "criterion 13 of ROADMAP item 2 is to catch it"),
 ]
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -5,25 +6,25 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from formgaps import arith
+from formgaps import analytic_constants, arith
 from formgaps.analytic_constants import (
     G_series,
     L_value,
     L_value_exact,
     P_part,
-    PiMultiple,
     TruncatedValue,
+    _beta_parts,
+    _L_ratio_exact,
+    _muller_bracket,
+    _muller_parts,
     _sqrt_fraction,
     beta,
     beta_euler,
-    beta_times_pi,
     eta_star,
     euler_factor_Gp,
     main_term,
-    main_term_exact,
     muller_C,
     muller_main,
-    muller_main_exact,
 )
 from formgaps.arith import PRIME_CACHE_MAX, factorize
 from formgaps.characters import (
@@ -82,8 +83,32 @@ def test_L_value_sums_in_bounded_blocks():
     assert peak < 64 << 20
     # the single-array sum of the same series
     assert abs(tv.value - 0.4304089409640002) <= tv.error_bound
-    with pytest.raises(BudgetError):  # N stops at 2^28
+    with pytest.raises(BudgetError):  # N stops below 2^28
         L_value(kronecker_character(5), 1.0, 1e-18)
+
+
+GOLDEN_L1 = 2 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)  # L(1, (5/.))
+
+
+def test_L_value_stops_at_a_whole_period(monkeypatch):
+    # 2^14 - 3 = 1 mod 5: a sum cut there keeps chi(N) / N ~ 6e-5 of a partial
+    # period that neither the tail bound nor the S1/k term counts
+    monkeypatch.setattr(analytic_constants, "L_TERMS_MAX", (1 << 14) - 3)
+    tv = L_value(kronecker_character(5), 1.0, 2e-8)
+    assert tv.terms_used % 5 == 0 and tv.terms_used > 1 << 13
+    assert abs(tv.value - GOLDEN_L1) <= tv.error_bound <= 2e-8
+
+
+def test_L_value_refuses_an_eps_past_its_rounding_up_front():
+    # the rounding allowance alone is 1e-14, so no term is summed
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            L_value(kronecker_character(8), 1.0, 1e-15 / 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_euler_factor_examples():
@@ -143,16 +168,15 @@ def test_beta_validation():
 
 def test_eta_star_values():
     assert [eta_brute(j, 6) for j in range(6)] == [2, 8, 8, 2, 8, 8]
-    assert eta_star(chi6(), 1).coeff == Fraction(1, 9)
-    assert eta_star(chi6(), 0).coeff == Fraction(1, 9)
-    assert eta_star(chi6(), 3).coeff == Fraction(1, 9)
+    assert eta_star(chi6(), 1) == Fraction(1, 9)
+    assert eta_star(chi6(), 0) == Fraction(1, 9)
+    assert eta_star(chi6(), 3) == Fraction(1, 9)
     for a in range(6):
         es = eta_star(chi6(), a)
-        assert es.coeff > 0
-        assert es.coeff.denominator <= 2 * 36
-        assert es.value == pytest.approx(float(es.coeff) * math.pi)
+        assert isinstance(es, Fraction) and es > 0
+        assert es.denominator <= 2 * 36
     # periodicity in the shift
-    assert eta_star(chi6(), 1).coeff == eta_star(chi6(), 7).coeff
+    assert eta_star(chi6(), 1) == eta_star(chi6(), 7)
 
 
 def test_main_term():
@@ -222,11 +246,6 @@ def test_truncated_value_guard():
         TruncatedValue(1.0, math.inf, 3)
 
 
-def test_pi_multiple():
-    pm = PiMultiple(Fraction(1, 2))
-    assert pm.value == pytest.approx(math.pi / 2)
-
-
 ODD_BETA_CHARACTERS = (chi4(), chi6(), kronecker_character(-8), kronecker_character(-24))
 
 
@@ -258,27 +277,51 @@ def test_sqrt_fraction_enforces_squares():
         _sqrt_fraction(Fraction(3, 4))
 
 
-def test_beta_times_pi_values():
-    assert [beta_times_pi(psi, 1) for psi in ODD_BETA_CHARACTERS] == [2, 3, 4, 4]
-    with pytest.raises(ValueError):
-        beta_times_pi(kronecker_character(8), 1)  # even: the L_value series only
+def _closed(ones, two, factor) -> Fraction:
+    """The exact ratio of an odd route: prod L(1) / L(2) * factor over pi^(len(ones) - 2)."""
+    return _L_ratio_exact(ones, two) * factor
 
 
-def test_main_term_exact_chi6():
+def test_beta_closed_form_values():
+    # pi * beta(psi, 1)
+    assert [_closed(*_beta_parts(psi, 1)) for psi in ODD_BETA_CHARACTERS] == [2, 3, 4, 4]
+    with pytest.raises(ValueError):  # even: the L_value series only
+        _closed(*_beta_parts(kronecker_character(8), 1))
+
+
+def test_main_term_closed_form_chi6():
     shifts = (1, 2, 5, -5, 10, 25, 13)
     want = [Fraction(1, 3), Fraction(1, 12), Fraction(1, 15), Fraction(4, 15),
             Fraction(4, 15), Fraction(7, 25), Fraction(14, 39)]
-    assert [main_term_exact(chi6(), a) for a in shifts] == want
+    assert [_closed(*_beta_parts(chi6(), a)) * eta_star(chi6(), a) for a in shifts] == want
     for a, w in zip(shifts, want):
         m = main_term(chi6(), a, 1e-15)
         assert m.terms_used == 0 and abs(m.value - float(w)) <= m.error_bound < 1e-15
 
 
-def test_muller_main_exact_chi4():
-    got = [16 * muller_main_exact(chi4(), chi4(), a) for a in (1, 2, 3, 5, 12)]
+def test_closed_form_refuses_an_eps_below_its_rounding():
+    b = beta(chi6(), 1, 1e-15)  # 3 / pi, its rounding bound 8.5e-16
+    assert b.terms_used == 0 and b.error_bound <= 1e-15
+    for eps in (1e-16, 0.0):
+        with pytest.raises(BudgetError):
+            beta(chi6(), 1, eps)
+        with pytest.raises(BudgetError):
+            muller_main(chi4(), chi4(), 1, eps)
+    assert main_term(chi4(), 26, 0.0) == TruncatedValue(0.0, 0.0, 0)  # eta* = 0: exactly 0
+
+
+def _muller_closed(psi, rho, a) -> Fraction:
+    return _closed(*_muller_parts(psi, rho, a)) * (1 + _muller_bracket(psi, rho, a))
+
+
+def test_muller_main_closed_form_chi4():
+    got = [16 * _muller_closed(chi4(), chi4(), a) for a in (1, 2, 3, 5, 12)]
     assert got == [8, 4, Fraction(32, 3), Fraction(48, 5), Fraction(40, 3)]
-    with pytest.raises(ValueError):
-        muller_main_exact(kronecker_character(5), kronecker_character(5), 1)  # even pair
+    for a, w in zip((1, 2, 3, 5, 12), got):
+        M = muller_main(chi4(), chi4(), a, 1e-15)
+        assert M.terms_used == 0 and abs(M.value - float(w / 16)) <= M.error_bound < 1e-15
+    with pytest.raises(ValueError):  # even pair: the L_value series only
+        _muller_closed(kronecker_character(5), kronecker_character(5), 1)
 
 
 def test_beta_closed_form_matches_euler_oracle():
@@ -342,3 +385,86 @@ def test_beta_euler_memory_bounded_past_the_prime_cache():
     assert euler.terms_used == 4_669_382 - 1  # pi(8e7), less p = 2
     closed = beta(chi6(), 1)
     assert abs(euler.value - closed.value) <= euler.error_bound + closed.error_bound
+
+
+# The odd and even families of the CLI sweep's PSI list (tests/test_cli.py)
+# that each constant admits; chi6 is imprimitive, so it has no Mueller term.
+BETA_FAMILIES = (chi4(), chi6(), kronecker_character(8), kronecker_character(12))
+MULLER_FAMILIES = (chi3(), chi4(), kronecker_character(5), kronecker_character(8),
+                   kronecker_character(12))
+CONTRACT_EPS = [10.0 ** -e for e in range(5, 16)]
+
+
+@pytest.fixture
+def cached_L_value(monkeypatch):
+    """L_value is a pure function: the sweeps below sum each series once, not
+    once per constant and shift (1e-13 costs up to 5e7 terms)."""
+    monkeypatch.setattr(analytic_constants, "L_value", functools.lru_cache(L_value))
+
+
+def _class_number_L1(chi):
+    """L(1, (D/.)) for the fundamental discriminants D here, all of class number 1:
+    2 pi / (w sqrt |D|) for D < 0, 2 log(unit) / sqrt D for D > 0."""
+    D, sq = chi.disc, mpmath.sqrt(abs(chi.disc))
+    unit = {5: (1 + sq) / 2, 8: 1 + sq / 2, 12: 2 + sq / 2}
+    return 2 * mpmath.pi / ({-3: 6, -4: 4}[D] * sq) if D < 0 else 2 * mpmath.log(unit[D]) / sq
+
+
+def _mpq(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _muller_oracle(chi, a):
+    """M_{chi,chi}(a) from the definition: L(1)^2 over zeta(2) prod_{p | k} (1 - p^-2)."""
+    k = chi.modulus
+    L2 = mpmath.zeta(2) * mpmath.fprod(1 - mpmath.mpf(p) ** -2 for p, _ in factorize(k).factors)
+    C = _class_number_L1(chi) ** 2 / L2 * _mpq(
+        sum(Fraction(chi(d) ** 2, d) for d in range(1, a + 1) if a % d == 0))
+    kpart = math.prod(p ** e for p, e in factorize(a).factors if k % p == 0)
+    bracket = sum(Fraction(sum(chi(j) * chi(a // t + j) for j in range(1, k + 1)), t)
+                  for t in range(1, kpart + 1) if kpart % t == 0) / k
+    return C, C * (1 + _mpq(bracket))
+
+
+def _meets_contract(compute, eps, oracle, oracle_bound=0.0) -> bool:
+    """Whether compute(eps) keeps the contract: its bound is at most eps and its
+    value lies within that bound (and the oracle's) of the oracle; False when
+    it raises BudgetError instead."""
+    try:
+        tv = compute(eps)
+    except BudgetError:
+        return False
+    assert tv.error_bound <= eps
+    assert abs(mpmath.mpf(tv.value) - oracle) <= tv.error_bound + oracle_bound
+    return True
+
+
+def test_beta_and_main_term_keep_the_eps_contract(cached_L_value):
+    for psi in BETA_FAMILIES:
+        for a in (1, -15):
+            euler = beta_euler(psi, a, 1e-6)
+            eta = eta_star(psi, a)
+            answered = [
+                (_meets_contract(lambda e: beta(psi, a, e), eps, euler.value, euler.error_bound),
+                 _meets_contract(lambda e: main_term(psi, a, e), eps,
+                                 euler.value * math.pi * eta,
+                                 euler.error_bound * math.pi * eta + 1e-15))
+                for eps in CONTRACT_EPS]
+            # the closed form answers every eps; the series at least down to 1e-12
+            assert all(all(pair) for pair in answered[:8]), (psi.name, a, answered)
+            if psi.disc < 0:
+                assert all(all(pair) for pair in answered), (psi.name, a, answered)
+
+
+def test_muller_keeps_the_eps_contract(cached_L_value):
+    with mpmath.workdps(30):
+        for chi in MULLER_FAMILIES:
+            for a in (1, 12):
+                C, M = _muller_oracle(chi, a)
+                answered = [
+                    (_meets_contract(lambda e: muller_C(chi, chi, a, e), eps, C),
+                     _meets_contract(lambda e: muller_main(chi, chi, a, e), eps, M))
+                    for eps in CONTRACT_EPS]
+                assert all(all(pair) for pair in answered[:8]), (chi.name, a, answered)
+                if chi.disc < 0:
+                    assert all(all(pair) for pair in answered), (chi.name, a, answered)
