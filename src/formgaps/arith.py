@@ -1,11 +1,11 @@
 """Exact integer arithmetic: factorization, p-adic valuations, divisor functions.
 
-Everything here is pure and deterministic.  Inputs are capped at 2^63 (past
-it factorize raises BudgetError); within that range factorization is trial
-division with a 2-3-5 wheel (complete for n <= 10^8) backed by Brent's rho
-for larger cofactors, and primality is the deterministic Miller-Rabin base set
-for 64-bit integers.  Python integers keep all intermediate products exact,
-so quartic expressions downstream never overflow.
+Everything here is pure and deterministic.  MAX_INPUT = 2^63 - 1 is the largest
+integer any route of the package takes (BudgetError past it).  Below it
+factorization is trial division with a 2-3-5 wheel (complete for n <= 10^8)
+backed by Brent's rho for larger cofactors, and primality is the deterministic
+Miller-Rabin base set for 64-bit integers.  Python integers keep all
+intermediate products exact, so quartic expressions downstream never overflow.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 from . import _np as np
 from .errors import BudgetError
 
-MAX_INPUT = 1 << 63
+MAX_INPUT = (1 << 63) - 1  # int64's maximum, which the numpy routes need
 
 _TRIAL_LIMIT = 10_000  # trial division alone is complete up to its square
 
@@ -27,7 +27,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 2^64."""
+    """Deterministic Miller-Rabin for n <= MAX_INPUT; BudgetError above."""
+    if n > MAX_INPUT:
+        raise BudgetError(f"is_prime requires n <= {MAX_INPUT}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -121,11 +123,11 @@ def _split(n: int, out: dict) -> None:
 
 
 def factorize(n: int) -> Factorization:
-    """Prime-power decomposition of n, for 1 <= n <= 2^63."""
+    """Prime-power decomposition of n, for 1 <= n <= MAX_INPUT."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     if n > MAX_INPUT:
-        raise BudgetError("factorize requires n <= 2^63")
+        raise BudgetError(f"factorize requires n <= {MAX_INPUT}")
     m = n
     fac = []
     for p in (2, 3, 5):

@@ -16,7 +16,8 @@ The correlation sums are the exact integers
 
 summed over n >= max(1, 1 - a) so that n + a stays >= 1.  Census and sums are
 one shifted product over a window, of the indicators F > 0 or of the values F,
-and both run through one kernel, _shifted_windows, over F_window.
+and both run through one kernel, _shifted_windows, over F_window.  A window is
+bounded by its width (util.WINDOW_MAX), never by its height.
 
 The ratio r = J(x) / (m x) to the main term coefficient m (the `correlate`
 command prints it) trends toward 1; that is the empirical face of the
@@ -34,11 +35,9 @@ from dataclasses import dataclass
 
 from . import _np as np
 from .characters import F, DirichletCharacter, F_window, chi4
-from .errors import BudgetError
-from .repr_sets import WINDOW_MAX, SetId, member_character
+from .repr_sets import SetId, member_character
 from .util import chunk_ranges, map_ordered
 
-CORRELATION_MAX = 1_000_000_000
 WITNESS_CAP_DEFAULT = 10_000
 
 
@@ -76,9 +75,6 @@ def _shifted_windows(psi, rho, a: int, lo: int, hi: int, threads: int, reduce) -
 
 def _product_sum(psi, rho, a: int, x: int, threads: int, b: int = 1) -> int:
     """Exact sum over max(1, 1 - a) <= n <= x, gcd(n, b) = 1, of F_psi(n) F_rho(n + a)."""
-    n_lo = max(1, 1 - a)
-    if x >= n_lo and x + abs(a) > CORRELATION_MAX:
-        raise BudgetError(f"correlation budget {CORRELATION_MAX} exceeded")
     unit = np.gcd(np.arange(b), b) == 1  # gcd(n, b) = 1 has period b in n
 
     def product(lo, left, right):
@@ -88,7 +84,7 @@ def _product_sum(psi, rho, a: int, x: int, threads: int, b: int = 1) -> int:
             terms *= np.tile(np.roll(unit, -(lo % b)), -(-terms.size // b))[: terms.size]
         return int(terms.sum())
 
-    return sum(_shifted_windows(psi, rho, a, n_lo, x, threads, product))
+    return sum(_shifted_windows(psi, rho, a, max(1, 1 - a), x, threads, product))
 
 
 def correlation_J(psi: DirichletCharacter, a: int, x: int, threads: int = 1) -> int:
@@ -133,12 +129,11 @@ def census_interval(
     Both sides are read off F_window of the sets' member characters: n is
     counted when F_psi1(n) > 0 and F_psi2(n + a) > 0.  Candidates with n + a < 0
     are excluded (membership of negative integers is undefined here).  The
-    witness list stops at witness_cap entries; the count never does.
+    witness list stops at witness_cap entries; the count never does.  F decides
+    the first candidate, so util.chunk_ranges bounds H, not H + 1.
     """
     if x < 0 or H < 0:
         raise ValueError("census_interval requires x >= 0 and H >= 0")
-    if H + 1 > WINDOW_MAX:
-        raise BudgetError(f"census window {H + 1} exceeds {WINDOW_MAX}")
     psi1, psi2 = member_character(set1), member_character(set2)
 
     def member(s, psi, n):  # n >= 0; 0 lies in every set but a diamond

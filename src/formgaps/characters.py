@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import _np as np
-from .arith import divisors, factorize, prime_blocks
+from .arith import MAX_INPUT, divisors, factorize, prime_blocks
 from .errors import BudgetError
 from .util import chunk_ranges, pair_blocks
 
@@ -74,23 +74,6 @@ def kronecker_symbol(a: int, n: int) -> int:
     if e % 2 == 1 and a % 8 in (3, 5):
         s = -1
     return s * jacobi_symbol(a, odd)
-
-
-def is_fundamental_discriminant(D: int) -> bool:
-    """Discriminant of a quadratic field: squarefree D = 1 mod 4 (D != 1),
-    or D = 4m with m squarefree and m = 2 or 3 mod 4."""
-    if D in (0, 1):
-        return False
-
-    def squarefree(m: int) -> bool:
-        return all(e == 1 for _, e in factorize(abs(m)).factors) if m not in (1, -1) else True
-
-    if D % 4 == 1:
-        return squarefree(D)
-    if D % 4 == 0:
-        m = D // 4
-        return m % 4 in (2, 3) and squarefree(m)
-    return False
 
 
 @dataclass(frozen=True)
@@ -171,6 +154,12 @@ def _field_disc(n: int) -> int:
     squarefree core c of n, times 4 unless c = 1 mod 4."""
     c = math.prod(p for p, e in factorize(abs(n)).factors if e % 2) * (1 if n > 0 else -1)
     return c if c % 4 == 1 else 4 * c
+
+
+def is_fundamental_discriminant(D: int) -> bool:
+    """Discriminant of a quadratic field: D other than 0 and 1 that is the
+    field discriminant of Q(sqrt(D))."""
+    return D not in (0, 1) and _field_disc(D) == D
 
 
 def product_character(psi: DirichletCharacter, rho: DirichletCharacter) -> DirichletCharacter:
@@ -282,14 +271,14 @@ def F_window(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
     util.pair_blocks, PAIR_BLOCK (prime, multiple) pairs at a time, with
     unbuffered products since two primes can divide one n.  Primes come from
     arith.prime_blocks, so memory is O(width + SEGMENT + PAIR_BLOCK) plus the
-    bounded prime cache for any hi < 2^63.  The values are int32
-    (|F_psi(n)| <= tau(n) < 2^31 for n < 2^63; widen before multiplying two
-    windows).
+    bounded prime cache for any hi <= MAX_INPUT (BudgetError above).  The
+    values are int32 (|F_psi(n)| <= tau(n) < 2^31 for n < 2^63; widen before
+    multiplying two windows).
     """
     if lo < 1 or hi < lo:
         raise ValueError("window must satisfy 1 <= lo <= hi")
-    if hi >= 1 << 63:
-        raise BudgetError("F_window requires hi < 2^63")
+    if hi > MAX_INPUT:
+        raise BudgetError(f"F_window requires hi <= {MAX_INPUT}")
     table = psi.table()
     out = np.empty(hi - lo + 1, dtype=table.dtype)
     for a in range(lo, hi + 1, SEGMENT):

@@ -11,8 +11,8 @@ only, verify prints one row per check, and gap prints JSON only.  Output is
 deterministic for fixed flags, whatever the thread count.  Each handler
 imports what it calls, so a process loads only its command's modules.
 
-Exit codes: 0 success, 1 usage error, 2 budget or overflow guard (inputs past
-2^63 included), 3 internal invariant failure (verify-suite failures included).
+Exit codes: 0 success, 1 usage error, 2 budget guard (integers above 2^63 - 1
+and windows of more than 10^9 integers included), 3 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ EPS_HELP = (
 PSI_HELP = "chi3, chi4, chi6, trivial:K or kronecker:D, with K and |D| at most 10^5 (exit 2 above)"
 SHIFT_HELP = "the shift a: any integer, 0 included"
 SET_HELP = "square2, triangle, triangle_star or diamond:D, with |D| at most 10^5 (exit 2 above)"
+WINDOW_HELP = "the window holds at most 10^9 integers (exit 2 above), at any height to 2^63 - 1"
 
 
 class _UsageError(Exception):
@@ -124,7 +125,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--psi", default="chi6", help=PSI_HELP)
     s.add_argument("--rho", default="chi4", help=PSI_HELP)
     s.add_argument("--a", type=int, required=True)
-    s.add_argument("--x", type=int, required=True)
+    s.add_argument("--x", type=int, required=True, help=f"n runs up to x; {WINDOW_HELP}")
     s.add_argument("--eps", type=float, default=1e-8, help=EPS_HELP)
 
     s = add("census", "interval census of a shifted pair set", _run_census)
@@ -132,7 +133,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--set2", required=True, help=SET_HELP)
     s.add_argument("--a", type=int, required=True)
     s.add_argument("--x", type=int, required=True)
-    s.add_argument("--len", type=int, required=True, dest="length")
+    s.add_argument("--len", type=int, required=True, dest="length", help=f"H; {WINDOW_HELP}")
     s.add_argument("--witness-cap", type=int, default=10_000,
                    help="witnesses to print; a negative value prints every witness")
 
@@ -231,8 +232,8 @@ def _run_correlate(args):
     m = None
     if args.kind == "j":
         psi = make_character(args.psi)
+        m = main_term(psi, args.a, args.eps).value  # a psi without one fails before the sum
         name, J = psi.name, correlation_J(psi, args.a, args.x, threads=threads)
-        m = main_term(psi, args.a, args.eps).value
     elif args.kind == "general":
         psi, rho = make_character(args.psi), make_character(args.rho)
         name = f"{psi.name}*{rho.name}"

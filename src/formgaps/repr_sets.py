@@ -29,12 +29,10 @@ import math
 from dataclasses import dataclass
 
 from . import _np as np
-from .arith import factorize
+from .arith import MAX_INPUT, factorize
 from .characters import F, F_window, chi3, chi4, kronecker_character
 from .errors import BudgetError
 from .util import chunk_ranges
-
-WINDOW_MAX = 1_000_000_000
 
 ENUMERATE_MAX = 10 ** 12  # lattice enumeration loops over about sqrt(n) points
 
@@ -144,9 +142,9 @@ def _exponents_ok(n: int, bad_mod: int, bad_res: int) -> bool:
 
 def _triangle_star_member(n: int) -> bool:
     """A plain scan: is n - 3 d^2 a square for some 0 <= d <= sqrt(n / 3)?
-    The d are taken _SCAN_BLOCK at a time; exact for n < 2^63."""
-    if n >= 1 << 63:
-        raise BudgetError("triangle_star membership requires n < 2^63")
+    The d are taken _SCAN_BLOCK at a time; exact for n <= MAX_INPUT."""
+    if n > MAX_INPUT:
+        raise BudgetError(f"triangle_star membership requires n <= {MAX_INPUT}")
     top = math.isqrt(n // 3)
     for d0 in range(0, top + 1, _SCAN_BLOCK):
         d = np.arange(d0, min(d0 + _SCAN_BLOCK, top + 1), dtype=np.int64)
@@ -193,12 +191,11 @@ def sieve_members(s: SetId, lo: int, hi: int) -> np.ndarray:
     One buffer, filled chunk by chunk with F_window(member_character(s)) > 0."""
     if lo < 0 or hi < lo:
         raise ValueError("sieve_members requires 0 <= lo <= hi")
-    if hi - lo + 1 > WINDOW_MAX:
-        raise BudgetError(f"window of {hi - lo + 1} exceeds {WINDOW_MAX}")
+    chunks = chunk_ranges(max(lo, 1), hi)
     psi = member_character(s)
     out = np.empty(hi - lo + 1, dtype=bool)
     if lo == 0:
         out[0] = is_member(s, 0)
-    for c_lo, c_hi in chunk_ranges(max(lo, 1), hi):
+    for c_lo, c_hi in chunks:
         out[c_lo - lo : c_hi - lo + 1] = F_window(psi, c_lo, c_hi) > 0
     return out

@@ -2,7 +2,8 @@
 
 Chunk boundaries are a pure function of the requested range, never of the
 worker count, and results are always combined in range order.  Runs are
-therefore bit-identical for any thread count.
+therefore bit-identical for any thread count.  chunk_ranges cuts every window
+the package sieves, so it alone holds the window budget WINDOW_MAX.
 """
 
 from __future__ import annotations
@@ -11,14 +12,19 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 from . import _np as np
+from .errors import BudgetError
 
 DEFAULT_CHUNK = 1 << 22
 
 PAIR_BLOCK = 1 << 16
 
+WINDOW_MAX = 10 ** 9  # integers in one window, whatever its height
+
 
 def chunk_ranges(lo: int, hi: int, chunk: int = DEFAULT_CHUNK) -> list[tuple[int, int]]:
-    """Closed subranges covering [lo, hi], in increasing order."""
+    """Closed subranges covering [lo, hi] <= WINDOW_MAX integers, in increasing order."""
+    if hi - lo + 1 > WINDOW_MAX:
+        raise BudgetError(f"window of {hi - lo + 1} integers exceeds {WINDOW_MAX}")
     out = []
     start = lo
     while start <= hi:

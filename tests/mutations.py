@@ -166,6 +166,28 @@ MUTATIONS = [
              "    if False:",
              ("tests/test_analytic_constants.py::test_closed_form_refuses_an_eps_below_its_rounding",),
              "_L_ratio: the eps contract check is dropped"),
+    Mutation("src/formgaps/arith.py",
+             "    if n > MAX_INPUT:\n"
+             "        raise BudgetError(f\"is_prime requires n <= {MAX_INPUT}\")\n",
+             "",
+             ("tests/test_arith.py::test_the_ceiling_is_int64_max",),
+             "is_prime: the ceiling check is dropped, so a strong pseudoprime past it passes"),
+    Mutation("src/formgaps/util.py",
+             "    if hi - lo + 1 > WINDOW_MAX:\n"
+             "        raise BudgetError(f\"window of {hi - lo + 1} integers exceeds {WINDOW_MAX}\")\n",
+             "",
+             ("tests/test_util.py::test_chunk_ranges_holds_the_one_window_budget",),
+             "chunk_ranges: the window budget is dropped"),
+    Mutation("src/formgaps/characters.py",
+             "if hi > MAX_INPUT:",
+             "if hi > MAX_INPUT + 1:",
+             ("tests/test_characters.py::test_F_refuses_past_the_ceiling",),
+             "F_window: compares hi with MAX_INPUT + 1, so hi = 2^63 is sieved"),
+    Mutation("src/formgaps/characters.py",
+             "return D not in (0, 1) and _field_disc(D) == D",
+             "return _field_disc(D) == D",
+             ("tests/test_characters.py::test_fundamental_discriminants_match_the_mod_4_rule",),
+             "is_fundamental_discriminant: 0 and 1 are no longer excluded"),
 ]
 
 SURVIVORS = [

@@ -31,6 +31,22 @@ def test_factorize_rejects_bad_input():
         factorize((1 << 63) + 1)
 
 
+def test_the_ceiling_is_int64_max():
+    # 2^63 - 1 is the largest integer any route takes.  318665857834031151167461
+    # = 399165290221 * 798330580441 is the least strong pseudoprime to the twelve
+    # prime bases 2..37 (Sorenson & Webster, Math. Comp. 86, 2017), which the
+    # Miller-Rabin test would call prime
+    assert arith.MAX_INPUT == np.iinfo(np.int64).max
+    assert factorize(2 ** 63 - 1).factors == (
+        (7, 2), (73, 1), (127, 1), (337, 1), (92737, 1), (649657, 1))
+    assert not is_prime(2 ** 63 - 1) and is_prime(2 ** 61 - 1)
+    for n in (2 ** 63, 318665857834031151167461):
+        with pytest.raises(BudgetError):
+            factorize(n)
+        with pytest.raises(BudgetError):
+            is_prime(n)
+
+
 def test_factorize_product_reconstruction():
     rng = random.Random(7)
     for _ in range(400):

@@ -134,6 +134,19 @@ def test_budget_guards():
         census_interval(SQUARE2, SQUARE2, 1, 0, 2_000_000_000)
 
 
+def test_correlations_answer_at_any_height():
+    # bounded by the width of the window, not by x + |a|
+    def direct(psi, rho, a, lo, hi, b=1):
+        return sum(F(psi, n) * F(rho, n + a) for n in range(lo, hi + 1) if math.gcd(n, b) == 1)
+
+    k5 = kronecker_character(5)
+    for a in (2 * 10 ** 9, 2 * 10 ** 9 + 1):
+        assert correlation_J(chi6(), a, 10) == direct(chi6(), chi4(), a, 1, 10, b=6), a
+    assert correlation_general(k5, k5, 3 * 10 ** 9, 50) == direct(k5, k5, 3 * 10 ** 9, 1, 50)
+    a = -5 * 10 ** 8
+    assert estermann_correlation(a, -a + 50) == 16 * direct(chi4(), chi4(), a, 1 - a, 50 - a)
+
+
 def test_census_boundary_point_skips_the_membership_oracle(monkeypatch):
     # lo_eff = max(x, -a) is decided through the member characters, so the
     # oracle routes of is_member (the triangle_star scan, exponent parity) stay

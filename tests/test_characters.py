@@ -12,6 +12,7 @@ from formgaps.analytic_constants import _is_odd
 from formgaps.arith import divisors, factorize, primes
 from formgaps.characters import (
     F_SIEVE_MAX,
+    DirichletCharacter,
     F,
     F_sieve,
     F_window,
@@ -57,6 +58,28 @@ def test_fundamental_discriminants():
     assert not any(is_fundamental_discriminant(D) for D in (0, 1, 2, 3, 4, -2, 9, -9, 25))
     with pytest.raises(ValueError):
         kronecker_character(9)
+
+
+def _fundamental_by_mod_4(D):
+    # the textbook rule: squarefree D = 1 mod 4 (D != 1), or D = 4m with m
+    # squarefree and m = 2 or 3 mod 4
+    if D in (0, 1):
+        return False
+
+    def squarefree(m):
+        return all(e == 1 for _, e in factorize(abs(m)).factors) if m not in (1, -1) else True
+
+    if D % 4 == 1:
+        return squarefree(D)
+    if D % 4 == 0:
+        m = D // 4
+        return m % 4 in (2, 3) and squarefree(m)
+    return False
+
+
+def test_fundamental_discriminants_match_the_mod_4_rule():
+    for D in range(-20000, 20001):
+        assert is_fundamental_discriminant(D) == _fundamental_by_mod_4(D), D
 
 
 def test_jacobi_and_kronecker_basics():
@@ -105,30 +128,29 @@ def _check_character(psi):
     assert psi(-1) == (-1 if psi.disc < 0 else 1) and _is_odd(psi) == (psi(-1) == -1)
 
 
-CLI_CHARACTERS = (
-    [make_character(s) for s in ("chi3", "chi4", "chi6")]
-    + [make_character(f"trivial:{k}") for k in range(1, 65)]
-    + [make_character(f"kronecker:{D}") for D in range(-500, 501) if is_fundamental_discriminant(D)]
-)
-
-PRODUCT_FACTORS = (
-    [chi3(), chi4(), chi6(), trivial_character(1), trivial_character(6), trivial_character(12)]
-    + [kronecker_character(D) for D in (5, -7, -8, 8, 12, -15, -20, 21, -24, 40)]
-)
-
-
 def test_character_oracle():
     # every character the CLI can name, the products of a fixed set of them,
-    # and the primitive characters of all of these
-    products = [product_character(psi, rho) for psi in PRODUCT_FACTORS for rho in PRODUCT_FACTORS]
-    assert len(CLI_CHARACTERS) == 3 + 64 + 306
-    for psi in CLI_CHARACTERS + products:
+    # and the primitive characters of all of these; built here, not at import,
+    # so a broken discriminant rule fails this test instead of the collection
+    cli_characters = (
+        [make_character(s) for s in ("chi3", "chi4", "chi6")]
+        + [make_character(f"trivial:{k}") for k in range(1, 65)]
+        + [make_character(f"kronecker:{D}") for D in range(-500, 501)
+           if is_fundamental_discriminant(D)]
+    )
+    factors = (
+        [chi3(), chi4(), chi6(), trivial_character(1), trivial_character(6), trivial_character(12)]
+        + [kronecker_character(D) for D in (5, -7, -8, 8, 12, -15, -20, 21, -24, 40)]
+    )
+    products = [product_character(psi, rho) for psi in factors for rho in factors]
+    assert len(cli_characters) == 3 + 64 + 306
+    for psi in cli_characters + products:
         _check_character(psi)
         prim = primitive_character(psi)
         _check_character(prim)
         assert prim.is_primitive and prim.modulus == _conductor(psi)
         assert all(prim(n) == psi(n) for n in range(psi.modulus) if math.gcd(n, psi.modulus) == 1)
-    for (psi, rho), prod in zip(itertools.product(PRODUCT_FACTORS, repeat=2), products):
+    for (psi, rho), prod in zip(itertools.product(factors, repeat=2), products):
         k = prod.modulus
         assert k == math.lcm(psi.modulus, rho.modulus)
         assert all(prod(n) == psi(n) * rho(n) for n in range(k)), prod.name
@@ -235,13 +257,15 @@ def test_F_window_deep_offsets():
             assert int(w[n - lo]) == F(chi6(), n)
 
 
+# kronecker(8) is built from (name, disc, modulus), as chi3, chi4 and chi6 are,
+# so a broken discriminant rule fails its own tests, not this module's collection
 KERNEL_CHARACTERS = (
     chi3(),
     chi4(),
     chi6(),
     kronecker_character(5),
     kronecker_character(-23),
-    kronecker_character(8),
+    DirichletCharacter("kronecker(8)", 8, 8),
 )
 
 
@@ -375,6 +399,21 @@ def test_F_window_property(lo, width, psi):
     w = F_window(psi, lo, hi)
     assert np.array_equal(w, _F_reference([psi], lo, hi)[0])
     assert np.array_equal(w, _F_divisor_reference([psi], lo, hi)[0])
+
+
+def test_F_refuses_past_the_ceiling(monkeypatch):
+    n = 2 ** 63 - 1  # 7^2 73 127 337 92737 649657
+    for psi in REALS:
+        assert F(psi, n) == sum(psi(d) for d in divisors(factorize(n))), psi.name
+    with pytest.raises(BudgetError):
+        F(chi4(), 2 ** 63)
+
+    def sieved(*args):
+        raise AssertionError("F_window sieved a window past the ceiling")
+
+    monkeypatch.setattr(characters, "_sieve_segment", sieved)
+    with pytest.raises(BudgetError):
+        F_window(chi4(), 2 ** 63 - 10, 2 ** 63)
 
 
 def test_F_sieve_budget_guard():

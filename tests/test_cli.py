@@ -214,6 +214,41 @@ def test_exit_codes(capsys):
     assert code == 2 and "budget" in err  # budget guard
 
 
+def test_the_ceiling_exits_2(capsys):
+    # 2^63 - 1 is the largest integer any route takes; 318665857834031151167461
+    # is a strong pseudoprime to the twelve prime bases 2..37
+    top = 2 ** 63 - 1
+    for argv in (
+        ("repr", "--fn", "r2", "--n", str(top + 1)),
+        ("member", "--set", "square2", "--n", str(top + 1)),
+        ("member", "--set", "triangle_star", "--n", str(top + 1)),
+        ("eta", "--a", "1", "--q", str(top + 1)),
+        ("lambda", "--p", str(top + 1), "--j", "1", "--a", "1"),
+        ("lambda", "--p", "318665857834031151167461", "--j", "1", "--a", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("budget exceeded:"), argv
+    assert run(capsys, "repr", "--fn", "r2", "--n", str(top))[:2] == (0, f"{top},0\n")
+
+
+def test_correlate_answers_at_any_height(capsys):
+    code, out, err = run(capsys, "correlate", "--kind", "j", "--a", "2000000000", "--x", "10")
+    assert code == 0, err
+    assert out.splitlines()[1].startswith("chi6,2000000000,10,")
+
+
+def test_correlate_takes_the_main_term_before_it_sums(capsys, monkeypatch):
+    from formgaps import census
+
+    def summed(*args, **kwargs):
+        raise AssertionError("correlation_J ran before main_term")
+
+    monkeypatch.setattr(census, "correlation_J", summed)
+    code, out, err = run(capsys, "correlate", "--kind", "j", "--psi", "chi3", "--a", "1",
+                         "--x", "30000000", "--threads", "1")
+    assert (code, out) == (1, "") and err.startswith("usage error:"), err
+
+
 def test_verify_empty_budget(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "oracles", "--budget", "0")
     assert code == 0

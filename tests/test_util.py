@@ -1,6 +1,30 @@
 import numpy as np
+import pytest
 
 from formgaps import util
+from formgaps.census import census_interval, correlation_J, correlation_general, estermann_correlation
+from formgaps.characters import F_sieve, chi4, chi6, kronecker_character
+from formgaps.errors import BudgetError
+from formgaps.repr_sets import SQUARE2, TRIANGLE, sieve_members
+
+
+def test_chunk_ranges_holds_the_one_window_budget(monkeypatch):
+    # every route takes its window from chunk_ranges, whatever its height
+    monkeypatch.setattr(util, "WINDOW_MAX", 1000)
+    k5, x = kronecker_character(5), 10 ** 9
+    routes = {  # each called on a window of w integers
+        "census": lambda w: census_interval(SQUARE2, TRIANGLE, 1, x, w),  # F decides x itself
+        "J": lambda w: correlation_J(chi6(), 1, w),
+        "general": lambda w: correlation_general(k5, k5, x, w),
+        "estermann": lambda w: estermann_correlation(-x, x + w),
+        "sieve_members": lambda w: sieve_members(SQUARE2, x, x + w - 1),
+        "F_sieve": lambda w: F_sieve(chi4(), w),
+    }
+    for name, route in routes.items():
+        route(1000)
+        with pytest.raises(BudgetError):
+            route(1001)
+            raise AssertionError(f"{name} took a window of 1001 integers")
 
 
 def test_map_ordered_clamps_workers_to_items(monkeypatch):
