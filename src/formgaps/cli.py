@@ -11,6 +11,11 @@ only, verify prints one row per check, and gap prints JSON only.  Output is
 deterministic for fixed flags, whatever the thread count.  Each handler
 imports what it calls, so a process loads only its command's modules.
 
+entry is the process entry point (`python -m formgaps` and the console
+script) and owns its process: it keeps numpy's BLAS at one thread before
+main runs.  main leaves the environment alone, so a host program that calls
+it or imports the library keeps its own BLAS settings.
+
 Exit codes: 0 success, 1 usage error, 2 budget guard (integers above 2^63 - 1
 and windows of more than 10^9 integers included), 3 internal invariant failure.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -70,7 +76,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None, help="write output to a file instead of stdout")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker threads; none or a value below 1 means all cores")
+                        help="worker threads; none or a value below 1 means all CPUs this "
+                             "process may use")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, help, run):
@@ -237,11 +244,11 @@ def _run_correlate(args):
     elif args.kind == "general":
         psi, rho = make_character(args.psi), make_character(args.rho)
         name = f"{psi.name}*{rho.name}"
-        J = correlation_general(psi, rho, args.a, args.x, threads=threads)
-        try:
+        try:  # before the sum, so an eps out of reach fails at once
             m = muller_main(psi, rho, args.a, args.eps).value
         except ValueError:  # the pair has no Müller main term
             pass
+        J = correlation_general(psi, rho, args.a, args.x, threads=threads)
     else:
         name, J = "r2", estermann_correlation(args.a, args.x, threads=threads)
     ratio = None
@@ -322,4 +329,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # Every array of the package is an integer array and no command calls
+    # BLAS, so the OpenBLAS thread pool that `import numpy` starts only costs
+    # start-up CPU time (its workers spin before they sleep).  Set before
+    # main, so before the first `import numpy`.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(main())

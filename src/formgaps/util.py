@@ -4,12 +4,14 @@ Chunk boundaries are a pure function of the requested range, never of the
 worker count, and results are always combined in range order.  Runs are
 therefore bit-identical for any thread count.  chunk_ranges cuts every window
 the package sieves, so it alone holds the window budget WINDOW_MAX.
+map_ordered builds a thread pool only for two or more workers, and imports
+concurrent.futures only then, so a window of one chunk runs on the calling
+thread and loads no pool module.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from . import _np as np
 from .errors import BudgetError
@@ -35,9 +37,12 @@ def chunk_ranges(lo: int, hi: int, chunk: int = DEFAULT_CHUNK) -> list[tuple[int
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: the explicit argument if it is at least 1, else all cores."""
+    """Worker count: the explicit argument if it is at least 1, else every CPU
+    this process may use (its affinity mask where the platform has one)."""
     if threads is not None and threads >= 1:
         return threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -48,6 +53,8 @@ def map_ordered(fn, items, threads: int = 1) -> list:
     workers = min(threads, len(items))
     if workers <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -188,6 +188,16 @@ MUTATIONS = [
              "return _field_disc(D) == D",
              ("tests/test_characters.py::test_fundamental_discriminants_match_the_mod_4_rule",),
              "is_fundamental_discriminant: 0 and 1 are no longer excluded"),
+    Mutation("src/formgaps/cli.py",
+             '    os.environ["OPENBLAS_NUM_THREADS"] = "1"\n',
+             "",
+             ("tests/test_cli.py::test_entry_keeps_blas_at_one_thread",),
+             "entry: numpy's BLAS keeps its thread pool"),
+    Mutation("src/formgaps/util.py",
+             "import os\n",
+             "import os\nfrom concurrent.futures import ThreadPoolExecutor\n",
+             ("tests/test_cli.py::test_one_chunk_windows_load_no_pool",),
+             "util: the pool module is imported at module level again"),
 ]
 
 SURVIVORS = [

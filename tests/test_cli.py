@@ -249,6 +249,19 @@ def test_correlate_takes_the_main_term_before_it_sums(capsys, monkeypatch):
     assert (code, out) == (1, "") and err.startswith("usage error:"), err
 
 
+def test_correlate_general_takes_the_main_term_before_it_sums(capsys, monkeypatch):
+    from formgaps import census
+
+    def summed(*args, **kwargs):
+        raise AssertionError("correlation_general ran before muller_main")
+
+    monkeypatch.setattr(census, "correlation_general", summed)
+    code, out, err = run(capsys, "correlate", "--kind", "general", "--psi", "kronecker:8",
+                         "--rho", "kronecker:8", "--a", "1", "--x", "10000000", "--eps", "1e-15",
+                         "--threads", "1")
+    assert (code, out) == (2, "") and err.startswith("budget exceeded:"), err
+
+
 def test_verify_empty_budget(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "oracles", "--budget", "0")
     assert code == 0
@@ -337,21 +350,23 @@ NUMPY_FREE_FORMS = [
     "lambda --p 3 --j 2 --a 0",
     "lambda --a 0 --bar 45",
 ]
+# argv: a module, the forms that must not load it, and one form run last
 BOUNDARY_CHILD = """
 import contextlib, io, sys
 from formgaps.cli import main
-for form in sys.argv[1:-1]:
+module, *forms, last = sys.argv[1:]
+for form in forms:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(form.split()) == 0, form
-    assert "numpy" not in sys.modules, form
-sys.exit(main(sys.argv[-1].split()))
+    assert module not in sys.modules, form
+sys.exit(main(last.split()))
 """
 
 
 def test_numpy_free_forms_do_not_import_numpy():
     census = "census --set1 triangle --set2 diamond:-23 --a -7 --x 999999000 --len 300"
     proc = subprocess.run(
-        [sys.executable, "-c", BOUNDARY_CHILD, *NUMPY_FREE_FORMS, census],
+        [sys.executable, "-c", BOUNDARY_CHILD, "numpy", *NUMPY_FREE_FORMS, census],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 0, proc.stderr
@@ -360,6 +375,57 @@ def test_numpy_free_forms_do_not_import_numpy():
         + "".join(f"W,{n}\n" for n in (999999057, 999999093, 999999103, 999999163,
                                         999999223, 999999232, 999999259))
     )
+
+
+# Windows of one chunk run on the calling thread, so even with --threads 2
+# they load no pool module.  The census of two chunks after them builds its
+# pool, and must print what one thread prints.
+POOL_FREE_FORMS = [
+    "census --set1 triangle --set2 square2 --a 1 --x 999000000 --len 1000000 --threads 2",
+    "correlate --kind general --psi chi4 --rho chi4 --a 2 --x 100000 --threads 2",
+]
+
+
+def test_one_chunk_windows_load_no_pool(capsys):
+    from formgaps.util import DEFAULT_CHUNK
+
+    census = ("census --set1 square2 --set2 square2 --a 1 --x 1 --witness-cap 0 "
+              f"--len {DEFAULT_CHUNK + 1} --threads")
+    proc = subprocess.run(
+        [sys.executable, "-c", BOUNDARY_CHILD, "concurrent.futures", *POOL_FREE_FORMS,
+         f"{census} 2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(capsys, *f"{census} 1".split())[1]
+
+
+# Replaces main by a probe that imports numpy and counts this process's threads.
+ENTRY_PROBE = """
+import os
+import formgaps.cli as cli
+
+def probe(argv=None):
+    import numpy
+    return len(os.listdir("/proc/self/task"))
+
+assert "OPENBLAS_NUM_THREADS" not in os.environ  # importing the package sets nothing
+cli.main = probe
+try:
+    cli.entry()
+except SystemExit as done:
+    print(done.code)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="counts threads through /proc/self/task; one CPU starts no pool")
+def test_entry_keeps_blas_at_one_thread():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", ENTRY_PROBE], capture_output=True, text=True,
+                          env={**env, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
 
 
 def test_csv_round_trip_census(capsys):

@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 
@@ -45,13 +48,22 @@ def test_map_ordered_clamps_workers_to_items(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(util, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     assert util.map_ordered(lambda v: v * v, range(3), threads=64) == [0, 1, 4]
     assert util.map_ordered(lambda v: -v, range(10), threads=4) == [-v for v in range(10)]
     assert util.map_ordered(lambda v: v, [5], threads=8) == [5]  # one item: no pool
     assert util.map_ordered(lambda v: v, [], threads=8) == []
     assert util.map_ordered(lambda v: v, range(5), threads=1) == list(range(5))
     assert seen == [3, 4]
+
+
+def test_resolve_threads_defaults_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert util.resolve_threads() == util.resolve_threads(0) == 1
+    assert util.resolve_threads(3) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")  # platforms without an affinity mask
+    assert util.resolve_threads() == 64
 
 
 def test_pair_blocks_enumerates_every_pair_once():
