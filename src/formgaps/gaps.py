@@ -12,15 +12,18 @@ products).
 triangle/square2 pairs.  Write D* = {c^2 + 3 d^2}, a subset of the x^2+xy+y^2
 values.  If a = n0^2 - 3 m0^2 is represented by the norm form, then for every
 s the pair (s^2 + 3 m0^2, s^2 + n0^2) works and the offset is O(sqrt x)
-(exponent 1/2).  Otherwise the parametric family
+(exponent 1/2).  Whether it is represented is decided by a finite scan:
+Nagell's bound on u^2 - D v^2 = N (Introduction to Number Theory, 1951,
+Thms. 108 and 108a), with D = 3 and fundamental unit 2 + sqrt 3, puts a
+solution in every class at m^2 <= |a| / 2.  Otherwise the parametric family
 
     f(v, d) = c^2 + 3 d^2,  f(v, d) + a = (c - 1)^2 + v^2,  c = (v^2 - 3 d^2 - a + 1) / 2
 
-(valid whenever v^2 - 3 d^2 - a is odd, arranged by parity classes l1, l2 for
-v and d) yields a witness just above x as follows.  Let Q be the least d = l2
-(mod 2) with f(0, d) > x and Q* = Q + 2.  Along the slice h(y) = f(y, Q*),
-which decreases on [0, Q*), the crossing h(y) = x happens at y = sqrt(2 w*)
-where, with B = 3 Q*^2 + a - 1 and E = f(0, Q*) - x,
+(valid whenever v^2 - 3 d^2 - a is odd, arranged by taking d even and v = l1
+(mod 2), l1 = 1 - a mod 2) yields a witness just above x as follows.  Let Q
+be the least even d with f(0, d) > x and Q* = Q + 2.  Along the slice
+h(y) = f(y, Q*), which decreases on [0, Q*), the crossing h(y) = x happens at
+y = sqrt(2 w*) where, with B = 3 Q*^2 + a - 1 and E = f(0, Q*) - x,
 
     w* = (B - sqrt(B^2 - 4E)) / 2,      B^2 - 4E = 4 (x - 3 Q*^2).
 
@@ -58,52 +61,59 @@ class GapWitness:
     a: int
     x: int
     n: int
-    offset: int
     branch: str
     params: dict
 
     def __post_init__(self):
-        if self.n <= self.x or self.offset != self.n - self.x:
+        if self.n <= self.x:
             raise InvariantError("witness must lie strictly above x")
 
-
-def _certified(w: GapWitness) -> bool:
-    """True when n and n + a are the form values the branch's params build, by
-    the identities of the module docstring; scan witnesses go through is_member."""
-    n, a, p = w.n, w.a, w.params
-    if "scan" in p:
-        return n + a >= 0 and is_member(TRIANGLE, n) and is_member(SQUARE2, n + a)
-    if w.branch == BRANCH_SQ2_SQ2:
-        s, t, o = p["s"], p["t"], p["odd_shift"]
-        pair = ((s * s + ((o - 1) // 2) ** 2) << t, (s * s + ((o + 1) // 2) ** 2) << t)
-    elif w.branch == BRANCH_REPRESENTABLE:
-        s, (n0, m0) = p["s"], p["norm_rep"]
-        pair = (s * s + 3 * m0 * m0, s * s + n0 * n0)
-    else:
-        v, q = p["vstar"], p["Qstar"]
-        c = (v * v - 3 * q * q - a + 1) // 2
-        pair = (c * c + 3 * q * q, (c - 1) ** 2 + v * v)
-    return (n, n + a) == pair
+    @property
+    def offset(self) -> int:
+        return self.n - self.x
 
 
 def _verify(w: GapWitness) -> GapWitness:
-    if not _certified(w):
-        raise InvariantError(f"witness {w.n} fails its certificate")
+    """w, once n and n + a are the form values the branch's params build by the
+    identities of the module docstring (scan witnesses go through is_member);
+    else InvariantError."""
+    n, a, p = w.n, w.a, w.params
+    if "scan" in p:
+        ok = n + a >= 0 and is_member(TRIANGLE, n) and is_member(SQUARE2, n + a)
+    else:
+        if w.branch == BRANCH_SQ2_SQ2:
+            s, t, o = p["s"], p["t"], p["odd_shift"]
+            pair = ((s * s + ((o - 1) // 2) ** 2) << t, (s * s + ((o + 1) // 2) ** 2) << t)
+        elif w.branch == BRANCH_REPRESENTABLE:
+            s, (n0, m0) = p["s"], p["norm_rep"]
+            pair = (s * s + 3 * m0 * m0, s * s + n0 * n0)
+        else:
+            v, q = p["vstar"], p["Qstar"]
+            c = (v * v - 3 * q * q - a + 1) // 2
+            pair = (c * c + 3 * q * q, (c - 1) ** 2 + v * v)
+        ok = (n, n + a) == pair
+    if not ok:
+        raise InvariantError(f"witness {n} fails its certificate")
     return w
+
+
+def _least_root(y: int, c: int) -> int:
+    """The least s >= 0 with s^2 + c > y."""
+    return math.isqrt(y - c) + 1 if y >= c else 0
 
 
 def represent_norm_form(a: int) -> tuple[int, int] | None:
     """A solution (n, m) of n^2 - 3 m^2 = a, or None.
 
-    Any solution reduces under the automorph (n, m) -> (2n - 3m, -n + 2m) to
-    one with m^2 <= 14 |a|, so scanning that region decides representability;
-    the region is validated against an exhaustive oracle in the test suite.
-    The scan stops after _SCAN_CAP values of m: past it, with no solution
-    found, BudgetError.
+    By Nagell's bound (module docstring) a solution exists iff one has
+    m^2 <= |a| / 2, so scanning m upward over that region decides
+    representability and returns the solution with the least m.  The scan
+    stops after _SCAN_CAP values of m: past it, with no solution found,
+    BudgetError.
     """
     if a == 0:
         return (0, 0)
-    M = math.isqrt(14 * abs(a)) + 1
+    M = math.isqrt(abs(a) // 2) + 1
     for m in range(0, min(M, _SCAN_CAP) + 1):
         t = a + 3 * m * m
         if t < 0:
@@ -120,34 +130,20 @@ def gap_square2_square2(a: int, x: int) -> GapWitness:
     """Least witness of the explicit family for the square2/square2 pair."""
     if a == 0 or x < 1:
         raise ValueError("gap_square2_square2 requires a != 0 and x >= 1")
-    t = 0
-    a_odd = a
-    while a_odd % 2 == 0:
-        a_odd //= 2
-        t += 1
-    scale = 1 << t
-    y = x // scale  # need base witness g > y, then scale * g > x
+    t = (a & -a).bit_length() - 1  # a = 2^t a_odd, for either sign of a
+    a_odd = a >> t
+    y = x >> t  # need base witness g > y, then 2^t g > x
     c_n = (a_odd - 1) // 2  # s^2 + c_n^2 + a_odd = s^2 + (c_n + 1)^2
-    s = math.isqrt(max(y - c_n * c_n, 0))
-    while s * s + c_n * c_n <= y:
-        s += 1
+    s = _least_root(y, c_n * c_n)
     g = s * s + c_n * c_n
-    n = scale * g
-    w = GapWitness(
-        a=a,
-        x=x,
-        n=n,
-        offset=n - x,
-        branch=BRANCH_SQ2_SQ2,
-        params={
-            "s": s,
-            "t": t,
-            "odd_shift": a_odd,
-            "base": g,
-            "sqrt_ratio": (n - x) / math.sqrt(x),
-        },
+    n = g << t
+    return _verify(
+        GapWitness(
+            a=a, x=x, n=n, branch=BRANCH_SQ2_SQ2,
+            params={"s": s, "t": t, "odd_shift": a_odd, "base": g,
+                    "sqrt_ratio": (n - x) / math.sqrt(x)},
+        )
     )
-    return _verify(w)
 
 
 def f_vd(v: int, d: int, a: int) -> int:
@@ -165,29 +161,24 @@ def _f0_times4(d: int, a: int) -> int:
     return (3 * d * d + a - 1) ** 2 + 12 * d * d
 
 
-def _parity_classes(a: int) -> tuple[int, int]:
-    # l1^2 - 3 l2^2 - a must be odd; of the two valid (l1, l2) pairs, take the
-    # one with the even d-grid (matches the f(0, d) scan convention)
-    return (0, 0) if a % 2 else (1, 0)
-
-
 def _generic_state(a: int, x: int) -> dict:
-    l1, l2 = _parity_classes(a)
+    # d runs over even values and v = l1 (mod 2), so v^2 - 3 d^2 - a is odd
+    l1 = 1 - a % 2
     # 4 f(0, d) = (3 d^2 + a + 1)^2 - 4a, so f(0, d) > x iff |3 d^2 + a + 1| > R
-    # = isqrt(4 (x + a)); past d = l2 that first holds once 3 d^2 > R - a - 1
+    # = isqrt(4 (x + a)); past d = 0 that first holds once 3 d^2 > R - a - 1
     R = math.isqrt(4 * (x + a)) if x + a >= 0 else -1
-    d = l2 if abs(3 * l2 * l2 + a + 1) > R else math.isqrt((R - a - 1) // 3) + 1
-    Q = d + (d - l2) % 2
+    d = 0 if abs(a + 1) > R else math.isqrt((R - a - 1) // 3) + 1
+    Q = d + d % 2
     Qstar = Q + 2
     B = 3 * Qstar * Qstar + a - 1
-    return {"l1": l1, "l2": l2, "Q": Q, "Qstar": Qstar, "B": B, "disc4": x - 3 * Qstar * Qstar}
+    return {"l1": l1, "Q": Q, "Qstar": Qstar, "B": B, "disc4": x - 3 * Qstar * Qstar}
 
 
 def _side_conditions_hold(st: dict, a: int) -> bool:
     B, disc4, Qstar = st["B"], st["disc4"], st["Qstar"]
     if disc4 < 0:
         return False
-    if 3 * Qstar * Qstar - a + 1 < 1 or B < 1:
+    if 3 * Qstar * Qstar - a + 1 < 1:
         return False
     if B < Qstar * Qstar:  # h must decrease on [0, Q*)
         return False
@@ -202,10 +193,7 @@ def _scan_forward(a: int, x: int) -> GapWitness:
     n = x + 1
     while n <= x + _SCAN_CAP:
         if n + a >= 0 and is_member(TRIANGLE, n) and is_member(SQUARE2, n + a):
-            return GapWitness(
-                a=a, x=x, n=n, offset=n - x, branch=BRANCH_GENERIC,
-                params={"scan": True},
-            )
+            return GapWitness(a=a, x=x, n=n, branch=BRANCH_GENERIC, params={"scan": True})
         n += 1
     raise InvariantError("forward scan exhausted its cap")  # pragma: no cover
 
@@ -223,14 +211,11 @@ def gap_triangle_square2(a: int, x: int) -> GapWitness:
     rep = represent_norm_form(a)
     if rep is not None:
         n0, m0 = rep
-        base = 3 * m0 * m0
-        s = math.isqrt(max(x - base, 0))
-        while s * s + base <= x:
-            s += 1
-        n = s * s + base
+        s = _least_root(x, 3 * m0 * m0)
+        n = s * s + 3 * m0 * m0
         return _verify(
             GapWitness(
-                a=a, x=x, n=n, offset=n - x, branch=BRANCH_REPRESENTABLE,
+                a=a, x=x, n=n, branch=BRANCH_REPRESENTABLE,
                 params={"s": s, "norm_rep": [n0, m0], "sqrt_ratio": (n - x) / math.sqrt(x)},
             )
         )
@@ -240,21 +225,17 @@ def gap_triangle_square2(a: int, x: int) -> GapWitness:
     l1, Qstar, B, disc4 = st["l1"], st["Qstar"], st["B"], st["disc4"]
     # v must satisfy v^2 < 2 w*, i.e. (B - v^2)^2 > 4 disc4 with B - v^2 > 0, i.e.
     # v^2 <= B - isqrt(4 disc4) - 1; this is exactly f(v, Q*) > x, so the
-    # selected witness (the largest such v = l1 mod 2) clears x by design
+    # selected witness (the largest such v = l1 mod 2) clears x by design.  The
+    # side conditions give B - 9 >= isqrt(4 disc4), so top >= 8 and v >= 1.
     top = B - math.isqrt(4 * disc4) - 1
-    v = math.isqrt(top) if top >= 0 else -1
+    v = math.isqrt(top)
     v -= (v - l1) % 2
-    if v < 0:
-        return _verify(_scan_forward(a, x))
     n = f_vd(v, Qstar, a)
     wstar = (B - 2.0 * math.sqrt(disc4)) / 2.0
     return _verify(
         GapWitness(
-            a=a, x=x, n=n, offset=n - x, branch=BRANCH_GENERIC,
-            params={
-                "l1": l1, "l2": st["l2"], "Qstar": Qstar,
-                "wstar": wstar, "vstar": v,
-            },
+            a=a, x=x, n=n, branch=BRANCH_GENERIC,
+            params={"l1": l1, "l2": 0, "Qstar": Qstar, "wstar": wstar, "vstar": v},
         )
     )
 

@@ -60,8 +60,8 @@ def eta_brute(a: int, q: int) -> int:
     if q > ETA_BRUTE_MAX:
         raise BudgetError(f"eta_brute modulus {q} exceeds {ETA_BRUTE_MAX}")
     counts = _square_counts(q)
-    idx = (a % q - np.arange(q, dtype=np.int64)) % q
-    return int(counts @ counts[idx])
+    # sum over r of counts[r] counts[(a - r) % q]: the reversal rolled by a + 1
+    return int(counts @ np.roll(counts[::-1], (a + 1) % q))
 
 
 def lambda_prime_power(p: int, j: int, a: int) -> Fraction:

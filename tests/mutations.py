@@ -76,7 +76,7 @@ MUTATIONS = [
              "pair = (c * c + 3 * q * q, (c - 1) ** 2 + v * v)",
              "pair = (n, n + a)",
              ("tests/test_gaps.py::test_verify_rejects_forged_witnesses",),
-             "_certified: the GENERIC certificate accepts any n"),
+             "_verify: the GENERIC certificate accepts any n"),
     Mutation("src/formgaps/characters.py",
              "return c if c % 4 == 1 else 4 * c",
              "return c",
@@ -126,10 +126,10 @@ MUTATIONS = [
              ("tests/test_local_densities.py::test_eta_rejects_a_product_outside_its_range",),
              "eta: the range check [0, q^2] is dropped"),
     Mutation("src/formgaps/gaps.py",
-             "return n + a >= 0 and is_member(TRIANGLE, n) and is_member(SQUARE2, n + a)",
-             "return n + a >= 0 and is_member(SQUARE2, n) and is_member(TRIANGLE, n + a)",
+             "ok = n + a >= 0 and is_member(TRIANGLE, n) and is_member(SQUARE2, n + a)",
+             "ok = n + a >= 0 and is_member(SQUARE2, n) and is_member(TRIANGLE, n + a)",
              ("tests/test_gaps.py::test_gap_triangle_small_x_scan_fallback",),
-             "_certified: TRIANGLE and SQUARE2 swapped in the scan certificate"),
+             "_verify: TRIANGLE and SQUARE2 swapped in the scan certificate"),
     Mutation("src/formgaps/characters.py",
              "MODULUS_MAX = 10 ** 5",
              "MODULUS_MAX = 10 ** 30",
@@ -198,6 +198,21 @@ MUTATIONS = [
              "import os\nfrom concurrent.futures import ThreadPoolExecutor\n",
              ("tests/test_cli.py::test_one_chunk_windows_load_no_pool",),
              "util: the pool module is imported at module level again"),
+    Mutation("src/formgaps/gaps.py",
+             "M = math.isqrt(abs(a) // 2) + 1",
+             "M = math.isqrt(abs(a) // 3) + 1",
+             ("tests/test_gaps.py::test_represent_norm_form_reaches_nagells_bound",),
+             "represent_norm_form: the scan stops short of Nagell's bound m^2 <= |a| / 2"),
+    Mutation("src/formgaps/local_densities.py",
+             "np.roll(counts[::-1], (a + 1) % q)",
+             "np.roll(counts[::-1], a % q)",
+             ("tests/test_local_densities.py::test_eta_brute_matches_pair_count_and_eta",),
+             "eta_brute: the reversed counts are rolled by a instead of a + 1"),
+    Mutation("src/formgaps/arith.py",
+             "composite[(-s) % p :: p] = True",
+             "composite[s % p :: p] = True",
+             ("tests/test_arith.py::test_prime_blocks_past_the_cache_match_is_prime",),
+             "prime_blocks: a segment marks from s % p, not from the first multiple of p"),
 ]
 
 SURVIVORS = [

@@ -119,6 +119,21 @@ def test_primes_cache_grows():
     assert int(primes(100)[-1]) == 97
 
 
+def test_prime_blocks_past_the_cache_match_is_prime(monkeypatch):
+    # a small cache and segment, so most of [lo, 2^18] comes from the segmented sieve
+    monkeypatch.setattr(arith, "PRIME_CACHE_MAX", 1 << 12)
+    monkeypatch.setattr(arith, "PRIME_SEGMENT", 1 << 10)
+    monkeypatch.setattr(arith, "_prime_cache", (0, None))
+    hi = 1 << 18
+    expected = [n for n in range(hi + 1) if is_prime(n)]
+    for lo in (0, 2, 3, 1000, 4096, 4097, 4098, 5001, 77777, 200000, hi):
+        blocks = list(arith.prime_blocks(lo, hi))
+        assert all(b.dtype == np.int64 for b in blocks)
+        got = [int(p) for b in blocks for p in b]
+        assert got == [p for p in expected if p >= lo], lo
+        assert lo > hi - (1 << 10) or len(blocks) > 1
+
+
 def test_primes_cache_under_threads(monkeypatch):
     # four threads grow an empty cache at once; every later call in every
     # thread must still see all primes up to its limit

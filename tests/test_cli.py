@@ -455,7 +455,7 @@ EPS = st.sampled_from([1e-3, 1e-2, 0, -1])
 # (form, its flags and their values); triangle_star members stay below 1e12,
 # enumeration stays small or passes its cap, brute counts, correlations and
 # gap shifts stay small (the
-# norm-form scan of gap runs over m <= sqrt(14 |a|)), verify runs no check
+# norm-form scan of gap runs over m <= sqrt(|a| / 2)), verify runs no check
 SWEEP = [
     ("repr", {"--fn": st.sampled_from(["r2", "R2", "ideal", "r3"]), "--n": ANY,
               "--disc": st.sampled_from([-3, -4, 5, 12, 0])}),

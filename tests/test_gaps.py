@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -73,6 +74,44 @@ def test_represent_norm_form_against_exhaustive_oracle():
             (t := a + 3 * m * m) >= 0 and math.isqrt(t) ** 2 == t for m in range(M + 1)
         )
         assert (mine is not None) == oracle, a
+
+
+def test_represent_norm_form_matches_the_wider_scan():
+    # the scan over m^2 <= 14 |a| that Nagell's m^2 <= |a| / 2 replaced: same
+    # first solution, since both run m upward
+    for a in range(-5000, 5001):
+        if a == 0:
+            continue
+        wide = next(((math.isqrt(t), m) for m in range(math.isqrt(14 * abs(a)) + 2)
+                     if (t := a + 3 * m * m) >= 0 and math.isqrt(t) ** 2 == t), None)
+        assert represent_norm_form(a) == wide, a
+
+
+def test_represent_norm_form_reaches_nagells_bound():
+    # -2 k^2 = k^2 - 3 k^2 has its least solution at m^2 = |a| / 2 exactly
+    for k in range(1, 11):
+        assert represent_norm_form(-2 * k * k) == (k, k)
+
+
+def test_non_representable_shift_past_the_old_scan_cap(capsys):
+    # the m^2 <= 14 |a| scan needed m up to 10583006 > _SCAN_CAP here
+    a = 8 * 10 ** 12
+    assert represent_norm_form(a) is None
+    assert main(["gap", "--pair", "tri", "--a", str(a), "--x", "511"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["branch"] == BRANCH_GENERIC and data["n"] == 513
+
+
+def test_least_root_matches_its_scan():
+    for r in range(40):
+        for y in (r * r - 1, r * r, r * r + 1):
+            for c in (0, 1, 5, y - 1, y, y + 1, y + 7):
+                if y < 0 or c < 0:
+                    continue
+                s = 0
+                while s * s + c <= y:
+                    s += 1
+                assert gaps._least_root(y, c) == s, (y, c)
 
 
 def test_represent_norm_form_scan_is_capped(monkeypatch, capsys):
@@ -190,9 +229,8 @@ def test_offsets_track_the_exponent():
 
 def test_gap_witness_invariant():
     with pytest.raises(InvariantError):
-        GapWitness(a=1, x=10, n=10, offset=0, branch=BRANCH_SQ2_SQ2, params={})
-    with pytest.raises(InvariantError):
-        GapWitness(a=1, x=10, n=12, offset=1, branch=BRANCH_SQ2_SQ2, params={})
+        GapWitness(a=1, x=10, n=10, branch=BRANCH_SQ2_SQ2, params={})
+    assert GapWitness(a=1, x=10, n=12, branch=BRANCH_SQ2_SQ2, params={}).offset == 2
 
 
 def test_input_validation():
@@ -261,7 +299,7 @@ def test_verify_rejects_forged_witnesses():
     x = 10 ** 30
     for w in (gap_square2_square2(-12, x), gap_triangle_square2(13, x), gap_triangle_square2(2, x)):
         assert gaps._verify(w) is w
-        forged = dataclasses.replace(w, n=w.n + 1, offset=w.offset + 1)
+        forged = dataclasses.replace(w, n=w.n + 1)
         with pytest.raises(InvariantError):
             gaps._verify(forged)
         bumped = {k: v + 1 if k in ("s", "vstar") else v for k, v in w.params.items()}
@@ -276,7 +314,7 @@ def test_generic_state_and_vstar_match_their_scans():
             continue
         for x in (1, 2, 50, 999, 10 ** 4 + 3, 10 ** 6, 10 ** 8 + 1):
             st_ = _generic_state(a, x)
-            d = st_["l2"]
+            d = 0
             while _f0_times4(d, a) <= 4 * x:
                 d += 2
             assert st_["Q"] == d, (a, x)

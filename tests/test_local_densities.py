@@ -46,6 +46,18 @@ def test_eta_brute_examples():
     assert eta_brute(0, 2) == 2
 
 
+def test_eta_brute_matches_pair_count_and_eta():
+    # shifts below 0 and beyond q; a plain double loop where q is small
+    for q in (1, 2, 8, 3 ** 7, 5 ** 5):
+        for a in (0, 1, 2, 3, -1, -5, q - 1, q, q + 3, -q - 2, 7 * q + 5):
+            got = eta_brute(a, q)
+            if q <= 8:
+                pairs = sum((x * x + y * y - a) % q == 0
+                            for x in range(1, q + 1) for y in range(1, q + 1))
+                assert got == pairs, (a, q)
+            assert got == eta(a, q), (a, q)
+
+
 def test_eta_brute_budget():
     with pytest.raises(BudgetError):
         eta_brute(1, (1 << 23) + 1)
