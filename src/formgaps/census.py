@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from . import _np as np
 from .characters import F, DirichletCharacter, F_window, chi4
-from .repr_sets import SetId, member_character
+from .repr_sets import SetId, is_member, member_character
 from .util import chunk_ranges, map_ordered
 
 WITNESS_CAP_DEFAULT = 10_000
@@ -136,8 +136,8 @@ def census_interval(
         raise ValueError("census_interval requires x >= 0 and H >= 0")
     psi1, psi2 = member_character(set1), member_character(set2)
 
-    def member(s, psi, n):  # n >= 0; 0 lies in every set but a diamond
-        return F(psi, n) > 0 if n else s.tag != "diamond"
+    def member(s, psi, n):  # n >= 0
+        return F(psi, n) > 0 if n else is_member(s, 0)
 
     # n or n + a is 0 only at the first candidate lo_eff, where F_window does
     # not reach; F decides that point and the windows start after it

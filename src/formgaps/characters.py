@@ -11,14 +11,15 @@ moduli are small (3, 4, 5, 6, 12, |D| <= MODULUS_MAX).  psi is completely
 multiplicative and periodic; it is extended to the reals by psi(w) = 0 for
 non-integer w, which is what the square-root shortcut for F relies on.  F
 itself is multiplicative, with per-prime geometric sums sum_{i <= e} psi(p)^i at
-p^e || n: e + 1, the parity of e, or 1 for psi(p) = 1, -1, 0.
+p^e || n: e + 1, the parity of e, or 1 for psi(p) = 1, -1, 0 (`_local_factor`).
 
 F_window evaluates F on a window by exactly that product, as a segmented
 sieve over the primes up to sqrt(hi): each prime multiplies its local factor
 into the window and its p-part into the smooth part of each n; n over its
 smooth part is 1 or the one prime q > sqrt(hi), which contributes 1 + psi(q).
-F evaluates a single n the same way from its factorization; the divisor sum
-itself is kept only in the tests, as an independent oracle.
+`_strided_prime` takes the local factor as a function of e, so
+local_densities.eta_table sieves through it too.  F evaluates a single n from
+its factorization; the divisor sum is kept only in the tests, as an oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from . import _np as np
 from .arith import MAX_INPUT, divisors, factorize, prime_blocks
@@ -192,20 +193,16 @@ def make_character(spec: str) -> DirichletCharacter:
     raise ValueError(f"unknown character spec: {spec!r}")
 
 
+def _local_factor(v: int, e: int) -> int:
+    """sum_{i <= e} v^i for v = psi(p) in {1, -1, 0}: e + 1, the parity of e, or 1."""
+    return e + 1 if v == 1 else 1 - e % 2 if v == -1 else 1
+
+
 def F(psi: DirichletCharacter, n: int):
     """F_psi(n) = sum of psi over the divisors of n, evaluated multiplicatively."""
     if n < 1:
         raise ValueError("F requires n >= 1")
-    total = 1
-    for p, e in factorize(n).factors:
-        v = psi(p)
-        if v == 0:
-            continue
-        s = e + 1 if v == 1 else 1 - e % 2
-        if s == 0:
-            return 0
-        total = total * s
-    return total
+    return math.prod(_local_factor(psi(p), e) for p, e in factorize(n).factors)
 
 
 def sqrt_trick_F(psi: DirichletCharacter, n: int):
@@ -225,13 +222,13 @@ def sqrt_trick_F(psi: DirichletCharacter, n: int):
     return 2 * total + (psi(r) if r * r == n else 0)
 
 
-def _strided_prime(f, smooth, lo: int, hi: int, p: int, v) -> None:
+def _strided_prime(f, smooth, lo: int, hi: int, p: int, local) -> None:
     """Strided passes of the prime p over the window [lo, hi].
 
-    smooth takes the p-part of each n, and f the local factor sum_{i <= e} v^i,
-    v = psi(p), where e is the exponent of p in n.  f on the multiples of p^2
-    is saved before p's factor goes in, so each level j rewrites its multiples
-    of p^j from the saved values even where a lower level's factor is 0.
+    smooth takes the p-part of each n, and f the factor local(e) of p^e || n;
+    local None means every factor is 1.  f on the multiples of p^2 is saved
+    before p's factor goes in, so each level j rewrites its multiples of p^j
+    from the saved values even where a lower level's factor is 0.
     """
     width = f.size
     first = (-lo) % p
@@ -246,16 +243,14 @@ def _strided_prime(f, smooth, lo: int, hi: int, p: int, v) -> None:
     smooth[first::p] *= p
     for offset, pj in levels:
         smooth[offset::pj] *= p
-    if v == 0:
+    if local is None:
         return
     if levels:
         o2, p2 = levels[0]
         saved = f[o2::p2].copy()
-    g = 1 + v
-    f[first::p] *= g
-    for offset, pj in levels:
-        g = 1 + v * g
-        f[offset::pj] = saved[(offset - o2) // p2 :: pj // p2] * g
+    f[first::p] *= local(1)
+    for e, (offset, pj) in enumerate(levels, 2):
+        f[offset::pj] = saved[(offset - o2) // p2 :: pj // p2] * local(e)
 
 
 def F_window(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
@@ -299,8 +294,10 @@ def _sieve_segment(f: np.ndarray, table: np.ndarray, lo: int, hi: int) -> None:
     blocks = prime_blocks(2, B)
     cached = next(blocks, np.empty(0, dtype=np.int64))  # holds every prime <= p_dense
     split = int(np.searchsorted(cached, p_dense, side="right"))
+    values = table.tolist()
+    local = {v: partial(_local_factor, v) for v in (1, -1)}  # psi(p) = 0 leaves f as it is
     for p in cached[:split].tolist():
-        _strided_prime(f, smooth, lo, hi, p, table[p % k])
+        _strided_prime(f, smooth, lo, hi, p, local.get(values[p % k]))
 
     def multiples(p):
         return (lo - 1) // p + 1, hi // p

@@ -15,7 +15,8 @@ s the pair (s^2 + 3 m0^2, s^2 + n0^2) works and the offset is O(sqrt x)
 (exponent 1/2).  Whether it is represented is decided by a finite scan:
 Nagell's bound on u^2 - D v^2 = N (Introduction to Number Theory, 1951,
 Thms. 108 and 108a), with D = 3 and fundamental unit 2 + sqrt 3, puts a
-solution in every class at m^2 <= |a| / 2.  Otherwise the parametric family
+solution in every class at m^2 <= a / 6 when a > 0 and at m^2 <= |a| / 2 when
+a < 0.  Otherwise the parametric family
 
     f(v, d) = c^2 + 3 d^2,  f(v, d) + a = (c - 1)^2 + v^2,  c = (v^2 - 3 d^2 - a + 1) / 2
 
@@ -105,15 +106,16 @@ def _least_root(y: int, c: int) -> int:
 def represent_norm_form(a: int) -> tuple[int, int] | None:
     """A solution (n, m) of n^2 - 3 m^2 = a, or None.
 
-    By Nagell's bound (module docstring) a solution exists iff one has
-    m^2 <= |a| / 2, so scanning m upward over that region decides
-    representability and returns the solution with the least m.  The scan
-    stops after _SCAN_CAP values of m: past it, with no solution found,
-    BudgetError.
+    n^2 - 3 m^2 is n^2 mod 3 and n^2 + m^2 mod 4, so a = 2 (mod 3) and
+    a = 3 (mod 4) are None at once.  By Nagell's bound (module docstring) a
+    solution exists iff one has m^2 <= a / 6 (a > 0) or m^2 <= |a| / 2 (a < 0),
+    so scanning m upward over that region decides representability and
+    returns the solution with the least m.  The scan stops after _SCAN_CAP
+    values of m: past it, with no solution found, BudgetError.
     """
-    if a == 0:
-        return (0, 0)
-    M = math.isqrt(abs(a) // 2) + 1
+    if a % 3 == 2 or a % 4 == 3:
+        return None
+    M = math.isqrt(a // 6 if a > 0 else -a // 2) + 1
     for m in range(0, min(M, _SCAN_CAP) + 1):
         t = a + 3 * m * m
         if t < 0:
@@ -189,12 +191,12 @@ def _side_conditions_hold(st: dict, a: int) -> bool:
 
 
 def _scan_forward(a: int, x: int) -> GapWitness:
-    # guaranteed-correct fallback for small x: first member above x
-    n = x + 1
-    while n <= x + _SCAN_CAP:
-        if n + a >= 0 and is_member(TRIANGLE, n) and is_member(SQUARE2, n + a):
+    # guaranteed-correct fallback for small x: first member above x, and at or
+    # above -a, where n + a >= 0 starts
+    lo = max(x + 1, -a)
+    for n in range(lo, lo + _SCAN_CAP):
+        if is_member(TRIANGLE, n) and is_member(SQUARE2, n + a):
             return GapWitness(a=a, x=x, n=n, branch=BRANCH_GENERIC, params={"scan": True})
-        n += 1
     raise InvariantError("forward scan exhausted its cap")  # pragma: no cover
 
 

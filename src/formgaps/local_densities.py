@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import _np as np
 from .arith import factorize, is_prime, nu, primes
-from .characters import chi4
+from .characters import _strided_prime, chi4
 from .errors import BudgetError, InvariantError
 from .util import chunk_ranges
 
@@ -126,12 +126,12 @@ def lambda_bar(a: int, n: int) -> Fraction:
 def eta_table(a: int, n_max: int) -> np.ndarray:
     """eta_a(n) for n = 0..n_max (entry 0 unused), as a multiplicative sieve.
 
-    Strided passes over the primes p <= isqrt(n_max), and over the prime
-    factors of a up to n_max, write eta_a(p^e) times the factors of smaller
-    primes at every n with p^e || n, and collect the smooth part of n.  What
-    is left of n is 1 or one prime q that does not divide a (a != 0), where
-    eta_a(q) = q - chi4(q), or q + chi4(q) (q - 1) when a = 0.  Treat the
-    result as read-only: it is cached.
+    The primes p <= isqrt(n_max), and the prime factors of a up to n_max, go
+    through characters._strided_prime with the factor eta_a(p^e) at p^e || n,
+    which also collects the smooth part of n.  What is left of n is 1 or one
+    prime q that does not divide a (a != 0), where eta_a(q) = q - chi4(q), or
+    q + chi4(q) (q - 1) when a = 0.  Treat the result as read-only: it is
+    cached.
     """
     out = np.ones(n_max + 1, dtype=np.int64)
     out[0] = 0
@@ -141,14 +141,7 @@ def eta_table(a: int, n_max: int) -> np.ndarray:
     if a:
         ps += [p for p, _ in factorize(abs(a)).factors if root < p <= n_max]
     for p in ps:
-        below = out[p::p].copy()  # the factors of the smaller primes, at n = p, 2p, ...
-        pe, e = p, 1
-        while pe <= n_max:
-            step = pe // p
-            out[pe::pe] = below[step - 1 :: step] * _eta_prime_power(a, p, e)
-            smooth[pe::pe] *= p
-            pe *= p
-            e += 1
+        _strided_prime(out[1:], smooth[1:], 1, n_max, p, partial(_eta_prime_power, a, p))
     q = np.arange(n_max + 1, dtype=np.int64) // smooth
     chi = (q % 4 == 1).astype(np.int64) - (q % 4 == 3)
     out *= np.where(q > 1, q - chi, 1) if a else q + chi * (q - 1)

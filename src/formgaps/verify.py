@@ -17,7 +17,7 @@ from . import analytic_constants as ac
 from . import arith, census, characters, gaps, local_densities as ld, repr_sets as rs
 from .errors import BudgetError
 
-BUDGET_MAX = 5.0  # `verify --suite all` runs 68 s at this scale on a 2-vCPU host
+BUDGET_MAX = 5.0  # `verify --suite all` runs about 40 s at this scale on a 2-vCPU host
 
 
 @dataclass(frozen=True)

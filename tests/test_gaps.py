@@ -91,6 +91,20 @@ def test_represent_norm_form_reaches_nagells_bound():
     # -2 k^2 = k^2 - 3 k^2 has its least solution at m^2 = |a| / 2 exactly
     for k in range(1, 11):
         assert represent_norm_form(-2 * k * k) == (k, k)
+    # 6 k^2 = (3k)^2 - 3 k^2 has it at m^2 = a / 6 exactly when k = 2^i 3^j, so
+    # that only the ramified primes 2 and 3 divide a
+    for k in (2 ** i * 3 ** j for i in range(8) for j in range(5)):
+        assert represent_norm_form(6 * k * k) == (3 * k, k), k
+
+
+def test_congruences_decide_shifts_past_the_scan_cap(capsys):
+    # n^2 - 3 m^2 is 0 or 1 mod 3 and 0, 1 or 2 mod 4; a scan to Nagell's bound
+    # would pass _SCAN_CAP for each of these
+    for a in (10 ** 18 + 1, -(10 ** 18) - 1, 2 ** 70 + 3):
+        assert represent_norm_form(a) is None, a
+    assert main(["gap", "--pair", "tri", "--a", str(10 ** 18 + 1), "--x", "511"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["branch"] == BRANCH_GENERIC and data["n"] == 543
 
 
 def test_non_representable_shift_past_the_old_scan_cap(capsys):
@@ -199,6 +213,11 @@ def test_gap_triangle_small_x_scan_fallback():
             w = gap_triangle_square2(a, x)
             assert w.n > x
             assert is_member(TRIANGLE, w.n) and is_member(SQUARE2, w.n + a)
+    # no n below -a has n + a >= 0, so past x the scan starts at -a
+    for a in (-438978909115, -(10 ** 18) - 1):
+        w = gap_triangle_square2(a, 511)
+        assert w.params == {"scan": True} and w.n >= -a
+        assert is_member(TRIANGLE, w.n) and is_member(SQUARE2, w.n + a)
 
 
 def test_gap_batch_reverification():
