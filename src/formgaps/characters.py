@@ -13,18 +13,14 @@ non-integer w, which is what the square-root shortcut for F relies on.  F
 itself is multiplicative, with per-prime geometric sums sum_{i <= e} psi(p)^i at
 p^e || n: e + 1, the parity of e, or 1 for psi(p) = 1, -1, 0 (`_local_factor`).
 
-F_window evaluates F on a window by exactly that product, as a segmented
-sieve over the primes up to sqrt(hi): each prime multiplies its local factor
-into the window and its p-part into the smooth part of each n; n over its
-smooth part is 1 or the one prime q > sqrt(hi), which contributes 1 + psi(q).
-`_strided_prime` takes the local factor as a function of e, so
-local_densities.eta_table sieves through it too.  F evaluates a single n from
-its factorization; the divisor sum is kept only in the tests, as an oracle.
+F_window sieves F on a window by exactly that product, one walk over the
+primes up to sqrt(hi); `_strided_prime` takes the local factor as a function
+of e, so local_densities.eta_table sieves through it too.  F evaluates a single
+n from its factorization; the divisor sum is kept only in the tests, as an oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -32,11 +28,13 @@ from functools import cached_property, lru_cache, partial
 from . import _np as np
 from .arith import MAX_INPUT, divisors, factorize, prime_blocks
 from .errors import BudgetError
-from .util import chunk_ranges, pair_blocks
+from .util import chunk_ranges
 
 F_SIEVE_MAX = 150_000_000  # materialized-array guard; windows go further
 
 DENSE_HITS = 128  # primes with at least this many multiples in a window take strided passes
+
+PAIR_BLOCK = 1 << 16  # most (prime, multiple) pairs in a sparse run: bounds memory, amortizes numpy calls
 
 SEGMENT = 1 << 18  # F_window sieves this many integers at a time
 
@@ -254,21 +252,20 @@ def _strided_prime(f, smooth, lo: int, hi: int, p: int, local) -> None:
 
 
 def F_window(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
-    """F_psi on the closed window [lo, hi] (lo >= 1), as an array.
+    """F_psi on the closed window [lo, hi] (lo >= 1), as an int32 array.
 
     A segmented multiplicative sieve: F_psi(n) is the product over p^e || n of
     sum_{i <= e} psi(p)^i.  The window is sieved SEGMENT integers at a time, so
-    the strided passes stay in cache.  In each segment every prime p <= B =
-    isqrt(hi) puts its local factor into the output and its p-part into the
-    B-smooth part of each n; what is left of n is 1 or one prime q > B, whose
-    factor is 1 + psi(q).  Primes with at least DENSE_HITS multiples in the
-    segment take strided passes; all other primes up to B go through
-    util.pair_blocks, PAIR_BLOCK (prime, multiple) pairs at a time, with
-    unbuffered products since two primes can divide one n.  Primes come from
-    arith.prime_blocks, so memory is O(width + SEGMENT + PAIR_BLOCK) plus the
-    bounded prime cache for any hi <= MAX_INPUT (BudgetError above).  The
-    values are int32 (|F_psi(n)| <= tau(n) < 2^31 for n < 2^63; widen before
-    multiplying two windows).
+    the strided passes stay in cache.  Each segment walks the primes p <= B =
+    isqrt(hi) of arith.prime_blocks once, and each puts its local factor into
+    the output and its p-part into the B-smooth part of n: a prime with at
+    least DENSE_HITS multiples in the segment by strided passes, every later
+    one in a run of primes with at most PAIR_BLOCK (prime, multiple) pairs,
+    multiplied in unbuffered since two primes can divide one n.  What is left
+    of n is 1 or one prime q > B, whose factor is 1 + psi(q).  Memory is
+    O(width + SEGMENT + PAIR_BLOCK) plus the bounded prime cache for any
+    hi <= MAX_INPUT (BudgetError above).  |F_psi(n)| <= tau(n) < 2^31 for
+    n < 2^63; widen before multiplying two windows.
     """
     if lo < 1 or hi < lo:
         raise ValueError("window must satisfy 1 <= lo <= hi")
@@ -287,35 +284,41 @@ def _sieve_segment(f: np.ndarray, table: np.ndarray, lo: int, hi: int) -> None:
     k = table.size
     width = hi - lo + 1
     B = math.isqrt(hi)
-    p_dense = min(B, width // DENSE_HITS)
     part_dtype = np.int32 if hi < 1 << 31 else np.int64  # smooth parts are <= hi
     f[:] = 1
     smooth = np.ones(width, dtype=part_dtype)
-    blocks = prime_blocks(2, B)
-    cached = next(blocks, np.empty(0, dtype=np.int64))  # holds every prime <= p_dense
-    split = int(np.searchsorted(cached, p_dense, side="right"))
     values = table.tolist()
-    local = {v: partial(_local_factor, v) for v in (1, -1)}  # psi(p) = 0 leaves f as it is
-    for p in cached[:split].tolist():
-        _strided_prime(f, smooth, lo, hi, p, local.get(values[p % k]))
-
-    def multiples(p):
-        return (lo - 1) // p + 1, hi // p
-
-    for p, m in pair_blocks(itertools.chain([cached[split:]], blocks), multiples):
-        pos = p * m - lo
-        v = table[p % k]
-        local = 1 + v  # sum_{i <= e} v^i, e the exponent of p in n = p * m
-        part = p.copy()
-        live = np.flatnonzero(m % p == 0)
-        while live.size:
-            m[live] //= p[live]
-            part[live] *= p[live]
-            local[live] = 1 + v[live] * local[live]
-            live = live[m[live] % p[live] == 0]
-        np.multiply.at(smooth, pos, part.astype(part_dtype))
-        hit = np.flatnonzero(local != 1)
-        np.multiply.at(f, pos[hit], local[hit])
+    rules = {v: partial(_local_factor, v) for v in (1, -1)}  # psi(p) = 0 leaves f as it is
+    for block in prime_blocks(2, B):
+        i = 0
+        while i < block.size:
+            p0 = block.item(i)
+            span = width // p0 + 1  # the most multiples a prime >= p0 has in the segment
+            if span > DENSE_HITS:
+                _strided_prime(f, smooth, lo, hi, p0, rules.get(values[p0 % k]))
+                i += 1
+                continue
+            run = block[i : i + max(1, PAIR_BLOCK // span)]
+            i += run.size
+            below = (lo - 1) // run
+            count = hi // run - below
+            keep = np.flatnonzero(count != 0)
+            run, below, count = run[keep], below[keep], count[keep]
+            p = np.repeat(run, count)
+            m = np.repeat(below + 1 - (np.cumsum(count) - count), count) + np.arange(p.size)
+            pos = p * m - lo
+            v = table[p % k]
+            local = 1 + v  # sum_{i <= e} v^i, e the exponent of p in n = p * m
+            part = p.copy()
+            live = np.flatnonzero(m % p == 0)
+            while live.size:
+                m[live] //= p[live]
+                part[live] *= p[live]
+                local[live] = 1 + v[live] * local[live]
+                live = live[m[live] % p[live] == 0]
+            np.multiply.at(smooth, pos, part.astype(part_dtype))
+            hit = np.flatnonzero(local != 1)
+            np.multiply.at(f, pos[hit], local[hit])
     q = np.arange(lo, hi + 1, dtype=part_dtype)
     q //= smooth  # 1, or the one prime q > B left of n
     psi_q = np.take(table, q - q // k * k)  # q % k; numpy's integer % is slower here

@@ -52,6 +52,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _eps(text: str) -> float:
+    """The --eps type: a float, inf included, but not NaN, which no bound meets."""
+    try:
+        eps = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if math.isnan(eps):
+        raise argparse.ArgumentTypeError(f"eps must be a number, got {text!r}")
+    return eps
+
+
 def _cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -110,7 +121,7 @@ def _build_parser() -> _Parser:
     s = add("beta", "series coefficient beta(psi, a)", _run_beta)
     s.add_argument("--psi", required=True, help=PSI_HELP)
     s.add_argument("--a", type=int, required=True)
-    s.add_argument("--eps", type=float, default=1e-6, help=EPS_HELP)
+    s.add_argument("--eps", type=_eps, default=1e-6, help=EPS_HELP)
 
     s = add("etastar", "eta*(psi, a), an exact multiple of pi", _run_etastar)
     s.add_argument("--psi", required=True, help=PSI_HELP)
@@ -119,13 +130,13 @@ def _build_parser() -> _Parser:
     s = add("mainterm", "main-term coefficient beta * eta*", _run_mainterm)
     s.add_argument("--psi", required=True, help=PSI_HELP)
     s.add_argument("--a", type=int, required=True)
-    s.add_argument("--eps", type=float, default=1e-6, help=EPS_HELP)
+    s.add_argument("--eps", type=_eps, default=1e-6, help=EPS_HELP)
 
     s = add("muller", "main-term coefficient for primitive pairs", _run_muller)
     s.add_argument("--psi", required=True, help=PSI_HELP)
     s.add_argument("--rho", required=True, help=PSI_HELP)
     s.add_argument("--a", type=int, required=True)
-    s.add_argument("--eps", type=float, default=1e-8, help=EPS_HELP)
+    s.add_argument("--eps", type=_eps, default=1e-8, help=EPS_HELP)
 
     s = add("correlate", "exact shifted correlation sums", _run_correlate)
     s.add_argument("--kind", choices=("j", "general", "estermann"), default="j")
@@ -133,7 +144,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--rho", default="chi4", help=PSI_HELP)
     s.add_argument("--a", type=int, required=True)
     s.add_argument("--x", type=int, required=True, help=f"n runs up to x; {WINDOW_HELP}")
-    s.add_argument("--eps", type=float, default=1e-8, help=EPS_HELP)
+    s.add_argument("--eps", type=_eps, default=1e-8, help=EPS_HELP)
 
     s = add("census", "interval census of a shifted pair set", _run_census)
     s.add_argument("--set1", required=True, help=SET_HELP)

@@ -13,12 +13,9 @@ from __future__ import annotations
 
 import os
 
-from . import _np as np
 from .errors import BudgetError
 
 DEFAULT_CHUNK = 1 << 22
-
-PAIR_BLOCK = 1 << 16
 
 WINDOW_MAX = 10 ** 9  # integers in one window, whatever its height
 
@@ -57,29 +54,3 @@ def map_ordered(fn, items, threads: int = 1) -> list:
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
-
-
-def pair_blocks(keys, bounds):
-    """Every pair (t, m) with t a key and first <= m <= last, where (first,
-    last) = bounds(t) for an int64 array of keys t, as int64 arrays (t, m) of
-    at most PAIR_BLOCK pairs in key order.  keys is an iterable of increasing
-    int64 arrays; they are taken PAIR_BLOCK keys at a time, so no temporary
-    grows with the key count or the pair count.
-    """
-    for block in keys:
-        for k0 in range(0, block.size, PAIR_BLOCK):
-            t = block[k0 : k0 + PAIR_BLOCK]
-            first, last = bounds(t)
-            keep = np.flatnonzero(last >= first)
-            t, first = t[keep], first[keep]
-            counts = last[keep] - first + 1
-            ends = np.cumsum(counts)
-            starts = ends - counts
-            total = int(ends[-1]) if ends.size else 0
-            for s in range(0, total, PAIR_BLOCK):
-                e = min(s + PAIR_BLOCK, total)
-                i0 = int(np.searchsorted(ends, s, side="right"))
-                i1 = int(np.searchsorted(ends, e - 1, side="right")) + 1
-                per_key = np.minimum(ends[i0:i1], e) - np.maximum(starts[i0:i1], s)
-                idx = np.repeat(np.arange(i0, i1), per_key)
-                yield t[idx], first[idx] + (np.arange(s, e) - starts[idx])

@@ -62,6 +62,18 @@ MUTATIONS = [
              "f[offset::pj] = f[offset::pj] * local(e)",
              ("tests/test_characters.py::test_F_sieve_matches_per_n",),
              "_strided_prime: level j rewrites from the live values, not the saved ones"),
+    Mutation("src/formgaps/characters.py",
+             "count = hi // run - below\n",
+             "count = hi // run - below - 1\n",
+             ("tests/test_characters.py::test_F_sieve_row",
+              "tests/test_characters.py::test_F_window_sparse_runs[1000000000000-1000]"),
+             "_sieve_segment: a sparse run drops each prime's last multiple"),
+    Mutation("src/formgaps/characters.py",
+             "                part[live] *= p[live]\n",
+             "",
+             ("tests/test_characters.py::test_F_sieve_row",
+              "tests/test_characters.py::test_F_window_sparse_runs[1000000000000-1000]"),
+             "_sieve_segment: a sparse prime puts p, not p^e, into the smooth part of n"),
     Mutation("src/formgaps/local_densities.py",
              "Fraction(1 if j <= v + 1 else",
              "Fraction(1 if j <= v else",

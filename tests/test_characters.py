@@ -355,6 +355,23 @@ def test_F_window_matches_multiplicative_F(lo):
                 assert w[n - lo] == F(psi, n), (psi.name, n)
 
 
+@pytest.mark.parametrize("lo,width", [(10 ** 9, 1 << 14), (10 ** 9, 1 << 18), (10 ** 12, 1000)])
+def test_F_window_sparse_runs(monkeypatch, lo, width):
+    # a sparse prime has 0 to DENSE_HITS - 1 = 127 multiples in the window; 256
+    # pairs per run cuts them into many runs, and 100 puts each prime with more
+    # than 99 multiples in a run of its own
+    hi = lo + width - 1
+    ps = primes(math.isqrt(hi))
+    sparse = ps[width // ps < characters.DENSE_HITS]
+    assert np.any(hi // sparse ** 2 * sparse ** 2 >= lo)  # some n with p^2 | n, p sparse
+    chars = (chi3(), chi4(), kronecker_character(5))
+    refs = _F_reference(chars, lo, hi)
+    for pair_block in (256, 100):
+        monkeypatch.setattr(characters, "PAIR_BLOCK", pair_block)
+        for psi, ref in zip(chars, refs):
+            assert np.array_equal(F_window(psi, lo, hi), ref), (psi.name, pair_block)
+
+
 @pytest.mark.parametrize(
     "psi,lo,hi",
     [

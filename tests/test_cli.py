@@ -151,6 +151,16 @@ def test_exact_main_terms_meet_any_eps(capsys):
         assert code == 2 and err.startswith("budget exceeded:"), eps
 
 
+def test_nan_eps_is_a_usage_error(capsys):
+    # no bound meets eps = nan, so it is a malformed flag, not a budget to exceed
+    for argv in (("beta", "--psi", "chi4"), ("mainterm", "--psi", "chi4"),
+                 ("muller", "--psi", "chi4", "--rho", "chi4"), ("correlate", "--x", "10")):
+        code, out, err = run(capsys, *argv, "--a", "5", "--eps", "nan")
+        assert (code, out) == (1, "") and err.startswith("usage error:"), argv
+    code, out, _ = run(capsys, "beta", "--psi", "chi4", "--a", "5", "--eps", "inf")
+    assert code == 0 and out.splitlines()[1].startswith("chi4,5,0.763943726841098,")
+
+
 def test_correlate(capsys):
     code, out, _ = run(capsys, "correlate", "--kind", "j", "--psi", "chi6", "--a", "1",
                        "--x", "1000", "--eps", "1e-4")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from lattice_oracle import isqrt, triangle_star_window
+from lattice_oracle import triangle_star_window
 
 from formgaps import repr_sets, util
 from formgaps.characters import F_window
@@ -94,13 +94,6 @@ def test_triangle_star_member_input_limit():
     assert is_member(TRIANGLE_STAR, 3 * 10 ** 16 + 4)  # c = 2, d = 1e8
     with pytest.raises(BudgetError):  # an input cap, reported as exit 2
         is_member(TRIANGLE_STAR, 1 << 63)
-
-
-def test_isqrt_exact_near_large_squares():
-    # beyond 2^52 the float estimate of sqrt(n^2 - 1) rounds up to n
-    n = np.array([2 ** 26 + 1, 3 * 10 ** 8 + 7, 2 ** 31 - 1, 3_037_000_000], dtype=np.int64)
-    v = np.concatenate([n * n - 1, n * n, n * n + n, [0, 1, 2, 3, 4]])
-    assert [int(r) for r in isqrt(v)] == [math.isqrt(int(x)) for x in v]
 
 
 def test_sieve_examples():

@@ -1,7 +1,6 @@
 import concurrent.futures
 import os
 
-import numpy as np
 import pytest
 
 from formgaps import util
@@ -64,14 +63,3 @@ def test_resolve_threads_defaults_to_the_cpus_this_process_may_use(monkeypatch):
     assert util.resolve_threads(3) == 3
     monkeypatch.delattr(os, "sched_getaffinity")  # platforms without an affinity mask
     assert util.resolve_threads() == 64
-
-
-def test_pair_blocks_enumerates_every_pair_once():
-    def bounds(t):
-        return t % 3, 8 * t - 5  # key 0 has no pairs; in all, more than one PAIR_BLOCK
-
-    keys = [np.arange(0, 50, dtype=np.int64), np.arange(60, 200, dtype=np.int64)]
-    pairs = [(int(t), int(m)) for ts, ms in util.pair_blocks(keys, bounds) for t, m in zip(ts, ms)]
-    expected = [(t, m) for t in [*range(0, 50), *range(60, 200)]
-                for m in range(t % 3, 8 * t - 4)]
-    assert len(expected) > util.PAIR_BLOCK and pairs == expected
