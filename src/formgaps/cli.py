@@ -12,9 +12,13 @@ deterministic for fixed flags, whatever the thread count.  Each handler
 imports what it calls, so a process loads only its command's modules.
 
 entry is the process entry point (`python -m formgaps` and the console
-script) and owns its process: it keeps numpy's BLAS at one thread before
-main runs.  main leaves the environment alone, so a host program that calls
-it or imports the library keeps its own BLAS settings.
+script) and owns its process: it keeps numpy's BLAS at one thread, turns the
+cyclic garbage collector off before main runs, and ends the process with
+os._exit, skipping interpreter finalization.  That is safe because _write
+flushes stdout itself, inside main, so an unwritable stdout is a usage error
+(exit 1).  main leaves the environment, the collector and the interpreter
+alone, so a host program that calls it or imports the library keeps its own
+settings.
 
 Exit codes: 0 success, 1 usage error, 2 budget guard (integers above 2^63 - 1
 and windows of more than 10^9 integers included), 3 internal invariant failure.
@@ -23,11 +27,10 @@ and windows of more than 10^9 integers included), 3 internal invariant failure.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .errors import BudgetError, InvariantError
@@ -75,6 +78,7 @@ def _render(args, record: dict, header: bool = True, tail=(), extra=None) -> str
     """record in args.format: JSON with the JSON-only fields of extra, or CSV
     with the field names (if header), the row, then the lines of tail."""
     if args.format == "json":
+        import json
         return json.dumps({**record, **(extra or {})}, sort_keys=True)
     lines = [",".join(record)] if header else []
     return "\n".join([*lines, ",".join(map(_cell, record.values())), *tail])
@@ -186,6 +190,8 @@ def _run_member(args):
 
 
 def _run_eta(args):
+    from fractions import Fraction
+
     from .local_densities import eta, eta_brute
     e = (eta_brute if args.brute else eta)(args.a, args.q)
     return _render(args, {"a": args.a, "q": args.q, "eta": e, "lambda": str(Fraction(e, args.q))},
@@ -283,6 +289,8 @@ def _run_census(args):
 
 
 def _run_gap(args):
+    import json
+
     from .gaps import gap_square2_square2, gap_triangle_square2
 
     fn = gap_square2_square2 if args.pair == "sq2" else gap_triangle_square2
@@ -296,6 +304,7 @@ def _run_verify(args):
     results = run_suite(args.suite, budget=args.budget, seed=args.seed)
     failed = sum(not r.ok for r in results)
     if args.format == "json":
+        import json
         text = json.dumps({"suite": args.suite, "failed": failed, "results": [
             {"suite": r.suite, "name": r.name, "ok": r.ok, "checks": r.checks} for r in results
         ]}, sort_keys=True)
@@ -316,6 +325,9 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+        # Inside main's try, so that a full disk or a closed pipe is a usage
+        # error, and so that entry's os._exit drops no output.
+        sys.stdout.flush()
 
 
 def main(argv=None) -> int:
@@ -345,4 +357,21 @@ def entry() -> None:
     # start-up CPU time (its workers spin before they sleep).  Set before
     # main, so before the first `import numpy`.
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    sys.exit(main())
+    # Reference counting frees every array.  The library leaves no cyclic
+    # garbage (tests/test_cli.py checks it), and argparse's parser, built
+    # once, lives to the end; the collector would only walk what imports
+    # leave behind.
+    gc.disable()
+    try:
+        code = main()
+    except SystemExit as done:  # --help and --version print, then exit 0
+        code = done.code
+        try:
+            sys.stdout.flush()
+        except OSError as e:
+            print(f"usage error: {e}", file=sys.stderr)
+            code = 1
+    # main's output is flushed (by _write, or just above), so finalization
+    # would only tear down modules and objects the process is about to drop.
+    sys.stderr.flush()
+    os._exit(code)

@@ -210,6 +210,21 @@ MUTATIONS = [
              "",
              ("tests/test_cli.py::test_entry_keeps_blas_at_one_thread",),
              "entry: numpy's BLAS keeps its thread pool"),
+    Mutation("src/formgaps/cli.py",
+             "    gc.disable()\n",
+             "",
+             ("tests/test_cli.py::test_entry_keeps_blas_at_one_thread",),
+             "entry: the cyclic garbage collector stays on"),
+    Mutation("src/formgaps/cli.py",
+             "os._exit drops no output.\n        sys.stdout.flush()\n",
+             "os._exit drops no output.\n",
+             ("tests/test_cli.py::test_console_entry_point",),
+             "_write: stdout is not flushed, so entry's os._exit drops buffered output"),
+    Mutation("src/formgaps/cli.py",
+             "import gc\nimport math\n",
+             "import gc\nimport json\nimport math\n",
+             ("tests/test_cli.py::test_csv_forms_load_no_json_or_fractions",),
+             "cli: json is imported at module level again"),
     Mutation("src/formgaps/util.py",
              "import os\n",
              "import os\nfrom concurrent.futures import ThreadPoolExecutor\n",

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -8,7 +9,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from formgaps.analytic_constants import main_term, muller_main
+from formgaps.census import census_interval, correlation_J
+from formgaps.characters import make_character
 from formgaps.cli import main
+from formgaps.gaps import gap_triangle_square2
+from formgaps.repr_sets import parse_set
+from formgaps.util import DEFAULT_CHUNK
+from formgaps.verify import run_suite
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -326,13 +334,31 @@ def test_out_file(tmp_path, capsys):
     assert path.read_text() == "25,12\n"
 
 
+def launch(command, stdout=subprocess.PIPE):
+    """`python -m formgaps` in a fresh process with block-buffered stdout, as on
+    a host without PYTHONUNBUFFERED: there, output that no one flushes is lost
+    when entry ends the process."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "formgaps", *command.split()], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env={**env, "PYTHONPATH": str(SRC)})
+
+
+WIDE_CENSUS = "census --set1 square2 --set2 square2 --a 1 --x 1 --len 100000 --witness-cap -1"
+
+
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "formgaps", "repr", "--fn", "r2", "--n", "25"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0 and proc.stdout.strip() == "25,12"
+    proc = launch("repr --fn r2 --n 25")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "25,12\n", "")
+    proc = launch(WIDE_CENSUS)
+    lines = proc.stdout.splitlines()
+    assert (proc.returncode, len(lines), lines[1], lines[-1]) == (
+        0, 5092, "square2,square2,1,1,100000,5090", "W,99985")
+    proc = launch("--version")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0.1.0\n", "")
+    proc = launch("beta --psi chi4 --a 5 --eps nan")
+    assert (proc.returncode, proc.stdout) == (1, "") and proc.stderr.startswith("usage error:")
+    proc = launch("census --set1 diamond:-1000003 --set2 square2 --a 1 --x 1 --len 9")
+    assert (proc.returncode, proc.stdout) == (2, "") and proc.stderr.startswith("budget exceeded:")
 
 
 # Forms that never touch an array: in a fresh interpreter, none of them may
@@ -397,8 +423,6 @@ POOL_FREE_FORMS = [
 
 
 def test_one_chunk_windows_load_no_pool(capsys):
-    from formgaps.util import DEFAULT_CHUNK
-
     census = ("census --set1 square2 --set2 square2 --a 1 --x 1 --witness-cap 0 "
               f"--len {DEFAULT_CHUNK + 1} --threads")
     proc = subprocess.run(
@@ -410,21 +434,21 @@ def test_one_chunk_windows_load_no_pool(capsys):
     assert proc.stdout == run(capsys, *f"{census} 1".split())[1]
 
 
-# Replaces main by a probe that imports numpy and counts this process's threads.
+# Replaces main by a probe that imports numpy, then reports this process's
+# thread count and whether the cyclic collector is on.
 ENTRY_PROBE = """
-import os
+import gc, os
 import formgaps.cli as cli
 
 def probe(argv=None):
     import numpy
-    return len(os.listdir("/proc/self/task"))
+    print(len(os.listdir("/proc/self/task")), gc.isenabled(), flush=True)
+    return 0
 
 assert "OPENBLAS_NUM_THREADS" not in os.environ  # importing the package sets nothing
+assert gc.isenabled()  # nor turns the collector off
 cli.main = probe
-try:
-    cli.entry()
-except SystemExit as done:
-    print(done.code)
+cli.entry()
 """
 
 
@@ -435,7 +459,80 @@ def test_entry_keeps_blas_at_one_thread():
     proc = subprocess.run([sys.executable, "-c", ENTRY_PROBE], capture_output=True, text=True,
                           env={**env, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1\n"
+    assert proc.stdout == "1 False\n"
+
+
+# Short output sits in stdout's buffer until the flush; --version is printed
+# by argparse, which exits; the wide census overflows the buffer while printing.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["repr --fn r2 --n 25", "--version", WIDE_CENSUS])
+def test_unwritable_stdout_is_a_usage_error(command):
+    with open("/dev/full", "w") as full:
+        proc = launch(command, stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage error:") and len(proc.stderr.splitlines()) == 1
+
+
+def test_closed_pipe_is_a_usage_error():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = launch("repr --fn r2 --n 25", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage error:") and len(proc.stderr.splitlines()) == 1
+
+
+# entry runs main with the cyclic collector off, so a cycle the library made
+# would stay in memory until the process ends.  No call is warmed up first:
+# as the first call of a fresh process, after `import numpy`, each leaves none.
+NO_CYCLE_CALLS = {
+    "census_one_chunk": lambda: census_interval(parse_set("triangle"), parse_set("square2"), 1,
+                                                10 ** 9, 10 ** 5, witness_cap=10, threads=1),
+    "census_two_chunks": lambda: census_interval(parse_set("square2"), parse_set("square2"), 1,
+                                                 1, DEFAULT_CHUNK + 1, witness_cap=0, threads=2),
+    "correlation_J": lambda: correlation_J(make_character("chi6"), 1, 10 ** 5),
+    "main_term": lambda: main_term(make_character("chi6"), 1, 1e-8),
+    "muller_main": lambda: muller_main(make_character("kronecker:5"),
+                                       make_character("kronecker:5"), 1, 1e-8),
+    "gap_triangle_square2": lambda: gap_triangle_square2(1, 10 ** 6),
+    "run_suite": lambda: run_suite("all", budget=0.3),
+}
+
+
+@pytest.mark.parametrize("name", NO_CYCLE_CALLS)
+def test_library_leaves_no_cyclic_garbage(name):
+    import numpy  # noqa: F401  (its import makes cycles of its own)
+
+    gc.collect()
+    gc.disable()
+    try:
+        NO_CYCLE_CALLS[name]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# CSV census and repr print no JSON and no Fraction, so they load neither module.
+JSON_FREE_FORMS = [
+    "repr --fn r2 --n 999999999999999989",
+    "repr --fn R2 --n 49 --mode enumerate",
+    "repr --fn ideal --n 91 --disc -3",
+    "census --set1 square2 --set2 square2 --a 1 --x 1 --len 9",
+    "census --set1 triangle --set2 diamond:-23 --a -7 --x 999999000 --len 300",
+]
+
+
+@pytest.mark.parametrize("module", ["json", "fractions"])
+def test_csv_forms_load_no_json_or_fractions(module):
+    proc = subprocess.run(
+        [sys.executable, "-c", BOUNDARY_CHILD, module, *JSON_FREE_FORMS,
+         "eta --a 5 --q 5 --format json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == '{"a": 5, "eta": 9, "lambda": "9/5", "q": 5}\n'
 
 
 def test_csv_round_trip_census(capsys):
