@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _np as np
+from .arith import factorize
 from .characters import F, DirichletCharacter, F_window, chi4
 from .repr_sets import SetId, is_member, member_character
 from .util import chunk_ranges, map_ordered
@@ -75,13 +76,13 @@ def _shifted_windows(psi, rho, a: int, lo: int, hi: int, threads: int, reduce) -
 
 def _product_sum(psi, rho, a: int, x: int, threads: int, b: int = 1) -> int:
     """Exact sum over max(1, 1 - a) <= n <= x, gcd(n, b) = 1, of F_psi(n) F_rho(n + a)."""
-    unit = np.gcd(np.arange(b), b) == 1  # gcd(n, b) = 1 has period b in n
+    primes = [p for p, _ in factorize(b).factors]  # gcd(n, b) = 1 iff no p | b divides n
 
     def product(lo, left, right):
         # F_window counts are int32; widen before the product
         terms = np.multiply(left, right, dtype=np.int64)
-        if b > 1:
-            terms *= np.tile(np.roll(unit, -(lo % b)), -(-terms.size // b))[: terms.size]
+        for p in primes:
+            terms[(-lo) % p :: p] = 0  # entry i is n = lo + i
         return int(terms.sum())
 
     return sum(_shifted_windows(psi, rho, a, max(1, 1 - a), x, threads, product))

@@ -15,13 +15,10 @@ entry is the process entry point (`python -m formgaps` and the console
 script) and owns its process: it keeps numpy's BLAS at one thread, turns the
 cyclic garbage collector off before main runs, and ends the process with
 os._exit, skipping interpreter finalization.  That is safe because _write
-flushes stdout itself, inside main, so an unwritable stdout is a usage error
-(exit 1).  main leaves the environment, the collector and the interpreter
-alone, so a host program that calls it or imports the library keeps its own
-settings.
-
-Exit codes: 0 success, 1 usage error, 2 budget guard (integers above 2^63 - 1
-and windows of more than 10^9 integers included), 3 internal invariant failure.
+flushes stdout itself, inside main, as _Parser._print_message does for
+--help and --version, so an unwritable stdout is a usage error (exit 1).
+main leaves the environment, the collector and the interpreter alone, so a
+host program that calls it or imports the library keeps its own settings.
 """
 
 from __future__ import annotations
@@ -44,6 +41,9 @@ PSI_HELP = "chi3, chi4, chi6, trivial:K or kronecker:D, with K and |D| at most 1
 SHIFT_HELP = "the shift a: any integer, 0 included"
 SET_HELP = "square2, triangle, triangle_star or diamond:D, with |D| at most 10^5 (exit 2 above)"
 WINDOW_HELP = "the window holds at most 10^9 integers (exit 2 above), at any height to 2^63 - 1"
+DESCRIPTION = ("Exact counts, densities, constants, correlation sums, censuses and gap witnesses "
+               "for the values of x^2 + y^2 and x^2 + xy + y^2. Exit codes: 0 success, 1 usage "
+               "error, 2 budget exceeded, 3 internal invariant failure.")
 
 
 class _UsageError(Exception):
@@ -53,6 +53,12 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def _print_message(self, message, file=None):
+        # argparse's own swallows OSError; here --help or --version into a full disk exits 1
+        file = file or sys.stderr
+        file.write(message)
+        file.flush()
 
 
 def _eps(text: str) -> float:
@@ -85,7 +91,7 @@ def _render(args, record: dict, header: bool = True, tail=(), extra=None) -> str
 
 
 def _build_parser() -> _Parser:
-    p = _Parser(prog="formgaps", description=__doc__, add_help=True)
+    p = _Parser(prog="formgaps", description=DESCRIPTION, add_help=True)
     p.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -103,7 +109,8 @@ def _build_parser() -> _Parser:
     s = add("repr", "representation counts r2 / R2 / ideal", _run_repr)
     s.add_argument("--fn", choices=("r2", "R2", "ideal"), required=True)
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--mode", choices=("formula", "enumerate"), default="formula")
+    s.add_argument("--mode", choices=("formula", "enumerate"), default="formula",
+                   help="enumerate counts lattice points, for r2 and R2 only (exit 1 with ideal)")
     s.add_argument("--disc", type=int, default=-3, help="fundamental discriminant for ideal counts")
 
     s = add("member", "set membership test", _run_member)
@@ -172,13 +179,13 @@ def _build_parser() -> _Parser:
 
 
 def _run_repr(args):
-    from .repr_sets import R2, ideal_count, r2
-    if args.fn == "r2":
-        v = r2(args.n, args.mode)
-    elif args.fn == "R2":
-        v = R2(args.n, args.mode)
+    from . import repr_sets
+    if args.fn != "ideal":
+        v = getattr(repr_sets, args.fn)(args.n, args.mode)  # r2 or R2
+    elif args.mode == "enumerate":
+        raise ValueError("--mode enumerate applies to r2 and R2 only")
     else:
-        v = ideal_count(args.n, args.disc)
+        v = repr_sets.ideal_count(args.n, args.disc)
     return _render(args, {"n": args.n, "value": v}, header=False, extra={"fn": args.fn})
 
 
@@ -364,14 +371,9 @@ def entry() -> None:
     gc.disable()
     try:
         code = main()
-    except SystemExit as done:  # --help and --version print, then exit 0
+    except SystemExit as done:  # --help and --version print and flush, then exit 0
         code = done.code
-        try:
-            sys.stdout.flush()
-        except OSError as e:
-            print(f"usage error: {e}", file=sys.stderr)
-            code = 1
-    # main's output is flushed (by _write, or just above), so finalization
+    # main's output is flushed (by _write or _Parser._print_message), so finalization
     # would only tear down modules and objects the process is about to drop.
     sys.stderr.flush()
     os._exit(code)

@@ -1,21 +1,23 @@
 """Representation counts and membership for quadratic-form value sets.
 
-Sets handled, with their divisor-sum representation counts:
+One table, _FORMS, gives each form set its member character psi, the unit
+count w of Z[i] or Z[omega] and the b of its form x^2 + b*x*y + y^2:
 
-    square2        n = x^2 + y^2           r2(n) = 4 * F_chi4(n)
-    triangle       n = x^2 + x*y + y^2     R2(n) = 6 * F_chi3(n)
-    triangle_star  n = c^2 + 3*d^2         (equal to triangle as a set)
-    diamond(D)     ideal-norm values of the quadratic field with
-                   fundamental discriminant D; membership is F_chiD(n) > 0
+    set            form               psi   w  b
+    square2        x^2 + y^2          chi4  4  0   r2(n) = 4 * I_{-4}(n)
+    triangle       x^2 + x*y + y^2    chi3  6  1   R2(n) = 6 * I_{-3}(n)
+    triangle_star  c^2 + 3*d^2        triangle's row (one set, see below)
+    diamond(D)     ideal norms of the quadratic field of fundamental
+                   discriminant D, with psi = chiD
 
-Every set is a character set: n >= 1 lies in it iff F_psi(n) > 0 for psi =
-member_character(s), which is chi4, chi3, chi3 and chiD in the order above,
-and window membership (sieve_members) is read off characters.F_window.
-is_member keeps independent routes as the oracle for the windows: exponent
-parity at the primes where the character is -1 (p = 3 mod 4, resp. p = 2
-mod 3), and for triangle_star a scan over d for a lattice point (c, d).
-Enumeration modes of r2/R2 count lattice points directly and never touch the
-divisor formulas, so the routes validate each other.
+I_D(n) = F_chiD(n) counts the ideals of norm n (ideal_count).  Every set is
+a character set: n >= 1 lies in it iff F_psi(n) > 0 for psi =
+member_character(s), and window membership (sieve_members) is read off
+characters.F_window.  is_member keeps independent routes as the oracle for
+the windows: exponent parity at the primes where the character is -1 (p = 3
+mod 4, resp. p = 2 mod 3), and for triangle_star a scan over d for a lattice
+point (c, d).  Enumeration modes of r2/R2 count lattice points directly and
+never touch the divisor formulas, so the routes validate each other.
 
 triangle_star and triangle are one set, with a^2 + ab + b^2 = c^2 + 3d^2 both
 ways: c^2 + 3d^2 is the form at (a, b) = (c - d, 2d); and the form is invariant
@@ -54,6 +56,9 @@ SQUARE2 = SetId("square2")
 TRIANGLE = SetId("triangle")
 TRIANGLE_STAR = SetId("triangle_star")
 
+_FORMS = {SQUARE2: (chi4, 4, 0), TRIANGLE: (chi3, 6, 1)}
+_FORMS[TRIANGLE_STAR] = _FORMS[TRIANGLE]  # one set, see the module docstring
+
 
 def diamond(D: int) -> SetId:
     kronecker_character(D)  # validates the discriminant
@@ -62,69 +67,52 @@ def diamond(D: int) -> SetId:
 
 def parse_set(text: str) -> SetId:
     text = text.strip()
-    if text == "square2":
-        return SQUARE2
-    if text == "triangle":
-        return TRIANGLE
-    if text == "triangle_star":
-        return TRIANGLE_STAR
+    for s in _FORMS:
+        if text == s.tag:
+            return s
     if text.startswith("diamond:"):
         return diamond(int(text.split(":", 1)[1]))
     raise ValueError(f"unknown set: {text!r}")
 
 
-def _r2_enumerate(n: int) -> int:
-    # ordered signed pairs (x, y) with x^2 + y^2 = n
-    s = math.isqrt(n)
+def _lattice_count(n: int, b: int) -> int:
+    """Ordered signed pairs (x, y) with x^2 + b*x*y + y^2 = n, for b = 0 or 1:
+    4n = (2y + b*x)^2 + (4 - b^2) x^2, so an x with r^2 = 4n - (4 - b^2) x^2 a
+    square gives y = (-b*x +- r) / 2, one root if r = 0, else two; both are
+    integers, as r^2 = (b*x)^2 mod 4 makes r = b*x mod 2."""
+    isqrt, n4, k = math.isqrt, 4 * n, 4 - b * b
+    s = isqrt(n4 // k)
     cnt = 0
     for x in range(-s, s + 1):
-        y2 = n - x * x
-        y = math.isqrt(y2)
-        if y * y == y2:
-            cnt += 1 if y == 0 else 2
+        disc = n4 - k * x * x
+        r = isqrt(disc)
+        if r * r == disc:
+            cnt += 2 if r else 1
     return cnt
 
 
-def _R2_enumerate(n: int) -> int:
-    # x^2 + x*y + y^2 >= (x^2 + y^2)/2 bounds the search box at sqrt(2n)
-    cnt = 0
-    for x in range(-math.isqrt(2 * n), math.isqrt(2 * n) + 1):
-        disc = 4 * n - 3 * x * x
-        if disc < 0:
-            continue
-        r = math.isqrt(disc)
-        if r * r != disc:
-            continue
-        for num in {-x + r, -x - r}:
-            if num % 2 == 0:
-                cnt += 1
-    return cnt
+def _count(name: str, s: SetId, n: int, mode: str) -> int:
+    """n's representation number by the form of _FORMS[s]: w * F_psi(n), or enumerated."""
+    psi, w, b = _FORMS[s]
+    if n < 1:
+        raise ValueError(f"{name} requires n >= 1")
+    if mode == "formula":
+        return w * F(psi(), n)
+    if mode == "enumerate":
+        if n > ENUMERATE_MAX:
+            raise BudgetError(f"enumeration of n = {n} exceeds {ENUMERATE_MAX}")
+        return _lattice_count(n, b)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def r2(n: int, mode: str = "formula") -> int:
     """Number of ordered signed representations of n as a sum of two squares."""
-    if n < 1:
-        raise ValueError("r2 requires n >= 1")
-    if mode == "formula":
-        return 4 * F(chi4(), n)
-    if mode == "enumerate":
-        if n > ENUMERATE_MAX:
-            raise BudgetError(f"enumeration of n = {n} exceeds {ENUMERATE_MAX}")
-        return _r2_enumerate(n)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _count("r2", SQUARE2, n, mode)
 
 
 def R2(n: int, mode: str = "formula") -> int:
     """Number of ordered signed representations by x^2 + x*y + y^2."""
-    if n < 1:
-        raise ValueError("R2 requires n >= 1")
-    if mode == "formula":
-        return 6 * F(chi3(), n)
-    if mode == "enumerate":
-        if n > ENUMERATE_MAX:
-            raise BudgetError(f"enumeration of n = {n} exceeds {ENUMERATE_MAX}")
-        return _R2_enumerate(n)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _count("R2", TRIANGLE, n, mode)
 
 
 def ideal_count(n: int, D: int) -> int:
@@ -175,14 +163,12 @@ def is_member(s: SetId, n: int) -> bool:
 
 
 def member_character(s: SetId):
-    """The character psi with n in s iff F_psi(n) > 0 for n >= 1: chi4 for
-    square2, chi3 for triangle and triangle_star (one set), chiD for diamond(D)."""
-    if s.tag == "square2":
-        return chi4()
-    if s.tag in ("triangle", "triangle_star"):
-        return chi3()
+    """The character psi with n in s iff F_psi(n) > 0 for n >= 1: the _FORMS
+    character of square2, triangle and triangle_star, chiD for diamond(D)."""
     if s.tag == "diamond":
         return kronecker_character(s.disc)
+    if s in _FORMS:
+        return _FORMS[s][0]()
     raise ValueError(f"unknown set {s}")
 
 

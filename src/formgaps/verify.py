@@ -52,7 +52,7 @@ def _oracle_checks(budget: float, seed: int) -> list[CheckResult]:
     out.append(CheckResult("oracles", "r2_formula_vs_enumeration", not bad, nmax, str(bad[:3])))
     bad = [n for n in range(1, nmax + 1) if rs.R2(n, "formula") != rs.R2(n, "enumerate")]
     out.append(CheckResult("oracles", "R2_formula_vs_enumeration", not bad, nmax, str(bad[:3])))
-    bad = [n for n in range(1, nmax + 1) if rs.R2(n) != 6 * rs.ideal_count(n, -3)]
+    bad = [n for n in range(1, nmax + 1) if rs.R2(n, "enumerate") != 6 * rs.ideal_count(n, -3)]
     out.append(CheckResult("oracles", "R2_equals_six_ideal_counts", not bad, nmax, str(bad[:3])))
 
     nmax = _scaled(2000, budget)

@@ -127,10 +127,25 @@ MUTATIONS = [
     Mutation("src/formgaps/repr_sets.py",
              "        if n > ENUMERATE_MAX:\n"
              "            raise BudgetError(f\"enumeration of n = {n} exceeds {ENUMERATE_MAX}\")\n"
-             "        return _R2_enumerate(n)",
-             "        return _R2_enumerate(n)",
+             "        return _lattice_count(n, b)",
+             "        return _lattice_count(n, b)",
              ("tests/test_cli.py::test_enumerate_is_capped",),
-             "R2: the enumeration cap is dropped"),
+             "_count: the enumeration cap of r2 and R2 is dropped"),
+    Mutation("src/formgaps/repr_sets.py",
+             "{SQUARE2: (chi4, 4, 0), TRIANGLE: (chi3, 6, 1)}",
+             "{SQUARE2: (chi4, 6, 0), TRIANGLE: (chi3, 4, 1)}",
+             ("tests/test_repr_sets.py::test_r2_examples",),
+             "_FORMS: the unit counts of square2 and triangle are swapped"),
+    Mutation("src/formgaps/repr_sets.py",
+             "cnt += 2 if r else 1",
+             "cnt += 2",
+             ("tests/test_repr_sets.py::test_r2_examples",),
+             "_lattice_count: the one root y = -b*x / 2 of r = 0 is counted twice"),
+    Mutation("src/formgaps/census.py",
+             "terms[(-lo) % p :: p] = 0",
+             "terms[lo % p :: p] = 0",
+             ("tests/test_census.py::test_correlation_J_matches_direct_sum",),
+             "_product_sum: the multiples of p | b are taken at offset lo % p"),
     Mutation("src/formgaps/local_densities.py",
              "below = lambda_prime_power(p, e - 1, a)",
              "below = lambda_prime_power(p, e, a)",
@@ -225,6 +240,16 @@ MUTATIONS = [
              "import gc\nimport json\nimport math\n",
              ("tests/test_cli.py::test_csv_forms_load_no_json_or_fractions",),
              "cli: json is imported at module level again"),
+    Mutation("src/formgaps/cli.py",
+             "        file.write(message)\n"
+             "        file.flush()\n",
+             "        try:\n"
+             "            file.write(message)\n"
+             "            file.flush()\n"
+             "        except OSError:\n"
+             "            pass\n",
+             ("tests/test_cli.py::test_unwritable_stdout_is_a_usage_error",),
+             "_Parser._print_message: an OSError of --help or --version is swallowed again"),
     Mutation("src/formgaps/util.py",
              "import os\n",
              "import os\nfrom concurrent.futures import ThreadPoolExecutor\n",

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from lattice_oracle import triangle_star_window
+from lattice_oracle import form_counts, reduced_forms, triangle_star_window
 
 from formgaps import analytic_constants as ac
 from formgaps import arith, census, gaps
@@ -137,38 +137,18 @@ def test_criterion_03_two_power_bound():
     _report(3, "two-power bound 0 <= lambda_a(2^j) <= 4 (j<=16, |a|<=100)", not bad, str(bad[:3]))
 
 
-def _lattice_r2(limit):
-    out = np.zeros(limit + 1, dtype=np.int64)
-    s = math.isqrt(limit)
-    for x in range(-s, s + 1):
-        ymax = math.isqrt(limit - x * x)
-        ys = np.arange(-ymax, ymax + 1, dtype=np.int64)
-        np.add.at(out, x * x + ys * ys, 1)
-    return out
-
-
-def _lattice_R2(limit):
-    out = np.zeros(limit + 1, dtype=np.int64)
-    xmax = math.isqrt(4 * limit // 3)
-    for x in range(-xmax, xmax + 1):
-        s = math.isqrt(4 * limit - 3 * x * x)
-        ys = np.arange(-((x + s) // 2) - 1, (s - x) // 2 + 2, dtype=np.int64)
-        vals = x * x + x * ys + ys * ys
-        keep = (vals >= 0) & (vals <= limit)
-        np.add.at(out, vals[keep], 1)
-    return out
-
-
 def test_criterion_04_representation_formulas():
     _start()
     N = 10 ** 5
-    ideal = F_sieve(chi3(), N)
     r2_formula = 4 * F_sieve(chi4(), N)
-    R2_formula = 6 * ideal
-    ok = bool(np.array_equal(r2_formula[1:], _lattice_r2(N)[1:]))
-    ok &= bool(np.array_equal(R2_formula[1:], _lattice_R2(N)[1:]))
-    ok &= bool(np.array_equal(R2_formula[1:], 6 * ideal[1:]))
-    _report(4, "r2/R2 formula = lattice enumeration, R2 = 6*ideal (n<=1e5)", ok)
+    R2_formula = 6 * F_sieve(chi3(), N)
+    ok = bool(np.array_equal(r2_formula[1:], form_counts(1, 0, 1, N)[1:]))
+    ok &= bool(np.array_equal(R2_formula[1:], form_counts(1, 1, 1, N)[1:]))
+    # class number 3: the three reduced forms of -23 share 2 * I_{-23}(n)
+    forms = sum(form_counts(*f, N) for f in reduced_forms(-23))
+    ok &= bool(np.array_equal(forms[1:], 2 * F_sieve(kronecker_character(-23), N)[1:]))
+    _report(4, "r2/R2 formula = lattice enumeration, ideal counts = reduced forms of -23 (n<=1e5)",
+            ok)
 
 
 def test_criterion_05_triangle_star_subset():

@@ -311,6 +311,23 @@ def test_enumerate_is_capped(capsys, monkeypatch):
     assert run(capsys, "repr", "--fn", "R2", "--n", "101", "--mode", "enumerate")[0] == 2
 
 
+def test_ideal_counts_take_no_enumerate_mode(capsys):
+    code, out, err = run(capsys, "repr", "--fn", "ideal", "--n", "9", "--disc", "-23",
+                         "--mode", "enumerate")
+    assert (code, out) == (1, "") and err.startswith("usage error:"), err
+    assert "r2" in err and "R2" in err
+    ideal = ("repr", "--fn", "ideal", "--n", "9", "--disc", "-23")
+    assert run(capsys, *ideal, "--mode", "formula")[:2] == (0, "9,3\n")
+
+
+def test_help_is_for_users(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    out = " ".join(capsys.readouterr().out.split())  # argparse reflows the description
+    assert done.value.code == 0 and "Exit codes: 0 success, 1 usage error" in out
+    assert not any(word in out for word in ("_render", "entry", "os._exit")), out
+
+
 def test_verify_budget_is_finite_and_capped(capsys, monkeypatch):
     from formgaps import verify
 
@@ -334,11 +351,13 @@ def test_out_file(tmp_path, capsys):
     assert path.read_text() == "25,12\n"
 
 
-def launch(command, stdout=subprocess.PIPE):
-    """`python -m formgaps` in a fresh process with block-buffered stdout, as on
-    a host without PYTHONUNBUFFERED: there, output that no one flushes is lost
-    when entry ends the process."""
+def launch(command, stdout=subprocess.PIPE, unbuffered=False):
+    """`python -m formgaps` in a fresh process, by default with block-buffered
+    stdout, as on a host without PYTHONUNBUFFERED: there, output that no one
+    flushes is lost when entry ends the process."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "formgaps", *command.split()], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, env={**env, "PYTHONPATH": str(SRC)})
 
@@ -462,13 +481,15 @@ def test_entry_keeps_blas_at_one_thread():
     assert proc.stdout == "1 False\n"
 
 
-# Short output sits in stdout's buffer until the flush; --version is printed
-# by argparse, which exits; the wide census overflows the buffer while printing.
+# Short output sits in stdout's buffer until the flush; --version and --help
+# are printed by argparse, which exits; the wide census overflows the buffer
+# while printing.  Unbuffered, the write itself fails.
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("command", ["repr --fn r2 --n 25", "--version", WIDE_CENSUS])
-def test_unwritable_stdout_is_a_usage_error(command):
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["repr --fn r2 --n 25", "--version", "--help", WIDE_CENSUS])
+def test_unwritable_stdout_is_a_usage_error(command, unbuffered):
     with open("/dev/full", "w") as full:
-        proc = launch(command, stdout=full)
+        proc = launch(command, stdout=full, unbuffered=unbuffered)
     assert proc.returncode == 1
     assert proc.stderr.startswith("usage error:") and len(proc.stderr.splitlines()) == 1
 

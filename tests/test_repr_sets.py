@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from lattice_oracle import triangle_star_window
+from lattice_oracle import form_counts, reduced_forms, triangle_star_window
 
 from formgaps import repr_sets, util
 from formgaps.characters import F_window
@@ -45,9 +45,21 @@ def test_modes_agree_on_range():
         assert R2(n) == R2(n, "enumerate")
 
 
-def test_R2_is_six_ideal_counts():
-    for n in range(1, 4001):
-        assert R2(n) == 6 * ideal_count(n, -3)
+CLASS_NUMBERS = {-3: 1, -4: 1, -7: 1, -8: 1, -163: 1, -15: 2, -20: 2, -23: 3, -84: 4, -420: 8,
+                 -199: 9}
+
+
+def test_reduced_forms_give_the_class_numbers():
+    assert {D: len(reduced_forms(D)) for D in CLASS_NUMBERS} == CLASS_NUMBERS
+    assert reduced_forms(-23) == [(1, 1, 6), (2, -1, 3), (2, 1, 3)]
+
+
+@pytest.mark.parametrize("D", [-15, -20, -23, -84])
+def test_ideal_counts_are_reduced_form_counts(D):
+    # Dirichlet: the reduced forms of D together represent n w(D) * I_D(n) times,
+    # w(D) = 2 units for D < -4; class number > 1, so no single form does
+    total = sum(form_counts(*f, 3000) for f in reduced_forms(D))
+    assert [int(v) for v in total[1:]] == [2 * ideal_count(n, D) for n in range(1, 3001)]
 
 
 def test_ideal_count_examples():
