@@ -187,7 +187,7 @@ def divisors(f: Factorization) -> list[int]:
 
 PRIME_CACHE_MAX = 1 << 24  # the cache doubles up to here and no further
 
-PRIME_SEGMENT = 1 << 20  # integers per block of the segmented sieve beyond the cache
+PRIME_SEGMENT = 1 << 21  # integers per block of the segmented sieve past the cache: 2^20 odd flags
 
 # (limit, primes <= limit): one assignment, so no thread sees a mismatched pair;
 # the first call builds it, so importing arith loads no numpy
@@ -218,8 +218,9 @@ def prime_blocks(lo: int, hi: int):
     """The primes in [lo, hi] as increasing int64 arrays, one block at a time.
 
     Primes up to PRIME_CACHE_MAX are one slice of the primes() cache; larger
-    ones come from a segmented sieve over PRIME_SEGMENT integers at a time, so
-    memory stays bounded by the cache and one segment whatever hi.
+    ones come from a segmented sieve over PRIME_SEGMENT integers at a time,
+    which keeps one flag per odd number, so memory stays bounded by the cache
+    and one segment whatever hi.
     """
     if lo <= PRIME_CACHE_MAX:
         ps = primes(min(hi, PRIME_CACHE_MAX))
@@ -228,13 +229,18 @@ def prime_blocks(lo: int, hi: int):
             yield ps
     if hi <= PRIME_CACHE_MAX:
         return
-    base = primes(math.isqrt(hi))
+    base = primes(math.isqrt(hi))[1:]  # the odd primes
     for s in range(max(lo, PRIME_CACHE_MAX + 1), hi + 1, PRIME_SEGMENT):
         e = min(s + PRIME_SEGMENT - 1, hi)
-        composite = np.zeros(e - s + 1, dtype=bool)
+        o = s | 1  # flag i stands for the odd number o + 2i
+        prime = np.ones((e - o) // 2 + 1, dtype=bool)
         for p in base[: int(np.searchsorted(base, math.isqrt(e), side="right"))].tolist():
-            composite[(-s) % p :: p] = True  # s > PRIME_CACHE_MAX > p, so p is never marked
-        yield s + np.flatnonzero(~composite)
+            j = (-o) % p  # o + j is the first multiple of p from o on; odd iff j is even
+            prime[(j + p * (j % 2)) // 2 :: p] = False  # p < s, so p itself is never struck
+        odd = np.flatnonzero(prime)
+        odd *= 2
+        odd += o
+        yield odd
 
 
 @lru_cache(maxsize=8)

@@ -5,8 +5,8 @@ For two representable sets W1, W2 and a shift a, the census counts
     S(W1, W2, a) = { n : n in W1, n + a in W2 }
 
 inside a window [x, x+H]: n >= 1 with F_psi1(n) > 0 and F_psi2(n + a) > 0, for
-psi_i the member character of W_i.  The count is always exact, only the
-recorded witness list is capped.
+psi_i the member character of W_i, read off characters.F_positive.  The count
+is always exact, only the recorded witness list is capped.
 
 The correlation sums are the exact integers
 
@@ -14,10 +14,11 @@ The correlation sums are the exact integers
     general     = sum_{n <= x} F_psi(n) * F_rho(n + a)
     two-squares = sum_{n <= x} r2(n) * r2(n + a)        (= 16 * general chi4,chi4)
 
-summed over n >= max(1, 1 - a) so that n + a stays >= 1.  Census and sums are
-one shifted product over a window, of the indicators F > 0 or of the values F,
-and both run through one kernel, _shifted_windows, over F_window.  A window is
-bounded by its width (util.WINDOW_MAX), never by its height.
+summed over n >= max(1, 1 - a) so that n + a stays >= 1, from
+characters.F_window.  Census and sums are one shifted product over a window,
+of the masks F > 0 or of the values F, and both run through one kernel,
+_shifted_windows, over the window function each passes.  A window is bounded
+by its width (util.WINDOW_MAX), never by its height.
 
 The ratio r = J(x) / (m x) to the main term coefficient m (the `correlate`
 command prints it) trends toward 1; that is the empirical face of the
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 from . import _np as np
 from .arith import factorize
-from .characters import F, DirichletCharacter, F_window, chi4
+from .characters import F, DirichletCharacter, F_positive, F_window, chi4
 from .repr_sets import SetId, is_member, member_character
 from .util import chunk_ranges, map_ordered
 
@@ -55,20 +56,20 @@ class CensusRecord:
     witnesses: tuple[int, ...]
 
 
-def _shifted_windows(psi, rho, a: int, lo: int, hi: int, threads: int, reduce) -> list:
-    """reduce(c_lo, F_psi on [c_lo, c_hi], F_rho on [c_lo + a, c_hi + a]) for
-    each chunk [c_lo, c_hi] of [lo, hi], in order (lo >= 1 and lo + a >= 1).
+def _shifted_windows(psi, rho, a: int, lo: int, hi: int, threads: int, window, reduce) -> list:
+    """reduce(c_lo, window(psi, c_lo, c_hi), window(rho, c_lo + a, c_hi + a))
+    for each chunk [c_lo, c_hi] of [lo, hi], in order (lo >= 1 and lo + a >= 1).
 
     When psi and rho have one value table and the two ranges of a chunk
-    overlap, both sides are slices of one F_window over their union.
+    overlap, both sides are slices of one window over their union.
     """
     shared = psi.values == rho.values
 
     def one(c):
         c_lo, c_hi = c
         if not shared or abs(a) > c_hi - c_lo:
-            return reduce(c_lo, F_window(psi, c_lo, c_hi), F_window(rho, c_lo + a, c_hi + a))
-        both, w = F_window(psi, c_lo + min(a, 0), c_hi + max(a, 0)), c_hi - c_lo + 1
+            return reduce(c_lo, window(psi, c_lo, c_hi), window(rho, c_lo + a, c_hi + a))
+        both, w = window(psi, c_lo + min(a, 0), c_hi + max(a, 0)), c_hi - c_lo + 1
         return reduce(c_lo, both[max(-a, 0) :][:w], both[max(a, 0) :][:w])
 
     return map_ordered(one, chunk_ranges(lo, hi), threads)
@@ -85,7 +86,7 @@ def _product_sum(psi, rho, a: int, x: int, threads: int, b: int = 1) -> int:
             terms[(-lo) % p :: p] = 0  # entry i is n = lo + i
         return int(terms.sum())
 
-    return sum(_shifted_windows(psi, rho, a, max(1, 1 - a), x, threads, product))
+    return sum(_shifted_windows(psi, rho, a, max(1, 1 - a), x, threads, F_window, product))
 
 
 def correlation_J(psi: DirichletCharacter, a: int, x: int, threads: int = 1) -> int:
@@ -127,7 +128,7 @@ def census_interval(
 ) -> CensusRecord:
     """Exact census of S(set1, set2, a) on [x, x+H] through _shifted_windows.
 
-    Both sides are read off F_window of the sets' member characters: n is
+    Both sides are read off F_positive of the sets' member characters: n is
     counted when F_psi1(n) > 0 and F_psi2(n + a) > 0.  Candidates with n + a < 0
     are excluded (membership of negative integers is undefined here).  The
     witness list stops at witness_cap entries; the count never does.  F decides
@@ -140,7 +141,7 @@ def census_interval(
     def member(s, psi, n):  # n >= 0
         return F(psi, n) > 0 if n else is_member(s, 0)
 
-    # n or n + a is 0 only at the first candidate lo_eff, where F_window does
+    # n or n + a is 0 only at the first candidate lo_eff, where F_positive does
     # not reach; F decides that point and the windows start after it
     lo_eff = max(x, -a)
     head = []
@@ -148,10 +149,10 @@ def census_interval(
         head.append(lo_eff)
 
     def members(lo, left, right):
-        found = np.flatnonzero((left > 0) & (right > 0))
+        found = np.flatnonzero(left & right)
         return found.size, lo + found[:witness_cap]
 
-    parts = _shifted_windows(psi1, psi2, a, lo_eff + 1, x + H, threads, members)
+    parts = _shifted_windows(psi1, psi2, a, lo_eff + 1, x + H, threads, F_positive, members)
     count = len(head) + sum(k for k, _ in parts)
     wits = head + [n for _, found in parts for n in found.tolist()]
     return CensusRecord(set1, set2, a, x, H, count, tuple(wits[:witness_cap]))

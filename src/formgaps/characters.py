@@ -13,10 +13,22 @@ non-integer w, which is what the square-root shortcut for F relies on.  F
 itself is multiplicative, with per-prime geometric sums sum_{i <= e} psi(p)^i at
 p^e || n: e + 1, the parity of e, or 1 for psi(p) = 1, -1, 0 (`_local_factor`).
 
-F_window sieves F on a window by exactly that product, one walk over the
-primes up to sqrt(hi); `_strided_prime` takes the local factor as a function
-of e, so local_densities.eta_table sieves through it too.  F evaluates a single
-n from its factorization; the divisor sum is kept only in the tests, as an oracle.
+The sieves walk the primes p <= B = isqrt(hi) of a window once (`_walk`), with
+one of two products.  F_window multiplies exactly the local factors above,
+and the p-part of n into its B-smooth part; `_strided_prime` takes the local
+factor as a function of e, so local_densities.eta_table sieves through it
+too.  F_positive sieves the sign alone.  After the primes up to B, what is
+left of n is 1 or one prime q > B.  If every inert p <= B (psi(p) = -1) has
+an even exponent in n, the split primes and those even powers have psi = 1,
+so psi(n') = psi(q), or 1 when there is no q, for n' = n without the primes
+of the modulus.  Hence
+
+    F_psi(n) > 0  iff  every inert p <= B has an even exponent in n
+                       and psi(n') != -1,
+
+and F_positive walks the inert primes alone, with a parity product, no
+smooth part and no division.  F evaluates a single n from its factorization;
+the divisor sum is kept only in the tests, as an oracle.
 """
 
 from __future__ import annotations
@@ -220,82 +232,58 @@ def sqrt_trick_F(psi: DirichletCharacter, n: int):
     return 2 * total + (psi(r) if r * r == n else 0)
 
 
-def _strided_prime(f, smooth, lo: int, hi: int, p: int, local) -> None:
-    """Strided passes of the prime p over the window [lo, hi].
-
-    smooth takes the p-part of each n, and f the factor local(e) of p^e || n;
-    local None means every factor is 1.  f on the multiples of p^2 is saved
-    before p's factor goes in, so each level j rewrites its multiples of p^j
-    from the saved values even where a lower level's factor is 0.
-    """
-    width = f.size
-    first = (-lo) % p
-    levels = []  # (offset, p^j) for j >= 2 while a multiple of p^j is in the window
-    pj = p
-    while pj <= hi // p:
-        pj *= p
+def _multiples(p: int, lo: int, hi: int) -> list:
+    """(offset, p^j) for j = 1, 2, ... while the window [lo, hi] holds a
+    multiple of p^j; entry offset of the window is its first one."""
+    out, pj = [], p
+    while pj <= hi:
         offset = (-lo) % pj
-        if offset >= width:
+        if offset > hi - lo:
             break
-        levels.append((offset, pj))
-    smooth[first::p] *= p
-    for offset, pj in levels:
-        smooth[offset::pj] *= p
-    if local is None:
-        return
-    if levels:
-        o2, p2 = levels[0]
-        saved = f[o2::p2].copy()
-    f[first::p] *= local(1)
-    for e, (offset, pj) in enumerate(levels, 2):
-        f[offset::pj] = saved[(offset - o2) // p2 :: pj // p2] * local(e)
-
-
-def F_window(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
-    """F_psi on the closed window [lo, hi] (lo >= 1), as an int32 array.
-
-    A segmented multiplicative sieve: F_psi(n) is the product over p^e || n of
-    sum_{i <= e} psi(p)^i.  The window is sieved SEGMENT integers at a time, so
-    the strided passes stay in cache.  Each segment walks the primes p <= B =
-    isqrt(hi) of arith.prime_blocks once, and each puts its local factor into
-    the output and its p-part into the B-smooth part of n: a prime with at
-    least DENSE_HITS multiples in the segment by strided passes, every later
-    one in a run of primes with at most PAIR_BLOCK (prime, multiple) pairs,
-    multiplied in unbuffered since two primes can divide one n.  What is left
-    of n is 1 or one prime q > B, whose factor is 1 + psi(q).  Memory is
-    O(width + SEGMENT + PAIR_BLOCK) plus the bounded prime cache for any
-    hi <= MAX_INPUT (BudgetError above).  |F_psi(n)| <= tau(n) < 2^31 for
-    n < 2^63; widen before multiplying two windows.
-    """
-    if lo < 1 or hi < lo:
-        raise ValueError("window must satisfy 1 <= lo <= hi")
-    if hi > MAX_INPUT:
-        raise BudgetError(f"F_window requires hi <= {MAX_INPUT}")
-    table = psi.table()
-    out = np.empty(hi - lo + 1, dtype=table.dtype)
-    for a in range(lo, hi + 1, SEGMENT):
-        b = min(a + SEGMENT - 1, hi)
-        _sieve_segment(out[a - lo : b - lo + 1], table, a, b)
+        out.append((offset, pj))
+        pj *= p
     return out
 
 
-def _sieve_segment(f: np.ndarray, table: np.ndarray, lo: int, hi: int) -> None:
-    """Write F_psi(n) for n in [lo, hi] into f, for psi given by its residue table."""
-    k = table.size
+def _strided_prime(f, smooth, lo: int, hi: int, p: int, local) -> None:
+    """Strided passes of the prime p, which has a multiple in the window [lo, hi].
+
+    smooth, unless None, takes the p-part of each n, and f the factor local(e)
+    of p^e || n; local None means every factor is 1.  f on the multiples of p^2
+    is saved before p's factor goes in, so each level j rewrites its multiples
+    of p^j from the saved values even where a lower level's factor is 0.
+    """
+    levels = _multiples(p, lo, hi)
+    if smooth is not None:
+        for offset, pj in levels:
+            smooth[offset::pj] *= p
+    if local is None:
+        return
+    if len(levels) > 1:
+        o2, p2 = levels[1]
+        saved = f[o2::p2].copy()
+    f[levels[0][0] :: p] *= local(1)
+    for e, (offset, pj) in enumerate(levels[1:], 2):
+        f[offset::pj] = saved[(offset - o2) // p2 :: pj // p2] * local(e)
+
+
+def _walk(blocks, lo: int, hi: int, dense, sparse) -> None:
+    """Hand each prime of the increasing blocks to dense or to sparse for the
+    segment [lo, hi].
+
+    A prime with at least DENSE_HITS multiples in the segment goes to dense(p)
+    alone, for strided passes; every later one goes to sparse(p, pos, e) in a
+    run of primes with at most PAIR_BLOCK (prime, multiple) pairs, as arrays
+    over the pairs: n = lo + pos is a multiple of p, and p^e || n.
+    """
     width = hi - lo + 1
-    B = math.isqrt(hi)
-    part_dtype = np.int32 if hi < 1 << 31 else np.int64  # smooth parts are <= hi
-    f[:] = 1
-    smooth = np.ones(width, dtype=part_dtype)
-    values = table.tolist()
-    rules = {v: partial(_local_factor, v) for v in (1, -1)}  # psi(p) = 0 leaves f as it is
-    for block in prime_blocks(2, B):
+    for block in blocks:
         i = 0
         while i < block.size:
             p0 = block.item(i)
             span = width // p0 + 1  # the most multiples a prime >= p0 has in the segment
             if span > DENSE_HITS:
-                _strided_prime(f, smooth, lo, hi, p0, rules.get(values[p0 % k]))
+                dense(p0)
                 i += 1
                 continue
             run = block[i : i + max(1, PAIR_BLOCK // span)]
@@ -307,24 +295,152 @@ def _sieve_segment(f: np.ndarray, table: np.ndarray, lo: int, hi: int) -> None:
             p = np.repeat(run, count)
             m = np.repeat(below + 1 - (np.cumsum(count) - count), count) + np.arange(p.size)
             pos = p * m - lo
-            v = table[p % k]
-            local = 1 + v  # sum_{i <= e} v^i, e the exponent of p in n = p * m
-            part = p.copy()
+            e = np.ones(p.size, dtype=np.int8)
             live = np.flatnonzero(m % p == 0)
             while live.size:
                 m[live] //= p[live]
-                part[live] *= p[live]
-                local[live] = 1 + v[live] * local[live]
+                e[live] += 1
                 live = live[m[live] % p[live] == 0]
-            np.multiply.at(smooth, pos, part.astype(part_dtype))
-            hit = np.flatnonzero(local != 1)
-            np.multiply.at(f, pos[hit], local[hit])
+            sparse(p, pos, e)
+
+
+def _segmented(name: str, lo: int, hi: int, dtype, fill) -> np.ndarray:
+    """An array over the closed window [lo, hi] (lo >= 1), written by
+    fill(part, a, b) SEGMENT integers [a, b] at a time, so the strided passes
+    stay in cache; BudgetError past MAX_INPUT."""
+    if lo < 1 or hi < lo:
+        raise ValueError("window must satisfy 1 <= lo <= hi")
+    if hi > MAX_INPUT:
+        raise BudgetError(f"{name} requires hi <= {MAX_INPUT}")
+    out = np.empty(hi - lo + 1, dtype=dtype)
+    for a in range(lo, hi + 1, SEGMENT):
+        b = min(a + SEGMENT - 1, hi)
+        fill(out[a - lo : b - lo + 1], a, b)
+    return out
+
+
+def F_window(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
+    """F_psi on the closed window [lo, hi] (lo >= 1), as an int32 array.
+
+    A segmented multiplicative sieve: F_psi(n) is the product over p^e || n of
+    sum_{i <= e} psi(p)^i.  Each segment walks every prime p <= B = isqrt(hi)
+    of arith.prime_blocks once (`_walk`), and each puts its local factor into
+    the output and its p-part into the B-smooth part of n; a sparse run is
+    multiplied in unbuffered, since two primes can divide one n.  What is left
+    of n is 1 or one prime q > B, whose factor is 1 + psi(q).  Memory is
+    O(width + SEGMENT + PAIR_BLOCK) plus the bounded prime cache for any
+    hi <= MAX_INPUT (BudgetError above).  |F_psi(n)| <= tau(n) < 2^31 for
+    n < 2^63; widen before multiplying two windows.
+    """
+    table = psi.table()
+    return _segmented("F_window", lo, hi, table.dtype, partial(_sieve_segment, table=table))
+
+
+def _sieve_segment(f: np.ndarray, lo: int, hi: int, table: np.ndarray) -> None:
+    """Write F_psi(n) for n in [lo, hi] into f, for psi given by its residue table."""
+    k = table.size
+    part_dtype = np.int32 if hi < 1 << 31 else np.int64  # smooth parts are <= hi
+    f[:] = 1
+    smooth = np.ones(hi - lo + 1, dtype=part_dtype)
+    values = table.tolist()
+    rules = {v: partial(_local_factor, v) for v in (1, -1)}  # psi(p) = 0 leaves f as it is
+
+    def strided(p):
+        _strided_prime(f, smooth, lo, hi, p, rules.get(values[p % k]))
+
+    def pairs(p, pos, e):
+        v = table[p % k]
+        part, local = p.astype(part_dtype), 1 + v  # p^e and sum_{i <= e} v^i at e = 1
+        deep = np.flatnonzero(e > 1)  # rare: multiples of p^2 among sparse pairs
+        if deep.size:
+            ee = e[deep]
+            part[deep] **= ee
+            local[deep] = [_local_factor(*ve) for ve in zip(v[deep].tolist(), ee.tolist())]
+        np.multiply.at(smooth, pos, part)
+        hit = np.flatnonzero(local != 1)
+        np.multiply.at(f, pos[hit], local[hit])
+
+    _walk(prime_blocks(2, math.isqrt(hi)), lo, hi, strided, pairs)
     q = np.arange(lo, hi + 1, dtype=part_dtype)
     q //= smooth  # 1, or the one prime q > B left of n
     psi_q = np.take(table, q - q // k * k)  # q % k; numpy's integer % is slower here
     psi_q *= q > 1
     psi_q += 1
     f *= psi_q
+
+
+def F_positive(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
+    """The mask F_psi(n) > 0 on the closed window [lo, hi] (lo >= 1), as a bool
+    array; the contract of F_window, without the values.
+
+    F_window's walk over the inert primes alone (the criterion in the module
+    docstring): an odd exponent of an inert p <= isqrt(hi) clears n, and so
+    does psi(n') = -1 for n' = n without the primes of the modulus
+    (`_unit_parts`).
+    """
+    table = psi.table()
+    parts = _unit_parts(psi, min(SEGMENT, hi - lo + 1))
+    fill = partial(_member_segment, table=table, parts=parts)
+    return _segmented("F_positive", lo, hi, bool, fill)
+
+
+def _member_segment(ok: np.ndarray, lo: int, hi: int, table: np.ndarray, parts: list) -> None:
+    """Write F_psi(n) > 0 for n in [lo, hi] into the bool array ok."""
+    k = table.size
+    f = ok.view(np.int8)
+    f[:] = 1
+    parity = partial(_local_factor, -1)
+
+    def strided(p):
+        _strided_prime(f, None, lo, hi, p, parity)
+
+    def pairs(p, pos, e):
+        f[pos[e % 2 == 1]] = 0  # an assignment: repeated positions are harmless
+
+    inert = (b[table[b % k] == -1] for b in prime_blocks(2, math.isqrt(hi)))
+    _walk(inert, lo, hi, strided, pairs)
+    ok &= ~_unit_sign(parts, lo, hi)
+
+
+def _unit_parts(psi: DirichletCharacter, width: int) -> list:
+    """(s, size, period, flip) for each prime s of psi's modulus k whose factor
+    of psi(n') below can be -1, for windows up to width wide.
+
+    Let n' be n without the primes of k.  disc D is the product of the prime
+    discriminants D_s, and (D_s/.) has period |D_s| and no zero off s, so
+
+        psi(n') = prod_{s | k} (D_s / n_s) * ((D / D_s) / s)^{v_s(n)},
+
+    with n = s^{v_s(n)} n_s and D_s = 1 for s not dividing D.  period marks the
+    residues r mod size = |D_s| with (D_s/r) = -1, repeated to cover width +
+    size entries, and flip says ((D / D_s) / s) = -1.
+    """
+    D = psi.disc
+    odd = {s: s if s % 4 == 1 else -s for s, _ in factorize(abs(D)).factors if s > 2}
+    parts = []
+    for s, _ in factorize(psi.modulus).factors:
+        Ds = odd.get(s, 1) if s > 2 else D // math.prod(odd.values())
+        flip = kronecker_symbol(D // Ds, s) == -1
+        residues = np.array([kronecker_symbol(Ds, r) == -1 for r in range(abs(Ds))])
+        if flip or residues.any():
+            size = residues.size
+            parts.append((s, size, np.tile(residues, width // size + 2), flip))
+    return parts
+
+
+def _unit_sign(parts, lo: int, hi: int) -> np.ndarray:
+    """psi(n') = -1 over [lo, hi], from the parts of `_unit_parts`: level j of
+    s rewrites its multiples of s^j with (D_s / (n / s^j)) and flip^j, so each
+    n keeps the level of its own v_s(n)."""
+    neg = np.zeros(hi - lo + 1, dtype=bool)
+    for s, size, period, flip in parts:
+        factor = period[lo % size :][: neg.size].copy()
+        for j, (offset, sj) in enumerate(_multiples(s, lo, hi), 1):
+            level = factor[offset::sj]
+            start = (lo + offset) // sj % size
+            level[:] = period[start:][: level.size] ^ (flip and j % 2 == 1)
+        neg ^= factor
+    return neg
 
 
 def F_sieve(psi: DirichletCharacter, x: int) -> np.ndarray:

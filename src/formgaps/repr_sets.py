@@ -13,11 +13,12 @@ count w of Z[i] or Z[omega] and the b of its form x^2 + b*x*y + y^2:
 I_D(n) = F_chiD(n) counts the ideals of norm n (ideal_count).  Every set is
 a character set: n >= 1 lies in it iff F_psi(n) > 0 for psi =
 member_character(s), and window membership (sieve_members) is read off
-characters.F_window.  is_member keeps independent routes as the oracle for
-the windows: exponent parity at the primes where the character is -1 (p = 3
-mod 4, resp. p = 2 mod 3), and for triangle_star a scan over d for a lattice
-point (c, d).  Enumeration modes of r2/R2 count lattice points directly and
-never touch the divisor formulas, so the routes validate each other.
+characters.F_positive, the sieve of that sign alone.  is_member keeps
+independent routes as the oracle for the windows: exponent parity at the
+primes where the character is -1 (p = 3 mod 4, resp. p = 2 mod 3), and for
+triangle_star a scan over d for a lattice point (c, d).  Enumeration modes
+of r2/R2 count lattice points directly and never touch the divisor formulas,
+so the routes validate each other.
 
 triangle_star and triangle are one set, with a^2 + ab + b^2 = c^2 + 3d^2 both
 ways: c^2 + 3d^2 is the form at (a, b) = (c - d, 2d); and the form is invariant
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 from . import _np as np
 from .arith import MAX_INPUT, factorize
-from .characters import F, F_window, chi3, chi4, kronecker_character
+from .characters import F, F_positive, chi3, chi4, kronecker_character
 from .errors import BudgetError
 from .util import chunk_ranges
 
@@ -174,7 +175,7 @@ def member_character(s: SetId):
 
 def sieve_members(s: SetId, lo: int, hi: int) -> np.ndarray:
     """Boolean mask over [lo, hi]: entry n - lo is True iff is_member(s, n).
-    One buffer, filled chunk by chunk with F_window(member_character(s)) > 0."""
+    One buffer, filled chunk by chunk with F_positive(member_character(s))."""
     if lo < 0 or hi < lo:
         raise ValueError("sieve_members requires 0 <= lo <= hi")
     chunks = chunk_ranges(max(lo, 1), hi)
@@ -183,5 +184,5 @@ def sieve_members(s: SetId, lo: int, hi: int) -> np.ndarray:
     if lo == 0:
         out[0] = is_member(s, 0)
     for c_lo, c_hi in chunks:
-        out[c_lo - lo : c_hi - lo + 1] = F_window(psi, c_lo, c_hi) > 0
+        out[c_lo - lo : c_hi - lo + 1] = F_positive(psi, c_lo, c_hi)
     return out

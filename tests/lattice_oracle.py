@@ -1,6 +1,6 @@
 """Lattice points of binary quadratic forms, enumerated one row at a time.
 
-triangle_star windows in the library are read off F_window(chi3), and ideal
+triangle_star windows in the library are read off F_positive(chi3), and ideal
 counts are divisor sums F_chiD; these enumerations import nothing from
 formgaps and share no arithmetic with those routes, so tests compare them.
 """

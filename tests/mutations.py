@@ -67,9 +67,9 @@ MUTATIONS = [
              "count = hi // run - below - 1\n",
              ("tests/test_characters.py::test_F_sieve_row",
               "tests/test_characters.py::test_F_window_sparse_runs[1000000000000-1000]"),
-             "_sieve_segment: a sparse run drops each prime's last multiple"),
+             "_walk: a sparse run drops each prime's last multiple"),
     Mutation("src/formgaps/characters.py",
-             "                part[live] *= p[live]\n",
+             "            part[deep] **= ee\n",
              "",
              ("tests/test_characters.py::test_F_sieve_row",
               "tests/test_characters.py::test_F_window_sparse_runs[1000000000000-1000]"),
@@ -297,10 +297,35 @@ MUTATIONS = [
              ("tests/test_local_densities.py::test_eta_brute_matches_pair_count_and_eta",),
              "eta_brute: the reversed counts are rolled by a instead of a + 1"),
     Mutation("src/formgaps/arith.py",
-             "composite[(-s) % p :: p] = True",
-             "composite[s % p :: p] = True",
+             "j = (-o) % p",
+             "j = o % p",
              ("tests/test_arith.py::test_prime_blocks_past_the_cache_match_is_prime",),
-             "prime_blocks: a segment marks from s % p, not from the first multiple of p"),
+             "prime_blocks: a segment marks from o % p, not from the first multiple of p"),
+    Mutation("src/formgaps/arith.py",
+             "prime[(j + p * (j % 2)) // 2 :: p] = False",
+             "prime[j // 2 :: p] = False",
+             ("tests/test_arith.py::test_prime_blocks_past_the_cache_match_is_prime",),
+             "prime_blocks: the odd-only segment starts p at o + j even when j is odd"),
+    Mutation("src/formgaps/characters.py",
+             "    ok &= ~_unit_sign(parts, lo, hi)\n",
+             "",
+             ("tests/test_characters.py::test_F_positive_edge_windows",),
+             "F_positive: the final test psi(n') != -1 is dropped"),
+    Mutation("src/formgaps/characters.py",
+             "enumerate(_multiples(s, lo, hi), 1)",
+             "enumerate([], 1)",
+             ("tests/test_characters.py::test_F_positive_edge_windows",),
+             "F_positive: the primes of the modulus are not divided out, so psi(n) stands for psi(n')"),
+    Mutation("src/formgaps/characters.py",
+             "(b[table[b % k] == -1] for b in",
+             "(b for b in",
+             ("tests/test_characters.py::test_F_positive_edge_windows",),
+             "F_positive: the inert filter is dropped, so any prime's odd exponent clears n"),
+    Mutation("src/formgaps/characters.py",
+             "saved = f[o2::p2].copy()",
+             "saved = f[o2::p2]",
+             ("tests/test_characters.py::test_F_positive_edge_windows",),
+             "_strided_prime: the p^2 multiples are restored from a view p's own factor has cleared"),
 ]
 
 SURVIVORS: list[Mutation] = []

@@ -119,19 +119,25 @@ def test_primes_cache_grows():
     assert int(primes(100)[-1]) == 97
 
 
-def test_prime_blocks_past_the_cache_match_is_prime(monkeypatch):
-    # a small cache and segment, so most of [lo, 2^18] comes from the segmented sieve
+@pytest.mark.parametrize("segment", [1 << 10, 1001])
+def test_prime_blocks_past_the_cache_match_is_prime(monkeypatch, segment):
+    # a small cache and segment, so most of [lo, 2^18] comes from the segmented
+    # sieve; segments start on odd numbers only from an odd lo with an even
+    # segment, on even ones only from an even lo, and alternate with 1001
     monkeypatch.setattr(arith, "PRIME_CACHE_MAX", 1 << 12)
-    monkeypatch.setattr(arith, "PRIME_SEGMENT", 1 << 10)
+    monkeypatch.setattr(arith, "PRIME_SEGMENT", segment)
     monkeypatch.setattr(arith, "_prime_cache", (0, None))
     hi = 1 << 18
     expected = [n for n in range(hi + 1) if is_prime(n)]
-    for lo in (0, 2, 3, 1000, 4096, 4097, 4098, 5001, 77777, 200000, hi):
+    for lo in (0, 2, 3, 1000, 4096, 4097, 4098, 5001, 77777, 200000, hi - 1, hi):
         blocks = list(arith.prime_blocks(lo, hi))
         assert all(b.dtype == np.int64 for b in blocks)
         got = [int(p) for b in blocks for p in b]
         assert got == [p for p in expected if p >= lo], lo
-        assert lo > hi - (1 << 10) or len(blocks) > 1
+        assert lo > hi - segment or len(blocks) > 1
+    for lo, top in ((4098, 4098), (4097, 4097), (4099, 4100), (9_000_002, 9_000_002 + 3 * segment)):
+        got = [int(p) for b in arith.prime_blocks(lo, top) for p in b]
+        assert got == [n for n in range(lo, top + 1) if is_prime(n)], (lo, top)
 
 
 def test_primes_cache_under_threads(monkeypatch):

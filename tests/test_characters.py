@@ -14,6 +14,7 @@ from formgaps.characters import (
     F_SIEVE_MAX,
     DirichletCharacter,
     F,
+    F_positive,
     F_sieve,
     F_window,
     chi3,
@@ -418,6 +419,68 @@ def test_F_window_property(lo, width, psi):
     assert np.array_equal(w, _F_divisor_reference([psi], lo, hi)[0])
 
 
+# moduli with more than one prime, where psi(n') takes one factor per prime;
+# built as kronecker(8) is, so collection does not depend on the discriminant rule
+KRONECKER_M20 = DirichletCharacter("kronecker(-20)", -20, 20)
+KRONECKER_M420 = DirichletCharacter("kronecker(-420)", -420, 420)
+MASK_CHARACTERS = KERNEL_CHARACTERS + (trivial_character(30), KRONECKER_M20, KRONECKER_M420)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lo=st.integers(min_value=1, max_value=10 ** 13),
+    width=st.integers(min_value=1, max_value=3000),
+    psi=st.sampled_from(MASK_CHARACTERS),
+)
+def test_F_positive_property(lo, width, psi):
+    hi = lo + width - 1
+    mask = F_positive(psi, lo, hi)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, F_window(psi, lo, hi) > 0)
+
+
+INERT_CUBE = 1019 ** 3  # 1019 is 3 mod 4 and 2 mod 3: inert for chi4 and chi3, sparse below
+
+
+def test_F_positive_edge_windows():
+    cases = [
+        # the ramified 23 is never walked; below 23^2 it is also the leftover q
+        (kronecker_character(-23), 1, 600),
+        (kronecker_character(-23), 1, 528),
+        # B = 6, so 7, 14, ... leave the ramified q = 7
+        (KRONECKER_M420, 1, 48),
+        # the dtype of smooth parts in F_window changes at 2^31
+        (chi4(), 2 ** 31 - 3000, 2 ** 31 + 3000),
+        (KRONECKER_M420, 2 ** 31 - 3000, 2 ** 31 + 3000),
+        (chi6(), 2 ** 31 - 3000, 2 ** 31 + 3000),
+        # multiples of p^3 and p^4 for an inert p, dense (3) and sparse (1019)
+        (chi4(), 3 ** 19 - 2000, 3 ** 19 + 2000),
+        (chi4(), INERT_CUBE - 500, INERT_CUBE + 500),
+        (chi3(), INERT_CUBE - 500, INERT_CUBE + 500),
+        (chi4(), 1019 ** 4 - 500, 1019 ** 4 + 500),
+        (chi3(), 2 * INERT_CUBE - 500, 2 * INERT_CUBE + 500),
+    ]
+    for psi, lo, hi in cases:
+        mask = F_positive(psi, lo, hi)
+        ref = _F_reference([psi], lo, hi)[0]
+        assert np.array_equal(mask, ref.real > 0), (psi.name, lo, hi)
+        assert np.array_equal(mask, F_window(psi, lo, hi) > 0), (psi.name, lo, hi)
+    for n in (INERT_CUBE, 2 * INERT_CUBE, 1019 ** 4, 3 ** 19):
+        assert F_positive(chi4(), n, n)[0] == (F(chi4(), n) > 0) == (n == 1019 ** 4), n
+
+
+def test_F_positive_memory_bounded_at_large_hi():
+    lo = 10 ** 16
+    tracemalloc.start()
+    try:
+        mask = F_positive(chi4(), lo, lo + 999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert mask[0] == (F(chi4(), lo) > 0) and mask[-1] == (F(chi4(), lo + 999) > 0)
+
+
 def test_F_refuses_past_the_ceiling(monkeypatch):
     n = 2 ** 63 - 1  # 7^2 73 127 337 92737 649657
     for psi in REALS:
@@ -429,8 +492,11 @@ def test_F_refuses_past_the_ceiling(monkeypatch):
         raise AssertionError("F_window sieved a window past the ceiling")
 
     monkeypatch.setattr(characters, "_sieve_segment", sieved)
+    monkeypatch.setattr(characters, "_member_segment", sieved)
     with pytest.raises(BudgetError):
         F_window(chi4(), 2 ** 63 - 10, 2 ** 63)
+    with pytest.raises(BudgetError):
+        F_positive(chi4(), 2 ** 63 - 10, 2 ** 63)
 
 
 def test_F_sieve_budget_guard():
