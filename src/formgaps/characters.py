@@ -15,20 +15,25 @@ p^e || n: e + 1, the parity of e, or 1 for psi(p) = 1, -1, 0 (`_local_factor`).
 
 The sieves walk the primes p <= B = isqrt(hi) of a window once (`_walk`), with
 one of two products.  F_window multiplies exactly the local factors above,
-and the p-part of n into its B-smooth part; `_strided_prime` takes the local
-factor as a function of e, so local_densities.eta_table sieves through it
-too.  F_positive sieves the sign alone.  After the primes up to B, what is
-left of n is 1 or one prime q > B.  If every inert p <= B (psi(p) = -1) has
-an even exponent in n, the split primes and those even powers have psi = 1,
-so psi(n') = psi(q), or 1 when there is no q, for n' = n without the primes
-of the modulus.  Hence
+and the p-part of n into its smooth part; it also walks the primes of the
+modulus above B (factor 1), so what it leaves of n is prime to the modulus.
+`_strided_prime` takes the local factor as a function of e, so
+local_densities.eta_table sieves through it too.  F_positive sieves the sign
+alone.  After the primes up to B, what is left of n is 1 or one prime q > B.
+If every inert p <= B (psi(p) = -1) has an even exponent in n, the split
+primes and those even powers have psi = 1, so psi(n') = psi(q), or 1 when
+there is no q, for n' = n without the primes of the modulus.  Both kernels
+read q by this one rule, with psi(n') from the tables of
+`DirichletCharacter.unit_parts` (`_UnitSign`).  Hence
 
     F_psi(n) > 0  iff  every inert p <= B has an even exponent in n
                        and psi(n') != -1,
 
-and F_positive walks the inert primes alone, with a parity product, no
-smooth part and no division.  F evaluates a single n from its factorization;
-the divisor sum is kept only in the tests, as an oracle.
+and F_positive walks the inert primes alone, with a parity product and no
+smooth part, while F_window, where q is left (the smooth part is not n),
+multiplies its product by 1 + psi(q): 2, or 0 where psi(n') = -1.  Neither
+divides.  F evaluates a single n from its factorization; the divisor sum is
+kept only in the tests, as an oracle.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from itertools import chain
 
 from . import _np as np
 from .arith import MAX_INPUT, divisors, factorize, prime_blocks
@@ -120,6 +126,35 @@ class DirichletCharacter:
 
     def table(self) -> np.ndarray:
         return np.array(self.values, dtype=np.int32)
+
+    @cached_property
+    def unit_parts(self) -> tuple:
+        """(s, residues, flip) for each prime s of the modulus k, computed once
+        on first use: the tables of psi(n') for n' = n without the primes of k.
+
+        disc D is the product of the prime discriminants D_s, and (D_s/.) has
+        period |D_s| and no zero off s, so
+
+            psi(n') = prod_{s | k} (D_s / n_s) * ((D / D_s) / s)^{v_s(n)},
+
+        with n = s^{v_s(n)} n_s and D_s = 1 for s not dividing D.  residues is
+        the read-only bool array of the r mod |D_s| with (D_s/r) = -1, and flip
+        says ((D / D_s) / s) = -1.  For an odd s dividing D, (D_s/r) is the
+        Legendre symbol (r/s), which is -1 exactly on the non-squares mod s.
+        """
+        D = self.disc
+        odd = {s: s if s % 4 == 1 else -s for s, _ in factorize(abs(D)).factors if s > 2}
+        parts = []
+        for s, _ in factorize(self.modulus).factors:
+            Ds = odd.get(s, 1) if s > 2 else D // math.prod(odd.values())
+            if s in odd:
+                residues = np.ones(s, dtype=bool)
+                residues[np.arange(s, dtype=np.int64) ** 2 % s] = False
+            else:
+                residues = np.array([kronecker_symbol(Ds, r) == -1 for r in range(abs(Ds))])
+            residues.flags.writeable = False
+            parts.append((s, residues, kronecker_symbol(D // Ds, s) == -1))
+        return tuple(parts)
 
 
 @lru_cache(maxsize=None)
@@ -304,15 +339,17 @@ def _walk(blocks, lo: int, hi: int, dense, sparse) -> None:
             sparse(p, pos, e)
 
 
-def _segmented(name: str, lo: int, hi: int, dtype, fill) -> np.ndarray:
-    """An array over the closed window [lo, hi] (lo >= 1), written by
-    fill(part, a, b) SEGMENT integers [a, b] at a time, so the strided passes
-    stay in cache; BudgetError past MAX_INPUT."""
+def _segmented(name: str, lo: int, hi: int, dtype, setup) -> np.ndarray:
+    """An array over the closed window [lo, hi] (lo >= 1), written SEGMENT
+    integers [a, b] at a time, so the strided passes stay in cache, by
+    fill(part, a, b) for fill = setup(width), width the widest segment;
+    BudgetError past MAX_INPUT, before setup runs."""
     if lo < 1 or hi < lo:
         raise ValueError("window must satisfy 1 <= lo <= hi")
     if hi > MAX_INPUT:
         raise BudgetError(f"{name} requires hi <= {MAX_INPUT}")
     out = np.empty(hi - lo + 1, dtype=dtype)
+    fill = setup(min(SEGMENT, out.size))
     for a in range(lo, hi + 1, SEGMENT):
         b = min(a + SEGMENT - 1, hi)
         fill(out[a - lo : b - lo + 1], a, b)
@@ -323,25 +360,37 @@ def F_window(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
     """F_psi on the closed window [lo, hi] (lo >= 1), as an int32 array.
 
     A segmented multiplicative sieve: F_psi(n) is the product over p^e || n of
-    sum_{i <= e} psi(p)^i.  Each segment walks every prime p <= B = isqrt(hi)
-    of arith.prime_blocks once (`_walk`), and each puts its local factor into
-    the output and its p-part into the B-smooth part of n; a sparse run is
-    multiplied in unbuffered, since two primes can divide one n.  What is left
-    of n is 1 or one prime q > B, whose factor is 1 + psi(q).  Memory is
-    O(width + SEGMENT + PAIR_BLOCK) plus the bounded prime cache for any
-    hi <= MAX_INPUT (BudgetError above).  |F_psi(n)| <= tau(n) < 2^31 for
-    n < 2^63; widen before multiplying two windows.
+    sum_{i <= e} psi(p)^i.  Each segment walks the primes p <= B = isqrt(hi)
+    of arith.prime_blocks and the primes of the modulus above B, whose factor
+    is 1, once (`_walk`): each puts its local factor into the output and its
+    p-part into the smooth part of n, a sparse run unbuffered, since two primes
+    can divide one n.  Where the smooth part is not n, one prime q > B prime to
+    the modulus is left, and its factor 1 + psi(q) is read by the module's one
+    rule: 2, or 0 where psi(n') = -1 (`_UnitSign`).  The work arrays are made
+    once per call.  Memory is O(width + SEGMENT + PAIR_BLOCK) plus the bounded
+    prime cache for any hi <= MAX_INPUT (BudgetError above).
+    |F_psi(n)| <= tau(n) < 2^31 for n < 2^63; widen before multiplying two
+    windows.
     """
     table = psi.table()
-    return _segmented("F_window", lo, hi, table.dtype, partial(_sieve_segment, table=table))
+
+    def setup(width):
+        dtype = np.int32 if hi < 1 << 31 else np.int64  # smooth parts and n - lo are <= hi
+        work = np.empty(width, dtype=dtype), np.arange(width, dtype=dtype), np.empty(width, dtype=bool)
+        ks = tuple(s for s, _, _ in psi.unit_parts)
+        return partial(_sieve_segment, table=table, ks=ks, sign=_UnitSign(psi, width), work=work)
+
+    return _segmented("F_window", lo, hi, table.dtype, setup)
 
 
-def _sieve_segment(f: np.ndarray, lo: int, hi: int, table: np.ndarray) -> None:
-    """Write F_psi(n) for n in [lo, hi] into f, for psi given by its residue table."""
+def _sieve_segment(f: np.ndarray, lo: int, hi: int, table, ks, sign, work) -> None:
+    """Write F_psi(n) for n in [lo, hi] into f, for psi given by its residue
+    table, the primes ks of its modulus and its unit sign; work holds the
+    smooth part, the ramp 0, 1, 2, ... and a mask, each a segment wide."""
     k = table.size
-    part_dtype = np.int32 if hi < 1 << 31 else np.int64  # smooth parts are <= hi
+    smooth, ramp, left = (w[: f.size] for w in work)
     f[:] = 1
-    smooth = np.ones(hi - lo + 1, dtype=part_dtype)
+    smooth[:] = 1
     values = table.tolist()
     rules = {v: partial(_local_factor, v) for v in (1, -1)}  # psi(p) = 0 leaves f as it is
 
@@ -350,7 +399,7 @@ def _sieve_segment(f: np.ndarray, lo: int, hi: int, table: np.ndarray) -> None:
 
     def pairs(p, pos, e):
         v = table[p % k]
-        part, local = p.astype(part_dtype), 1 + v  # p^e and sum_{i <= e} v^i at e = 1
+        part, local = p.astype(smooth.dtype), 1 + v  # p^e and sum_{i <= e} v^i at e = 1
         deep = np.flatnonzero(e > 1)  # rare: multiples of p^2 among sparse pairs
         if deep.size:
             ee = e[deep]
@@ -360,13 +409,14 @@ def _sieve_segment(f: np.ndarray, lo: int, hi: int, table: np.ndarray) -> None:
         hit = np.flatnonzero(local != 1)
         np.multiply.at(f, pos[hit], local[hit])
 
-    _walk(prime_blocks(2, math.isqrt(hi)), lo, hi, strided, pairs)
-    q = np.arange(lo, hi + 1, dtype=part_dtype)
-    q //= smooth  # 1, or the one prime q > B left of n
-    psi_q = np.take(table, q - q // k * k)  # q % k; numpy's integer % is slower here
-    psi_q *= q > 1
-    psi_q += 1
-    f *= psi_q
+    B = math.isqrt(hi)
+    top = np.array([s for s in ks if s > B], dtype=np.int64)
+    _walk(chain(prime_blocks(2, B), [top]), lo, hi, strided, pairs)
+    smooth -= lo  # n - lo where nothing is left of n
+    np.not_equal(smooth, ramp, out=left)  # a prime q > B is left of n
+    f <<= left  # its factor 1 + psi(q) is 2 ...
+    left &= sign(lo, hi)
+    f[left] = 0  # ... or 0 where psi(q) = psi(n') = -1
 
 
 def F_positive(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
@@ -376,15 +426,17 @@ def F_positive(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
     F_window's walk over the inert primes alone (the criterion in the module
     docstring): an odd exponent of an inert p <= isqrt(hi) clears n, and so
     does psi(n') = -1 for n' = n without the primes of the modulus
-    (`_unit_parts`).
+    (`_UnitSign`).
     """
     table = psi.table()
-    parts = _unit_parts(psi, min(SEGMENT, hi - lo + 1))
-    fill = partial(_member_segment, table=table, parts=parts)
-    return _segmented("F_positive", lo, hi, bool, fill)
+
+    def setup(width):
+        return partial(_member_segment, table=table, sign=_UnitSign(psi, width))
+
+    return _segmented("F_positive", lo, hi, bool, setup)
 
 
-def _member_segment(ok: np.ndarray, lo: int, hi: int, table: np.ndarray, parts: list) -> None:
+def _member_segment(ok: np.ndarray, lo: int, hi: int, table: np.ndarray, sign) -> None:
     """Write F_psi(n) > 0 for n in [lo, hi] into the bool array ok."""
     k = table.size
     f = ok.view(np.int8)
@@ -399,48 +451,36 @@ def _member_segment(ok: np.ndarray, lo: int, hi: int, table: np.ndarray, parts: 
 
     inert = (b[table[b % k] == -1] for b in prime_blocks(2, math.isqrt(hi)))
     _walk(inert, lo, hi, strided, pairs)
-    ok &= ~_unit_sign(parts, lo, hi)
+    ok &= ~sign(lo, hi)
 
 
-def _unit_parts(psi: DirichletCharacter, width: int) -> list:
-    """(s, size, period, flip) for each prime s of psi's modulus k whose factor
-    of psi(n') below can be -1, for windows up to width wide.
-
-    Let n' be n without the primes of k.  disc D is the product of the prime
-    discriminants D_s, and (D_s/.) has period |D_s| and no zero off s, so
-
-        psi(n') = prod_{s | k} (D_s / n_s) * ((D / D_s) / s)^{v_s(n)},
-
-    with n = s^{v_s(n)} n_s and D_s = 1 for s not dividing D.  period marks the
-    residues r mod size = |D_s| with (D_s/r) = -1, repeated to cover width +
-    size entries, and flip says ((D / D_s) / s) = -1.
+class _UnitSign:
+    """psi(n') = -1 over segments up to width wide, for n' = n without the
+    primes of the modulus, from the parts of psi.unit_parts whose factor can
+    be -1: each one's residues are tiled once, to cover width + |D_s| entries.
+    A call writes into one buffer, so its result holds until the next call.
     """
-    D = psi.disc
-    odd = {s: s if s % 4 == 1 else -s for s, _ in factorize(abs(D)).factors if s > 2}
-    parts = []
-    for s, _ in factorize(psi.modulus).factors:
-        Ds = odd.get(s, 1) if s > 2 else D // math.prod(odd.values())
-        flip = kronecker_symbol(D // Ds, s) == -1
-        residues = np.array([kronecker_symbol(Ds, r) == -1 for r in range(abs(Ds))])
-        if flip or residues.any():
-            size = residues.size
-            parts.append((s, size, np.tile(residues, width // size + 2), flip))
-    return parts
 
+    def __init__(self, psi: DirichletCharacter, width: int):
+        self.parts = [(s, r.size, np.tile(r, width // r.size + 2), flip)
+                      for s, r, flip in psi.unit_parts if flip or r.any()]
+        self.neg = np.empty(width, dtype=bool)
+        self.factor = np.empty(width, dtype=bool)
 
-def _unit_sign(parts, lo: int, hi: int) -> np.ndarray:
-    """psi(n') = -1 over [lo, hi], from the parts of `_unit_parts`: level j of
-    s rewrites its multiples of s^j with (D_s / (n / s^j)) and flip^j, so each
-    n keeps the level of its own v_s(n)."""
-    neg = np.zeros(hi - lo + 1, dtype=bool)
-    for s, size, period, flip in parts:
-        factor = period[lo % size :][: neg.size].copy()
-        for j, (offset, sj) in enumerate(_multiples(s, lo, hi), 1):
-            level = factor[offset::sj]
-            start = (lo + offset) // sj % size
-            level[:] = period[start:][: level.size] ^ (flip and j % 2 == 1)
-        neg ^= factor
-    return neg
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        """psi(n') = -1 over [lo, hi]: level j of s rewrites its multiples of
+        s^j with (D_s / (n / s^j)) and flip^j, so each n keeps the level of its
+        own v_s(n)."""
+        neg, factor = self.neg[: hi - lo + 1], self.factor[: hi - lo + 1]
+        neg[:] = False
+        for s, size, period, flip in self.parts:
+            factor[:] = period[lo % size :][: neg.size]
+            for j, (offset, sj) in enumerate(_multiples(s, lo, hi), 1):
+                level = factor[offset::sj]
+                start = (lo + offset) // sj % size
+                np.bitwise_xor(period[start:][: level.size], flip and j % 2 == 1, out=level)
+            neg ^= factor
+        return neg
 
 
 def F_sieve(psi: DirichletCharacter, x: int) -> np.ndarray:

@@ -5,7 +5,8 @@ map from field name to value, which _render prints once as CSV (default) or
 JSON.  CSV is a header of the field names (repr, member, eta and lambda
 --p/--j print none) and one row: floats as .15g, booleans as true/false, None
 as an empty cell, anything else by str.  JSON is json.dumps(record,
-sort_keys=True); Fractions enter records as str.  census adds a `W,<n>` line
+sort_keys=True), strict: a non-finite float is null there (CSV keeps nan);
+Fractions enter records as str.  census adds a `W,<n>` line
 per witness to CSV and a `witnesses` list to JSON, repr's `fn` key is in JSON
 only, verify prints one row per check, and gap prints JSON only.  Output is
 deterministic for fixed flags, whatever the thread count.  Each handler
@@ -85,7 +86,9 @@ def _render(args, record: dict, header: bool = True, tail=(), extra=None) -> str
     with the field names (if header), the row, then the lines of tail."""
     if args.format == "json":
         import json
-        return json.dumps({**record, **(extra or {})}, sort_keys=True)
+        record = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                  for k, v in {**record, **(extra or {})}.items()}
+        return json.dumps(record, sort_keys=True, allow_nan=False)
     lines = [",".join(record)] if header else []
     return "\n".join([*lines, ",".join(map(_cell, record.values())), *tail])
 

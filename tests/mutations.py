@@ -53,8 +53,8 @@ MUTATIONS = [
              ("tests/test_characters.py::test_F_sieve_matches_per_n",),
              "F: every prime factor is taken with exponent 1"),
     Mutation("src/formgaps/characters.py",
-             "    psi_q *= q > 1\n",
-             "",
+             "    np.not_equal(smooth, ramp, out=left)  # a prime q > B is left of n\n",
+             "    left[:] = True\n",
              ("tests/test_characters.py::test_F_sieve_row",),
              "F_window: the leftover mask is dropped, so a smooth n takes 1 + psi(1)"),
     Mutation("src/formgaps/characters.py",
@@ -307,7 +307,7 @@ MUTATIONS = [
              ("tests/test_arith.py::test_prime_blocks_past_the_cache_match_is_prime",),
              "prime_blocks: the odd-only segment starts p at o + j even when j is odd"),
     Mutation("src/formgaps/characters.py",
-             "    ok &= ~_unit_sign(parts, lo, hi)\n",
+             "    ok &= ~sign(lo, hi)\n",
              "",
              ("tests/test_characters.py::test_F_positive_edge_windows",),
              "F_positive: the final test psi(n') != -1 is dropped"),
@@ -321,6 +321,27 @@ MUTATIONS = [
              "(b for b in",
              ("tests/test_characters.py::test_F_positive_edge_windows",),
              "F_positive: the inert filter is dropped, so any prime's odd exponent clears n"),
+    Mutation("src/formgaps/characters.py",
+             "[s for s in ks if s > B]",
+             "[]",
+             ("tests/test_characters.py::test_F_window_edge_windows",),
+             "F_window: the modulus primes above isqrt(hi) are not walked, so q can divide k"),
+    Mutation("src/formgaps/characters.py",
+             "    f[left] = 0  # ... or 0 where psi(q) = psi(n') = -1\n",
+             "",
+             ("tests/test_characters.py::test_F_sieve_row",),
+             "F_window: the unit-sign zeroing is skipped, so an inert q > B doubles F"),
+    Mutation("src/formgaps/characters.py",
+             "residues[np.arange(s, dtype=np.int64) ** 2 % s] = False",
+             "residues[np.arange(s, dtype=np.int64) ** 3 % s] = False",
+             ("tests/test_characters.py::test_unit_parts_give_psi_of_the_unit_part",),
+             "unit_parts: an odd part marks the non-cubes mod s, not the non-squares"),
+    Mutation("src/formgaps/cli.py",
+             "        record = {k: None if isinstance(v, float) and not math.isfinite(v) else v\n"
+             "                  for k, v in {**record, **(extra or {})}.items()}\n",
+             "        record = {**record, **(extra or {})}\n",
+             ("tests/test_cli.py::test_output_forms",),
+             "_render: a non-finite float reaches the strict JSON encoder"),
     Mutation("src/formgaps/characters.py",
              "saved = f[o2::p2].copy()",
              "saved = f[o2::p2]",

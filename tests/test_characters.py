@@ -270,6 +270,15 @@ KERNEL_CHARACTERS = (
 )
 
 
+# moduli with more than one prime, where psi(n') takes one factor per prime;
+# built as kronecker(8) is, so collection does not depend on the discriminant rule
+KRONECKER_M20 = DirichletCharacter("kronecker(-20)", -20, 20)
+KRONECKER_M420 = DirichletCharacter("kronecker(-420)", -420, 420)
+# |D| = 99991 is prime and far above isqrt(hi) of the windows below
+KRONECKER_M99991 = DirichletCharacter("kronecker(-99991)", -99991, 99991)
+MASK_CHARACTERS = KERNEL_CHARACTERS + (trivial_character(30), KRONECKER_M20, KRONECKER_M420)
+
+
 def _F_reference(chars, lo, hi):
     """F_psi on [lo, hi] for each psi in chars, evaluated multiplicatively from
     one segmented factorization.
@@ -384,6 +393,12 @@ def test_F_window_sparse_runs(monkeypatch, lo, width):
         (chi4(), 2 ** 31 - 3000, 2 ** 31 + 3000),
         (kronecker_character(-23), 2 ** 31 - 3000, 2 ** 31 + 3000),
         (KERNEL_CHARACTERS[-1], 10 ** 12 - 2000, 10 ** 12 + 2000),
+        # a prime of the modulus above isqrt(hi) is walked, so it is never the
+        # leftover q: 23 > isqrt(528), 7 > isqrt(48), 99991 > isqrt(5 * 99991)
+        (kronecker_character(-23), 1, 600),
+        (kronecker_character(-23), 1, 528),
+        (KRONECKER_M420, 1, 48),
+        (KRONECKER_M99991, 5 * 99991 - 300, 5 * 99991 + 300),
     ],
 )
 def test_F_window_edge_windows(psi, lo, hi):
@@ -410,20 +425,13 @@ def test_F_window_memory_bounded_at_large_hi():
 @given(
     lo=st.integers(min_value=1, max_value=10 ** 13),
     width=st.integers(min_value=1, max_value=3000),
-    psi=st.sampled_from(KERNEL_CHARACTERS),
+    psi=st.sampled_from(MASK_CHARACTERS),
 )
 def test_F_window_property(lo, width, psi):
     hi = lo + width - 1
     w = F_window(psi, lo, hi)
     assert np.array_equal(w, _F_reference([psi], lo, hi)[0])
     assert np.array_equal(w, _F_divisor_reference([psi], lo, hi)[0])
-
-
-# moduli with more than one prime, where psi(n') takes one factor per prime;
-# built as kronecker(8) is, so collection does not depend on the discriminant rule
-KRONECKER_M20 = DirichletCharacter("kronecker(-20)", -20, 20)
-KRONECKER_M420 = DirichletCharacter("kronecker(-420)", -420, 420)
-MASK_CHARACTERS = KERNEL_CHARACTERS + (trivial_character(30), KRONECKER_M20, KRONECKER_M420)
 
 
 @settings(max_examples=40, deadline=None)
@@ -479,6 +487,44 @@ def test_F_positive_memory_bounded_at_large_hi():
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
     assert mask[0] == (F(chi4(), lo) > 0) and mask[-1] == (F(chi4(), lo + 999) > 0)
+
+
+def test_unit_parts_give_psi_of_the_unit_part():
+    # psi(n') for n' = n without the primes of the modulus, read off the
+    # values, against the product of the parts' factors
+    chars = MASK_CHARACTERS + (chi6(), trivial_character(1), KRONECKER_M99991) + tuple(
+        kronecker_character(D) for D in range(-300, 301) if is_fundamental_discriminant(D))
+    n = np.arange(1, 3001, dtype=np.int64)
+    for psi in chars:
+        primes_of_k = [s for s, _ in factorize(psi.modulus).factors]
+        assert [s for s, _, _ in psi.unit_parts] == primes_of_k
+        unit, sign = n.copy(), np.ones(n.size, dtype=np.int64)
+        for s, residues, flip in psi.unit_parts:
+            assert not residues.flags.writeable
+            v = np.zeros(n.size, dtype=np.int64)
+            while (hit := unit % s == 0).any():
+                unit[hit] //= s
+                v += hit
+            cofactor = n // s ** v
+            sign *= np.where(residues[cofactor % residues.size], -1, 1) * np.where(flip & (v % 2 == 1), -1, 1)
+        assert np.array_equal(np.array(psi.values)[unit % psi.modulus], sign), psi.name
+
+
+def test_second_calls_evaluate_no_symbol(monkeypatch):
+    # the value table (one kronecker_symbol per residue, 99991 here) and the
+    # unit-sign tables are built once per character, not once per call
+    lo, hi = 10 ** 9, 10 ** 9 + 1000
+    first = F_positive(KRONECKER_M99991, lo, hi), F_window(KRONECKER_M99991, lo, hi)
+    calls = []
+
+    def counted(a, n):
+        calls.append((a, n))
+        return kronecker_symbol(a, n)
+
+    monkeypatch.setattr(characters, "kronecker_symbol", counted)
+    assert np.array_equal(F_positive(KRONECKER_M99991, lo, hi), first[0])
+    assert np.array_equal(F_window(KRONECKER_M99991, lo, hi), first[1])
+    assert calls == []
 
 
 def test_F_refuses_past_the_ceiling(monkeypatch):

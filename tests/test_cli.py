@@ -75,7 +75,7 @@ OUTPUT_FORMS = [
      '{"J": 318, "a": 1, "main": 0.3333333333333333, "psi": "chi6", "ratio": 0.9540000000000001, "x": 1000}\n'),
     ('correlate --kind j --psi chi4 --a 26 --x 100',
      'psi,a,x,J,main,ratio\nchi4,26,100,0,0,nan\n',
-     '{"J": 0, "a": 26, "main": 0.0, "psi": "chi4", "ratio": NaN, "x": 100}\n'),
+     '{"J": 0, "a": 26, "main": 0.0, "psi": "chi4", "ratio": null, "x": 100}\n'),
     ('correlate --kind general --psi chi4 --rho chi4 --a 2 --x 500',
      'psi,a,x,J,main,ratio\nchi4*chi4,2,500,123,0.25,0.984\n',
      '{"J": 123, "a": 2, "main": 0.25, "psi": "chi4*chi4", "ratio": 0.984, "x": 500}\n'),
