@@ -146,7 +146,7 @@ def L_value(chi: DirichletCharacter, s: float, eps: float = 1e-10) -> TruncatedV
     N = k * 32
     while tail_bound(N) > eps * 0.9 and N < cap:
         N = min(2 * N, cap)
-    table = chi.table().astype(np.float64)
+    table = chi.table.astype(np.float64)
     val = 0
     for lo in range(1, N + 1, 1 << 20):  # blocks of 2^20 terms bound the memory
         n = np.arange(lo, min(lo + (1 << 20), N + 1))
@@ -263,10 +263,10 @@ def euler_factor_Gp(rho: DirichletCharacter, a: int, p: int, s: float) -> Fracti
 def _modified_prime_product(psi: DirichletCharacter, P: int) -> tuple[float, int]:
     """prod over odd p <= P of (1 - chi4(p) psi(p) / p^2), and the prime count,
     one block of `prime_blocks` at a time."""
-    table = psi.table().astype(np.float64)
+    table = psi.table.astype(np.float64)
     prod, count = 1.0, 0
     for ps in prime_blocks(3, P):
-        chi4v = np.where(ps % 4 == 1, 1.0, -1.0)
+        chi4v = chi4().table[ps % 4]
         prod *= float(np.prod(1.0 - chi4v * table[ps % psi.modulus] / ps.astype(np.float64) ** 2))
         count += int(ps.size)
     return prod, count
@@ -311,7 +311,7 @@ def beta_euler(psi: DirichletCharacter, a: int, eps: float = 1e-6) -> TruncatedV
         if p == 2:
             continue
         if p <= P:
-            val /= 1 - (1 if p % 4 == 1 else -1) * psi(p) / p ** 2
+            val /= 1 - chi4()(p) * psi(p) / p ** 2
         exact = euler_factor_Gp(psi, a, p, 1) * (1 - Fraction(psi(p), p))
         val *= float(exact)
         extra_terms += 1
@@ -411,7 +411,7 @@ def G_series(
     _require_beta_character(rho, a)
     et = eta_table(a, n_max)[1:].astype(np.float64)
     n = np.arange(1, n_max + 1, dtype=np.int64)
-    rhov = np.asarray(rho.values, dtype=np.float64)[n % rho.modulus]
+    rhov = rho.table.astype(np.float64)[n % rho.modulus]
     val = float(np.sum(rhov * et / n.astype(np.float64) ** (1.0 + s)))
     running = np.cumsum(rhov * et)
     y = n[999:].astype(np.float64)

@@ -60,10 +60,10 @@ def _shifted_windows(psi, rho, a: int, lo: int, hi: int, threads: int, window, r
     """reduce(c_lo, window(psi, c_lo, c_hi), window(rho, c_lo + a, c_hi + a))
     for each chunk [c_lo, c_hi] of [lo, hi], in order (lo >= 1 and lo + a >= 1).
 
-    When psi and rho have one value table and the two ranges of a chunk
+    When psi and rho have one (disc, modulus) and the two ranges of a chunk
     overlap, both sides are slices of one window over their union.
     """
-    shared = psi.values == rho.values
+    shared = (psi.disc, psi.modulus) == (rho.disc, rho.modulus)
 
     def one(c):
         c_lo, c_hi = c

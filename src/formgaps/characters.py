@@ -5,13 +5,15 @@
 Every character here is real, so it is the Kronecker symbol (D/.) of a
 discriminant D (1 for the principal ones) on the units mod a modulus k that
 |D| divides: its conductor is |D| and its parity the sign of D.  Products and
-primitive characters are arithmetic on (D, k).  The value table indexed by
-residue is computed from the symbol, giving O(1) lookups inside sieve loops;
-moduli are small (3, 4, 5, 6, 12, |D| <= MODULUS_MAX).  psi is completely
-multiplicative and periodic; it is extended to the reals by psi(w) = 0 for
-non-integer w, which is what the square-root shortcut for F relies on.  F
-itself is multiplicative, with per-prime geometric sums sum_{i <= e} psi(p)^i at
-p^e || n: e + 1, the parity of e, or 1 for psi(p) = 1, -1, 0 (`_local_factor`).
+primitive characters are arithmetic on (D, k).  Each character is derived
+once, from the prime discriminants of D (`DirichletCharacter.unit_parts`), and
+its values by residue are read off that derivation, giving O(1) lookups inside
+sieve loops; moduli are small (3, 4, 5, 6, 12, |D| <= MODULUS_MAX).  psi is
+completely multiplicative and periodic; it is extended to the reals by
+psi(w) = 0 for non-integer w, which is what the square-root shortcut for F
+relies on.  F itself is multiplicative, with per-prime geometric sums
+sum_{i <= e} psi(p)^i at p^e || n: e + 1, the parity of e, or 1 for
+psi(p) = 1, -1, 0 (`_local_factor`).
 
 The sieves walk the primes p <= B = isqrt(hi) of a window once (`_walk`), with
 one of two products.  F_window multiplies exactly the local factors above,
@@ -59,38 +61,11 @@ SEGMENT = 1 << 18  # F_window sieves this many integers at a time
 MODULUS_MAX = 10 ** 5  # trivial:K and kronecker:D, whose value tables have K or |D| entries
 
 
-def jacobi_symbol(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n >= 1."""
-    if n < 1 or n % 2 == 0:
-        raise ValueError("jacobi_symbol requires odd n >= 1")
-    a %= n
-    t = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                t = -t
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            t = -t
-        a %= n
-    return t if n == 1 else 0
+# The residues r mod |D_2| with (D_2 / r) = -1, for each 2-part D_2 of a
+# fundamental discriminant: 3 mod 4, then 3 and 5 mod 8, then 5 and 7 mod 8.
+_TWO_PARTS = {-4: b"\0\0\0\1", 8: b"\0\0\0\1\0\1\0\0", -8: b"\0\0\0\0\0\1\0\1"}
 
-
-def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a/n) for n >= 0, with the usual rules at 2 and 0."""
-    if n < 0:
-        raise ValueError("kronecker_symbol here only takes n >= 0")
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    e = (n & -n).bit_length() - 1
-    odd = n >> e
-    if e and a % 2 == 0:
-        return 0
-    s = 1
-    if e % 2 == 1 and a % 8 in (3, 5):
-        s = -1
-    return s * jacobi_symbol(a, odd)
+_SIGN = bytes.maketrans(b"\0\1", b"\1\xff")  # a part's 0/1 to the signed byte 1/-1
 
 
 @dataclass(frozen=True)
@@ -100,8 +75,10 @@ class DirichletCharacter:
     Every real Dirichlet character is a Kronecker symbol (disc/.) times a
     principal character (Davenport, Multiplicative Number Theory, ch. 5):
     disc is 1 or a fundamental discriminant, |disc| divides the modulus and is
-    the conductor, and the character is odd exactly when disc < 0.  values[r]
-    is psi(r), one of the ints -1, 0, 1, computed once on first use.
+    the conductor, and the character is odd exactly when disc < 0.  disc is
+    the product of its prime discriminants, and `unit_parts` derives the
+    character from them; values and table are read off those parts.  Each of
+    the three is built once, on first use.
     """
 
     name: str
@@ -113,8 +90,23 @@ class DirichletCharacter:
 
     @cached_property
     def values(self) -> tuple:
-        k, D = self.modulus, self.disc
-        return tuple(kronecker_symbol(D, r) if math.gcd(r, k) == 1 else 0 for r in range(k))
+        """values[r] = psi(r) for r mod k, as the ints -1, 0, 1: the product of
+        the parts' factors on the units, 0 at the multiples of a prime of k."""
+        k = self.modulus
+        neg = 0  # byte r is 1 where an odd number of parts are -1 at r
+        for _, part, _ in self.unit_parts:
+            neg ^= int.from_bytes(part * (k // len(part)), "little")
+        signs = bytearray(neg.to_bytes(k, "little").translate(_SIGN))
+        for s, _, _ in self.unit_parts:
+            signs[::s] = bytes(len(range(0, k, s)))
+        return tuple(memoryview(signs).cast("b").tolist())
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """values as a read-only int32 array, for lookups at arrays of residues."""
+        table = np.array(self.values, dtype=np.int32)
+        table.flags.writeable = False
+        return table
 
     @property
     def is_trivial(self) -> bool:
@@ -124,37 +116,39 @@ class DirichletCharacter:
     def is_primitive(self) -> bool:
         return self.modulus == abs(self.disc)
 
-    def table(self) -> np.ndarray:
-        return np.array(self.values, dtype=np.int32)
-
     @cached_property
     def unit_parts(self) -> tuple:
-        """(s, residues, flip) for each prime s of the modulus k, computed once
-        on first use: the tables of psi(n') for n' = n without the primes of k.
+        """(s, neg, flip) for each prime s of the modulus k: the character
+        derived from the prime discriminants D_s of disc D.
 
-        disc D is the product of the prime discriminants D_s, and (D_s/.) has
-        period |D_s| and no zero off s, so
+        D = prod_{s | k} D_s, with D_s = 1 for s not dividing D, and (D_s/.) has
+        period |D_s| and no zero off s, so for n = s^{v_s(n)} n_s
 
-            psi(n') = prod_{s | k} (D_s / n_s) * ((D / D_s) / s)^{v_s(n)},
+            psi(n) = prod_{s | k} (D_s / n) on the units,
+            psi(n') = prod_{s | k} (D_s / n_s) * ((D / D_s) / s)^{v_s(n)}
 
-        with n = s^{v_s(n)} n_s and D_s = 1 for s not dividing D.  residues is
-        the read-only bool array of the r mod |D_s| with (D_s/r) = -1, and flip
-        says ((D / D_s) / s) = -1.  For an odd s dividing D, (D_s/r) is the
-        Legendre symbol (r/s), which is -1 exactly on the non-squares mod s.
+        for n' = n without the primes of k.  neg holds one byte per r mod |D_s|,
+        1 where (D_s/r) = -1 and 0 elsewhere: 1 on the non-squares mod an odd s
+        dividing D, since (D_s/r) is the Legendre symbol (r/s); a row of
+        _TWO_PARTS for s = 2; b"\0" for s not dividing D.  flip says
+        ((D / D_s) / s) = -1, the product of the other parts' values at s, where
+        s is a unit.
         """
         D = self.disc
         odd = {s: s if s % 4 == 1 else -s for s, _ in factorize(abs(D)).factors if s > 2}
-        parts = []
+        negs = {}
         for s, _ in factorize(self.modulus).factors:
-            Ds = odd.get(s, 1) if s > 2 else D // math.prod(odd.values())
             if s in odd:
-                residues = np.ones(s, dtype=bool)
-                residues[np.arange(s, dtype=np.int64) ** 2 % s] = False
+                neg = bytearray(b"\1") * s
+                for x in range((s + 1) // 2):
+                    neg[x * x % s] = 0
+                negs[s] = bytes(neg)
+            elif s == 2 and D % 2 == 0:
+                negs[s] = _TWO_PARTS[D // math.prod(odd.values())]
             else:
-                residues = np.array([kronecker_symbol(Ds, r) == -1 for r in range(abs(Ds))])
-            residues.flags.writeable = False
-            parts.append((s, residues, kronecker_symbol(D // Ds, s) == -1))
-        return tuple(parts)
+                negs[s] = b"\0"
+        return tuple((s, neg, sum(other[s % len(other)] for t, other in negs.items() if t != s) % 2 == 1)
+                     for s, neg in negs.items())
 
 
 @lru_cache(maxsize=None)
@@ -372,26 +366,23 @@ def F_window(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
     |F_psi(n)| <= tau(n) < 2^31 for n < 2^63; widen before multiplying two
     windows.
     """
-    table = psi.table()
 
     def setup(width):
         dtype = np.int32 if hi < 1 << 31 else np.int64  # smooth parts and n - lo are <= hi
         work = np.empty(width, dtype=dtype), np.arange(width, dtype=dtype), np.empty(width, dtype=bool)
-        ks = tuple(s for s, _, _ in psi.unit_parts)
-        return partial(_sieve_segment, table=table, ks=ks, sign=_UnitSign(psi, width), work=work)
+        return partial(_sieve_segment, psi=psi, sign=_UnitSign(psi, width), work=work)
 
-    return _segmented("F_window", lo, hi, table.dtype, setup)
+    return _segmented("F_window", lo, hi, psi.table.dtype, setup)
 
 
-def _sieve_segment(f: np.ndarray, lo: int, hi: int, table, ks, sign, work) -> None:
-    """Write F_psi(n) for n in [lo, hi] into f, for psi given by its residue
-    table, the primes ks of its modulus and its unit sign; work holds the
-    smooth part, the ramp 0, 1, 2, ... and a mask, each a segment wide."""
-    k = table.size
+def _sieve_segment(f: np.ndarray, lo: int, hi: int, psi, sign, work) -> None:
+    """Write F_psi(n) for n in [lo, hi] into f, given psi's unit sign; work
+    holds the smooth part, the ramp 0, 1, 2, ... and a mask, each a segment
+    wide."""
+    values, table, k = psi.values, psi.table, psi.modulus
     smooth, ramp, left = (w[: f.size] for w in work)
     f[:] = 1
     smooth[:] = 1
-    values = table.tolist()
     rules = {v: partial(_local_factor, v) for v in (1, -1)}  # psi(p) = 0 leaves f as it is
 
     def strided(p):
@@ -410,7 +401,7 @@ def _sieve_segment(f: np.ndarray, lo: int, hi: int, table, ks, sign, work) -> No
         np.multiply.at(f, pos[hit], local[hit])
 
     B = math.isqrt(hi)
-    top = np.array([s for s in ks if s > B], dtype=np.int64)
+    top = np.array([s for s, _, _ in psi.unit_parts if s > B], dtype=np.int64)
     _walk(chain(prime_blocks(2, B), [top]), lo, hi, strided, pairs)
     smooth -= lo  # n - lo where nothing is left of n
     np.not_equal(smooth, ramp, out=left)  # a prime q > B is left of n
@@ -428,17 +419,16 @@ def F_positive(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
     does psi(n') = -1 for n' = n without the primes of the modulus
     (`_UnitSign`).
     """
-    table = psi.table()
 
     def setup(width):
-        return partial(_member_segment, table=table, sign=_UnitSign(psi, width))
+        return partial(_member_segment, psi=psi, sign=_UnitSign(psi, width))
 
     return _segmented("F_positive", lo, hi, bool, setup)
 
 
-def _member_segment(ok: np.ndarray, lo: int, hi: int, table: np.ndarray, sign) -> None:
+def _member_segment(ok: np.ndarray, lo: int, hi: int, psi, sign) -> None:
     """Write F_psi(n) > 0 for n in [lo, hi] into the bool array ok."""
-    k = table.size
+    table, k = psi.table, psi.modulus
     f = ok.view(np.int8)
     f[:] = 1
     parity = partial(_local_factor, -1)
@@ -457,13 +447,13 @@ def _member_segment(ok: np.ndarray, lo: int, hi: int, table: np.ndarray, sign) -
 class _UnitSign:
     """psi(n') = -1 over segments up to width wide, for n' = n without the
     primes of the modulus, from the parts of psi.unit_parts whose factor can
-    be -1: each one's residues are tiled once, to cover width + |D_s| entries.
+    be -1: each one's neg is tiled once, to cover width + |D_s| entries.
     A call writes into one buffer, so its result holds until the next call.
     """
 
     def __init__(self, psi: DirichletCharacter, width: int):
-        self.parts = [(s, r.size, np.tile(r, width // r.size + 2), flip)
-                      for s, r, flip in psi.unit_parts if flip or r.any()]
+        self.parts = [(s, len(neg), np.tile(np.frombuffer(neg, dtype=bool), width // len(neg) + 2), flip)
+                      for s, neg, flip in psi.unit_parts if flip or 1 in neg]
         self.neg = np.empty(width, dtype=bool)
         self.factor = np.empty(width, dtype=bool)
 
@@ -490,7 +480,7 @@ def F_sieve(psi: DirichletCharacter, x: int) -> np.ndarray:
         raise ValueError("F_sieve requires x >= 1")
     if x > F_SIEVE_MAX:
         raise BudgetError(f"F_sieve of length {x} exceeds the budget of {F_SIEVE_MAX}")
-    out = np.zeros(x + 1, dtype=psi.table().dtype)
+    out = np.zeros(x + 1, dtype=psi.table.dtype)
     for lo, hi in chunk_ranges(1, x):
         out[lo : hi + 1] = F_window(psi, lo, hi)
     return out

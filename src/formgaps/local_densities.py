@@ -73,10 +73,10 @@ def lambda_prime_power(p: int, j: int, a: int) -> Fraction:
     v = nu(p, a) if a else j  # every p^j divides 0
     if p == 2:
         return Fraction(1 if j <= v + 1 else 1 + chi4()(a >> v))
+    chi = chi4()(p)
     if v == 0:
-        chi = 1 if p % 4 == 1 else -1
         return 1 - Fraction(chi, p)
-    if p % 4 == 1:
+    if chi == 1:
         if j <= v:
             return 1 + j * (1 - Fraction(1, p))
         return (1 + v) * (1 - Fraction(1, p))
@@ -143,6 +143,6 @@ def eta_table(a: int, n_max: int) -> np.ndarray:
     for p in ps:
         _strided_prime(out[1:], smooth[1:], 1, n_max, p, partial(_eta_prime_power, a, p))
     q = np.arange(n_max + 1, dtype=np.int64) // smooth
-    chi = (q % 4 == 1).astype(np.int64) - (q % 4 == 3)
+    chi = chi4().table[q % 4]
     out *= np.where(q > 1, q - chi, 1) if a else q + chi * (q - 1)
     return out

@@ -322,7 +322,7 @@ MUTATIONS = [
              ("tests/test_characters.py::test_F_positive_edge_windows",),
              "F_positive: the inert filter is dropped, so any prime's odd exponent clears n"),
     Mutation("src/formgaps/characters.py",
-             "[s for s in ks if s > B]",
+             "[s for s, _, _ in psi.unit_parts if s > B]",
              "[]",
              ("tests/test_characters.py::test_F_window_edge_windows",),
              "F_window: the modulus primes above isqrt(hi) are not walked, so q can divide k"),
@@ -332,10 +332,25 @@ MUTATIONS = [
              ("tests/test_characters.py::test_F_sieve_row",),
              "F_window: the unit-sign zeroing is skipped, so an inert q > B doubles F"),
     Mutation("src/formgaps/characters.py",
-             "residues[np.arange(s, dtype=np.int64) ** 2 % s] = False",
-             "residues[np.arange(s, dtype=np.int64) ** 3 % s] = False",
+             "neg[x * x % s] = 0",
+             "neg[x * x * x % s] = 0",
              ("tests/test_characters.py::test_unit_parts_give_psi_of_the_unit_part",),
              "unit_parts: an odd part marks the non-cubes mod s, not the non-squares"),
+    Mutation("src/formgaps/characters.py",
+             '8: b"\\0\\0\\0\\1\\0\\1\\0\\0"',
+             '8: b"\\0\\0\\0\\1\\0\\0\\0\\1"',
+             ("tests/test_characters.py::test_unit_parts_give_psi_of_the_unit_part",),
+             "unit_parts: the 2-part 8 marks 3 and 7 mod 8, not 3 and 5"),
+    Mutation("src/formgaps/characters.py",
+             "for t, other in negs.items() if t != s)",
+             "for t, other in negs.items() if t not in (s, 2))",
+             ("tests/test_characters.py::test_unit_parts_give_psi_of_the_unit_part",),
+             "unit_parts: a flip leaves out the 2-part's value at s"),
+    Mutation("src/formgaps/characters.py",
+             "signs[::s] = bytes(len(range(0, k, s)))",
+             "if self.disc % s == 0: signs[::s] = bytes(len(range(0, k, s)))",
+             ("tests/test_characters.py::test_unit_parts_give_psi_of_the_unit_part",),
+             "values: a prime of the modulus that disc lacks (chi6's 2) leaves its multiples unzeroed"),
     Mutation("src/formgaps/cli.py",
              "        record = {k: None if isinstance(v, float) and not math.isfinite(v) else v\n"
              "                  for k, v in {**record, **(extra or {})}.items()}\n",

@@ -21,9 +21,7 @@ from formgaps.characters import (
     chi4,
     chi6,
     is_fundamental_discriminant,
-    jacobi_symbol,
     kronecker_character,
-    kronecker_symbol,
     make_character,
     primitive_character,
     product_character,
@@ -31,6 +29,7 @@ from formgaps.characters import (
     trivial_character,
 )
 from formgaps.errors import BudgetError
+from kronecker_oracle import character_values, jacobi_symbol, kronecker_symbol, unit_parts
 
 REALS = (chi3(), chi4(), chi6())
 
@@ -489,42 +488,68 @@ def test_F_positive_memory_bounded_at_large_hi():
     assert mask[0] == (F(chi4(), lo) > 0) and mask[-1] == (F(chi4(), lo + 999) > 0)
 
 
+# one row per 2-part D_2 of disc (-4, 8, -8), each with an odd prime of the
+# modulus that disc lacks, and the flips ((D / D_s) / s) = -1 at every prime s
+# of the modulus, increasing
+TWO_PART_ROWS = {
+    DirichletCharacter("kronecker(60) mod 420", 60, 420): (False, False, True, False),  # -4 * -3 * 5
+    DirichletCharacter("kronecker(40) mod 120", 40, 120): (True, False, True),  # 8 * 5
+    DirichletCharacter("kronecker(-40) mod 840", -40, 840): (True, True, True, False),  # -8 * 5
+}
+
+
 def test_unit_parts_give_psi_of_the_unit_part():
-    # psi(n') for n' = n without the primes of the modulus, read off the
-    # values, against the product of the parts' factors
-    chars = MASK_CHARACTERS + (chi6(), trivial_character(1), KRONECKER_M99991) + tuple(
-        kronecker_character(D) for D in range(-300, 301) if is_fundamental_discriminant(D))
+    # the parts, their flips and the values against one Kronecker symbol per
+    # residue; then psi(n') for n' = n without the primes of the modulus, read
+    # off the symbol's values, against the product of the parts' factors.
+    # Every primitive character with |D| <= 1000, imprimitive ones with one or
+    # two primes of the modulus outside D, and products of the named ones.
+    named = (chi3(), chi4(), chi6(), trivial_character(1), trivial_character(30)) + tuple(TWO_PART_ROWS)
+    chars = MASK_CHARACTERS + named + (KRONECKER_M99991,) + tuple(
+        kronecker_character(D) for D in range(-1000, 1001) if is_fundamental_discriminant(D))
+    chars += tuple(DirichletCharacter("imprimitive", D, abs(D) * m) for D in (-8, -4, -3, 5, 8, 12, -20, 24, -40)
+                   for m in (2, 3, 5, 6, 35))
+    chars += tuple(product_character(a, b) for a, b in itertools.product(named, repeat=2))
     n = np.arange(1, 3001, dtype=np.int64)
     for psi in chars:
+        values = character_values(psi.disc, psi.modulus)
+        assert psi.values == values, psi.name
+        assert psi.unit_parts == unit_parts(psi.disc, psi.modulus), psi.name
+        if psi in TWO_PART_ROWS:
+            assert tuple(flip for _, _, flip in psi.unit_parts) == TWO_PART_ROWS[psi], psi.name
         primes_of_k = [s for s, _ in factorize(psi.modulus).factors]
         assert [s for s, _, _ in psi.unit_parts] == primes_of_k
         unit, sign = n.copy(), np.ones(n.size, dtype=np.int64)
-        for s, residues, flip in psi.unit_parts:
-            assert not residues.flags.writeable
+        for s, neg, flip in psi.unit_parts:
+            assert type(neg) is bytes  # immutable
+            residues = np.frombuffer(neg, dtype=bool)
             v = np.zeros(n.size, dtype=np.int64)
             while (hit := unit % s == 0).any():
                 unit[hit] //= s
                 v += hit
             cofactor = n // s ** v
             sign *= np.where(residues[cofactor % residues.size], -1, 1) * np.where(flip & (v % 2 == 1), -1, 1)
-        assert np.array_equal(np.array(psi.values)[unit % psi.modulus], sign), psi.name
+        assert np.array_equal(np.array(values)[unit % psi.modulus], sign), psi.name
 
 
-def test_second_calls_evaluate_no_symbol(monkeypatch):
-    # the value table (one kronecker_symbol per residue, 99991 here) and the
-    # unit-sign tables are built once per character, not once per call
-    lo, hi = 10 ** 9, 10 ** 9 + 1000
-    first = F_positive(KRONECKER_M99991, lo, hi), F_window(KRONECKER_M99991, lo, hi)
+def test_second_calls_build_no_table(monkeypatch):
+    # the value table (99991 entries here) and the unit parts are built once
+    # per character, on first use, not once per call
+    psi, lo, hi = KRONECKER_M99991, 10 ** 9, 10 ** 9 + 1000
+    first = F_positive(psi, lo, hi), F_window(psi, lo, hi)
     calls = []
+    array = np.array
 
-    def counted(a, n):
-        calls.append((a, n))
-        return kronecker_symbol(a, n)
+    def counted(obj, *args, **kwargs):
+        if hasattr(obj, "__len__") and len(obj) >= psi.modulus:
+            calls.append(len(obj))
+        return array(obj, *args, **kwargs)
 
-    monkeypatch.setattr(characters, "kronecker_symbol", counted)
-    assert np.array_equal(F_positive(KRONECKER_M99991, lo, hi), first[0])
-    assert np.array_equal(F_window(KRONECKER_M99991, lo, hi), first[1])
+    monkeypatch.setattr(characters.np, "array", counted)
+    assert np.array_equal(F_positive(psi, lo, hi), first[0])
+    assert np.array_equal(F_window(psi, lo, hi), first[1])
     assert calls == []
+    assert psi.table is psi.table and not psi.table.flags.writeable
 
 
 def test_F_refuses_past_the_ceiling(monkeypatch):
