@@ -403,12 +403,12 @@ def G_series(
     """Partial sum of G(rho, b, a, s) = sum rho(n) lambda_a(n) / n^s, s > 0.
 
     The tail bound fits the constant of the |sum_{n<=x} rho(n) eta_a(n)|
-    <= K x log x envelope empirically, so this is diagnostic-grade: useful
-    for convergence pictures and cross-checks, never acceptance-critical.
+    <= K x log x envelope empirically over n >= 1000, so this is diagnostic-grade:
+    useful for convergence pictures and cross-checks, never acceptance-critical.
     """
-    if s <= 0:
-        raise ValueError("G_series requires s > 0")
     _require_beta_character(rho, a)
+    if s <= 0 or n_max < 1000:
+        raise ValueError("G_series requires s > 0 and n_max >= 1000, where its fit of K starts")
     et = eta_table(a, n_max)[1:].astype(np.float64)
     n = np.arange(1, n_max + 1, dtype=np.int64)
     rhov = rho.table.astype(np.float64)[n % rho.modulus]

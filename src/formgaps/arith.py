@@ -6,6 +6,7 @@ factorization is trial division with a 2-3-5 wheel (complete for n <= 10^8)
 backed by Brent's rho for larger cofactors, and primality is the deterministic
 Miller-Rabin base set for 64-bit integers.  Python integers keep all
 intermediate products exact, so quartic expressions downstream never overflow.
+One odd-only sieve, `_odd_primes`, feeds `primes`, `prime_blocks` and `spf_table`.
 """
 
 from __future__ import annotations
@@ -194,34 +195,44 @@ PRIME_SEGMENT = 1 << 21  # integers per block of the segmented sieve past the ca
 _prime_cache = (0, None)
 
 
+def _odd_primes(o: int, e: int, base: np.ndarray) -> np.ndarray:
+    """The odd primes in [o, e], o odd, as an int64 array, from one flag per odd
+    number; base holds every odd prime up to isqrt(e), and isqrt(e) < o."""
+    prime = np.ones((e - o) // 2 + 1, dtype=bool)  # flag i stands for the odd number o + 2i
+    for p in base[: int(np.searchsorted(base, math.isqrt(e), side="right"))].tolist():
+        j = (-o) % p  # o + j is the first multiple of p from o on; odd iff j is even
+        prime[(j + p * (j % 2)) // 2 :: p] = False  # p < o, so p itself is never struck
+    odd = np.flatnonzero(prime)
+    odd *= 2
+    odd += o
+    return odd
+
+
 def primes(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array: a slice of the cache, grow-only up
     to PRIME_CACHE_MAX; larger limits join the blocks of `prime_blocks` and
-    leave the cache as it is."""
+    leave the cache as it is.  It grows by `_odd_primes` over the new range,
+    at most to the square of its limit, so it holds every base prime."""
     global _prime_cache
     if limit > PRIME_CACHE_MAX:
         return np.concatenate(list(prime_blocks(2, limit)))
-    cached_limit, cache = _prime_cache
-    if limit > cached_limit or cache is None:
-        new_limit = max(limit, min(2 * cached_limit, PRIME_CACHE_MAX), 1 << 16)
-        sieve = np.ones(new_limit + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(new_limit) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        cache = np.flatnonzero(sieve).astype(np.int64)
-        _prime_cache = (new_limit, cache)
+    top, cache = _prime_cache
+    if limit > top or top < 3:
+        end = min(max(limit, 2 * top, 1 << 16), PRIME_CACHE_MAX)
+        if top < 3:
+            top, cache = 3, np.array([2, 3], dtype=np.int64)
+        while top < end:
+            step = min(end, top * top)
+            cache = np.concatenate((cache, _odd_primes(top + 1 | 1, step, cache[1:])))
+            top = step
+        _prime_cache = (top, cache)
     return cache[: int(np.searchsorted(cache, limit, side="right"))]
 
 
 def prime_blocks(lo: int, hi: int):
-    """The primes in [lo, hi] as increasing int64 arrays, one block at a time.
-
-    Primes up to PRIME_CACHE_MAX are one slice of the primes() cache; larger
-    ones come from a segmented sieve over PRIME_SEGMENT integers at a time,
-    which keeps one flag per odd number, so memory stays bounded by the cache
-    and one segment whatever hi.
-    """
+    """The primes in [lo, hi] as increasing int64 arrays, one block at a time: a
+    slice of the primes() cache up to PRIME_CACHE_MAX, then `_odd_primes` over
+    PRIME_SEGMENT integers at a time, so memory stays bounded whatever hi."""
     if lo <= PRIME_CACHE_MAX:
         ps = primes(min(hi, PRIME_CACHE_MAX))
         ps = ps[int(np.searchsorted(ps, lo)) :]
@@ -231,27 +242,16 @@ def prime_blocks(lo: int, hi: int):
         return
     base = primes(math.isqrt(hi))[1:]  # the odd primes
     for s in range(max(lo, PRIME_CACHE_MAX + 1), hi + 1, PRIME_SEGMENT):
-        e = min(s + PRIME_SEGMENT - 1, hi)
-        o = s | 1  # flag i stands for the odd number o + 2i
-        prime = np.ones((e - o) // 2 + 1, dtype=bool)
-        for p in base[: int(np.searchsorted(base, math.isqrt(e), side="right"))].tolist():
-            j = (-o) % p  # o + j is the first multiple of p from o on; odd iff j is even
-            prime[(j + p * (j % 2)) // 2 :: p] = False  # p < s, so p itself is never struck
-        odd = np.flatnonzero(prime)
-        odd *= 2
-        odd += o
-        yield odd
+        yield _odd_primes(s | 1, min(s + PRIME_SEGMENT - 1, hi), base)
 
 
 @lru_cache(maxsize=8)
 def spf_table(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table for 0..limit (spf[0] = spf[1] = 0)."""
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if spf[p] == 0:
-            spf[p::p][spf[p::p] == 0] = p
-        if p * p > limit:
-            break
-    spf[spf == 0] = np.arange(limit + 1)[spf == 0]
+    """Smallest-prime-factor table for 0..limit (spf[0] = spf[1] = 0): n starts
+    as itself, and each cached prime p <= isqrt(limit), largest first, writes p
+    on its multiples from p^2, so the least prime of n is written last."""
+    spf = np.arange(limit + 1, dtype=np.int64)
     spf[:2] = 0
+    for p in primes(math.isqrt(limit))[::-1].tolist():
+        spf[p * p :: p] = p
     return spf

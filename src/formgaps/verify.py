@@ -194,7 +194,7 @@ def _constant_checks(budget: float, seed: int) -> list[CheckResult]:
     bad = []
     for a in (1, 2, 5):
         e = ac.beta_euler(psi, a, 1e-6)
-        d = ac.G_series(psi, a, 1.0, _scaled(20_000, budget))
+        d = ac.G_series(psi, a, 1.0, _scaled(20_000, budget, floor=1000))
         if abs(e.value - d.value) > e.error_bound + d.error_bound:
             bad.append(a)
     out.append(CheckResult("constants", "beta_euler_vs_direct_series", not bad, 3, str(bad)))
@@ -225,14 +225,14 @@ def _constant_checks(budget: float, seed: int) -> list[CheckResult]:
     ok &= ac.eta_star(psi, 1) == Fraction(1, 9)
     out.append(CheckResult("constants", "eta_star_table", ok, 7))
 
-    n2 = _scaled(20_000, budget)
+    n2 = _scaled(20_000, budget, floor=1000)
     g2 = ac.G_series(psi, 1, 2.0, n2)
     partial = sum(
         psi(n) * (int(e) / n) / n ** 2
         for n, e in enumerate(ld.eta_table(1, n2)[1:], start=1)
     )
     ok = abs(g2.value - partial) < 1e-9
-    g1 = ac.G_series(psi, 1, 1.0, _scaled(50_000, budget))
+    g1 = ac.G_series(psi, 1, 1.0, _scaled(50_000, budget, floor=1000))
     b = ac.beta(psi, 1, 1e-6)
     ok &= abs(g1.value - b.value) <= g1.error_bound + b.error_bound
     out.append(CheckResult("constants", "G_series_consistency", ok, 2))

@@ -300,12 +300,32 @@ MUTATIONS = [
              "j = (-o) % p",
              "j = o % p",
              ("tests/test_arith.py::test_prime_blocks_past_the_cache_match_is_prime",),
-             "prime_blocks: a segment marks from o % p, not from the first multiple of p"),
+             "_odd_primes: a segment marks from o % p, not from the first multiple of p"),
     Mutation("src/formgaps/arith.py",
              "prime[(j + p * (j % 2)) // 2 :: p] = False",
              "prime[j // 2 :: p] = False",
              ("tests/test_arith.py::test_prime_blocks_past_the_cache_match_is_prime",),
-             "prime_blocks: the odd-only segment starts p at o + j even when j is odd"),
+             "_odd_primes: the odd-only segment starts p at o + j even when j is odd"),
+    Mutation("src/formgaps/arith.py",
+             "step = min(end, top * top)",
+             "step = end",
+             ("tests/test_arith.py::test_primes_cache_grows_in_any_order",),
+             "primes: a growth step runs past top^2, so the cache lacks base primes it needs"),
+    Mutation("src/formgaps/arith.py",
+             "_odd_primes(top + 1 | 1, step, cache[1:])",
+             "_odd_primes(top | 1, step, cache[1:])",
+             ("tests/test_arith.py::test_primes_cache_grows_in_any_order",),
+             "primes: growth restarts at top | 1, so a prime limit of the cache is listed twice"),
+    Mutation("src/formgaps/arith.py",
+             "primes(math.isqrt(limit))[::-1].tolist()",
+             "primes(math.isqrt(limit)).tolist()",
+             ("tests/test_arith.py::test_spf_table_matches_a_plain_reference",),
+             "spf_table: the smallest prime marks first, so a larger prime factor overwrites it"),
+    Mutation("src/formgaps/analytic_constants.py",
+             "if s <= 0 or n_max < 1000:",
+             "if s <= 0:",
+             ("tests/test_analytic_constants.py::test_G_series_refuses_fewer_terms_than_its_fit",),
+             "G_series: the n_max guard is dropped, so the fit of K reduces an empty array"),
     Mutation("src/formgaps/characters.py",
              "    ok &= ~sign(lo, hi)\n",
              "",

@@ -239,6 +239,13 @@ def test_G_series_consistency():
         G_series(trivial_character(6), 1, 1.0, 100)
 
 
+def test_G_series_refuses_fewer_terms_than_its_fit():
+    # the tail constant K is fitted over n >= 1000, so fewer terms leave nothing to fit
+    with pytest.raises(ValueError, match="n_max >= 1000"):
+        G_series(chi6(), 1, 1.0, 999)
+    assert G_series(chi6(), 1, 1.0, 1000).terms_used == 1000
+
+
 def test_truncated_value_guard():
     with pytest.raises(ValueError):
         TruncatedValue(1.0, -1.0, 3)

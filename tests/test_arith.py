@@ -140,6 +140,63 @@ def test_prime_blocks_past_the_cache_match_is_prime(monkeypatch, segment):
         assert got == [n for n in range(lo, top + 1) if is_prime(n)], (lo, top)
 
 
+def _plain_sieve(limit):
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags)
+
+
+@pytest.mark.parametrize("cache_max", [arith.PRIME_CACHE_MAX, 1 << 12])
+def test_primes_cache_grows_in_any_order(monkeypatch, cache_max):
+    # the cache grows by the odd-only sieve over each new range, from the
+    # import-time (0, None); every order of limits must give the full sieve.
+    # The prime 1_000_003 becomes the cache's limit, so the next growth must
+    # start past it
+    monkeypatch.setattr(arith, "PRIME_CACHE_MAX", cache_max)
+    expected = _plain_sieve(1 << 24)
+    up = (10, 100, 70_000, 1_000_003, 5 * 10 ** 6, 1 << 24)
+    for order in (up, up[::-1], (1 << 24,)):
+        monkeypatch.setattr(arith, "_prime_cache", (0, None))
+        for limit in order:
+            got = primes(limit)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected[: np.searchsorted(expected, limit, side="right")])
+            top, cache = arith._prime_cache
+            assert top <= cache_max
+            assert np.array_equal(cache, expected[: np.searchsorted(expected, top, side="right")])
+
+
+def test_spf_table_matches_a_plain_reference():
+    def reference(limit):
+        spf = np.zeros(limit + 1, dtype=np.int64)
+        for p in range(2, limit + 1):
+            if spf[p] == 0:  # no smaller prime divides p
+                multiples = spf[p::p]
+                multiples[multiples == 0] = p
+        return spf
+
+    for limit in list(range(101)) + [10 ** 5, 10 ** 6 + 3]:
+        got = arith.spf_table(limit)
+        assert got.dtype == np.int64 and np.array_equal(got, reference(limit)), limit
+
+
+def test_prime_blocks_straddle_the_cache_max():
+    # windows across PRIME_CACHE_MAX join a slice of the cache to sieved
+    # segments; the widest also crosses a segment boundary, checked by the full sieve
+    top, wide = arith.PRIME_CACHE_MAX, arith.PRIME_CACHE_MAX + arith.PRIME_SEGMENT + 7
+    full = _plain_sieve(wide)
+    for lo, hi in ((top - 1000, top + 1000), (top, top + 1), (top - 1, top + 3), (top - 5 * 10 ** 4, wide)):
+        blocks = list(arith.prime_blocks(lo, hi))
+        assert all(b.dtype == np.int64 for b in blocks)
+        got = np.concatenate(blocks)
+        assert np.array_equal(got, full[(full >= lo) & (full <= hi)]), (lo, hi)
+        if hi - lo < 10 ** 4:
+            assert got.tolist() == [n for n in range(lo, hi + 1) if is_prime(n)], (lo, hi)
+
+
 def test_primes_cache_under_threads(monkeypatch):
     # four threads grow an empty cache at once; every later call in every
     # thread must still see all primes up to its limit

@@ -286,6 +286,14 @@ def test_verify_empty_budget(capsys):
     assert out.strip().splitlines()[-1] == "summary,oracles,pass,0"
 
 
+@pytest.mark.parametrize("budget", [1e-4, 0.01, 0.049])
+def test_verify_small_budgets_pass(budget):
+    # below 0.05 the scaled G_series sizes would fall under the 1000 terms its
+    # tail fit starts at; they keep that floor, so every row still runs
+    results = run_suite("all", budget)
+    assert results and all(r.ok for r in results), [r.name for r in results if not r.ok]
+
+
 def test_character_moduli_are_capped(capsys):
     for argv in (
         ("census", "--set1", "diamond:-1000003", "--set2", "square2", "--a", "1", "--x", "1",
