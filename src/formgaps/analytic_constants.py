@@ -89,6 +89,7 @@ from .characters import (
 )
 from .errors import BudgetError, InvariantError
 from .local_densities import eta, eta_table, lambda_prime_power
+from .util import chunk_ranges
 
 EULER_PRIME_MAX = 100_000_000  # cap on the truncation point of the Euler product
 L_TERMS_MAX = 1 << 28  # cap on the terms of the L_value series, cut to whole periods
@@ -148,8 +149,8 @@ def L_value(chi: DirichletCharacter, s: float, eps: float = 1e-10) -> TruncatedV
         N = min(2 * N, cap)
     table = chi.table.astype(np.float64)
     val = 0
-    for lo in range(1, N + 1, 1 << 20):  # blocks of 2^20 terms bound the memory
-        n = np.arange(lo, min(lo + (1 << 20), N + 1))
+    for lo, hi in chunk_ranges(1, N, 1 << 20):  # blocks of 2^20 terms bound the memory
+        n = np.arange(lo, hi + 1)
         val += (table[n % k] * n.astype(np.float64) ** -s).sum()
     val = float(val - (S1 / k) * N ** -s)
     err = tail_bound(N) + 1e-14 * (1 + abs(val))

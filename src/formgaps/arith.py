@@ -148,14 +148,12 @@ def factorize(n: int) -> Factorization:
             fac.append((p, e))
         p += _WHEEL[i]
         i = (i + 1) & 7
-    if m > 1:
-        if p * p > m or is_prime(m):
-            fac.append((m, 1))
-        else:
-            extra: dict[int, int] = {}
-            _split(m, extra)
-            fac.extend(sorted(extra.items()))
-            fac.sort()
+    if p * p > m > 1:
+        fac.append((m, 1))
+    elif m > 1:
+        extra: dict[int, int] = {}
+        _split(m, extra)  # its first step decides whether m is prime
+        fac.extend(sorted(extra.items()))
     return Factorization(n, tuple(fac))
 
 

@@ -4,9 +4,9 @@ For two representable sets W1, W2 and a shift a, the census counts
 
     S(W1, W2, a) = { n : n in W1, n + a in W2 }
 
-inside a window [x, x+H]: n >= 1 with F_psi1(n) > 0 and F_psi2(n + a) > 0, for
-psi_i the member character of W_i, read off characters.F_positive.  The count
-is always exact, only the recorded witness list is capped.
+inside a window [x, x+H] (H + 1 integers, n + a >= 0), read off the masks of
+repr_sets.sieve_members.  The count is always exact, only the recorded witness
+list is capped.
 
 The correlation sums are the exact integers
 
@@ -16,9 +16,9 @@ The correlation sums are the exact integers
 
 summed over n >= max(1, 1 - a) so that n + a stays >= 1, from
 characters.F_window.  Census and sums are one shifted product over a window,
-of the masks F > 0 or of the values F, and both run through one kernel,
-_shifted_windows, over the window function each passes.  A window is bounded
-by its width (util.WINDOW_MAX), never by its height.
+of the membership masks or of the values F, and both run through one kernel,
+_shifted_windows, over the two window functions each passes.  A window is
+bounded by its width (util.WINDOW_MAX), never by its height.
 
 The ratio r = J(x) / (m x) to the main term coefficient m (the `correlate`
 command prints it) trends toward 1; that is the empirical face of the
@@ -33,11 +33,12 @@ comparison of two single points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import _np as np
 from .arith import factorize
-from .characters import F, DirichletCharacter, F_positive, F_window, chi4
-from .repr_sets import SetId, is_member, member_character
+from .characters import DirichletCharacter, F_window, chi4
+from .repr_sets import SetId, member_character, sieve_members
 from .util import chunk_ranges, map_ordered
 
 WITNESS_CAP_DEFAULT = 10_000
@@ -56,20 +57,20 @@ class CensusRecord:
     witnesses: tuple[int, ...]
 
 
-def _shifted_windows(psi, rho, a: int, lo: int, hi: int, threads: int, window, reduce) -> list:
-    """reduce(c_lo, window(psi, c_lo, c_hi), window(rho, c_lo + a, c_hi + a))
-    for each chunk [c_lo, c_hi] of [lo, hi], in order (lo >= 1 and lo + a >= 1).
+def _shifted_windows(left, right, shared, a: int, lo: int, hi: int, threads: int, reduce) -> list:
+    """reduce(c_lo, left(c_lo, c_hi), right(c_lo + a, c_hi + a)) for each chunk
+    [c_lo, c_hi] of [lo, hi], in order (lo >= 0 and lo + a >= 0).
 
-    When psi and rho have one (disc, modulus) and the two ranges of a chunk
-    overlap, both sides are slices of one window over their union.
+    When shared (left and right agree on every n >= 1) and the two ranges of a
+    chunk overlap, both sides are slices of one left window over their union,
+    unless that union holds 0.
     """
-    shared = (psi.disc, psi.modulus) == (rho.disc, rho.modulus)
 
     def one(c):
         c_lo, c_hi = c
-        if not shared or abs(a) > c_hi - c_lo:
-            return reduce(c_lo, window(psi, c_lo, c_hi), window(rho, c_lo + a, c_hi + a))
-        both, w = window(psi, c_lo + min(a, 0), c_hi + max(a, 0)), c_hi - c_lo + 1
+        if not shared or abs(a) > c_hi - c_lo or c_lo + min(a, 0) == 0:
+            return reduce(c_lo, left(c_lo, c_hi), right(c_lo + a, c_hi + a))
+        both, w = left(c_lo + min(a, 0), c_hi + max(a, 0)), c_hi - c_lo + 1
         return reduce(c_lo, both[max(-a, 0) :][:w], both[max(a, 0) :][:w])
 
     return map_ordered(one, chunk_ranges(lo, hi), threads)
@@ -86,7 +87,9 @@ def _product_sum(psi, rho, a: int, x: int, threads: int, b: int = 1) -> int:
             terms[(-lo) % p :: p] = 0  # entry i is n = lo + i
         return int(terms.sum())
 
-    return sum(_shifted_windows(psi, rho, a, max(1, 1 - a), x, threads, F_window, product))
+    shared = (psi.disc, psi.modulus) == (rho.disc, rho.modulus)
+    left, right = partial(F_window, psi), partial(F_window, rho)
+    return sum(_shifted_windows(left, right, shared, a, max(1, 1 - a), x, threads, product))
 
 
 def correlation_J(psi: DirichletCharacter, a: int, x: int, threads: int = 1) -> int:
@@ -128,32 +131,21 @@ def census_interval(
 ) -> CensusRecord:
     """Exact census of S(set1, set2, a) on [x, x+H] through _shifted_windows.
 
-    Both sides are read off F_positive of the sets' member characters: n is
-    counted when F_psi1(n) > 0 and F_psi2(n + a) > 0.  Candidates with n + a < 0
-    are excluded (membership of negative integers is undefined here).  The
-    witness list stops at witness_cap entries; the count never does.  F decides
-    the first candidate, so util.chunk_ranges bounds H, not H + 1.
+    Both sides are repr_sets.sieve_members windows from the first candidate
+    max(x, -a) on, so n + a >= 0 (membership of negative integers is undefined
+    here); sets of one member character share a window except where it holds 0.
+    The witness list stops at witness_cap entries; the count never does.
     """
     if x < 0 or H < 0:
         raise ValueError("census_interval requires x >= 0 and H >= 0")
     psi1, psi2 = member_character(set1), member_character(set2)
-
-    def member(s, psi, n):  # n >= 0
-        return F(psi, n) > 0 if n else is_member(s, 0)
-
-    # n or n + a is 0 only at the first candidate lo_eff, where F_positive does
-    # not reach; F decides that point and the windows start after it
-    lo_eff = max(x, -a)
-    head = []
-    if lo_eff <= x + H and member(set1, psi1, lo_eff) and member(set2, psi2, lo_eff + a):
-        head.append(lo_eff)
+    shared = (psi1.disc, psi1.modulus) == (psi2.disc, psi2.modulus)
 
     def members(lo, left, right):
         found = np.flatnonzero(left & right)
         return found.size, lo + found[:witness_cap]
 
-    parts = _shifted_windows(psi1, psi2, a, lo_eff + 1, x + H, threads, F_positive, members)
-    count = len(head) + sum(k for k, _ in parts)
-    wits = head + [n for _, found in parts for n in found.tolist()]
-    return CensusRecord(set1, set2, a, x, H, count, tuple(wits[:witness_cap]))
-
+    left, right = partial(sieve_members, set1), partial(sieve_members, set2)
+    parts = _shifted_windows(left, right, shared, a, max(x, -a), x + H, threads, members)
+    wits = [n for _, found in parts for n in found.tolist()]
+    return CensusRecord(set1, set2, a, x, H, sum(k for k, _ in parts), tuple(wits[:witness_cap]))

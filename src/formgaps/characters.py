@@ -334,18 +334,18 @@ def _walk(blocks, lo: int, hi: int, dense, sparse) -> None:
 
 
 def _segmented(name: str, lo: int, hi: int, dtype, setup) -> np.ndarray:
-    """An array over the closed window [lo, hi] (lo >= 1), written SEGMENT
-    integers [a, b] at a time, so the strided passes stay in cache, by
-    fill(part, a, b) for fill = setup(width), width the widest segment;
-    BudgetError past MAX_INPUT, before setup runs."""
+    """An array over the closed window [lo, hi] (lo >= 1), written in the
+    SEGMENT-wide parts [a, b] of util.chunk_ranges, so the strided passes stay
+    in cache, by fill(part, a, b) for fill = setup(width), width the widest
+    part; BudgetError past MAX_INPUT or WINDOW_MAX, before any allocation."""
     if lo < 1 or hi < lo:
         raise ValueError("window must satisfy 1 <= lo <= hi")
     if hi > MAX_INPUT:
         raise BudgetError(f"{name} requires hi <= {MAX_INPUT}")
+    segments = chunk_ranges(lo, hi, SEGMENT)
     out = np.empty(hi - lo + 1, dtype=dtype)
     fill = setup(min(SEGMENT, out.size))
-    for a in range(lo, hi + 1, SEGMENT):
-        b = min(a + SEGMENT - 1, hi)
+    for a, b in segments:
         fill(out[a - lo : b - lo + 1], a, b)
     return out
 
@@ -362,7 +362,8 @@ def F_window(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
     the modulus is left, and its factor 1 + psi(q) is read by the module's one
     rule: 2, or 0 where psi(n') = -1 (`_UnitSign`).  The work arrays are made
     once per call.  Memory is O(width + SEGMENT + PAIR_BLOCK) plus the bounded
-    prime cache for any hi <= MAX_INPUT (BudgetError above).
+    prime cache for hi <= MAX_INPUT and width <= util.WINDOW_MAX (BudgetError
+    past either).
     |F_psi(n)| <= tau(n) < 2^31 for n < 2^63; widen before multiplying two
     windows.
     """

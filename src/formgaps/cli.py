@@ -165,7 +165,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--set2", required=True, help=SET_HELP)
     s.add_argument("--a", type=int, required=True)
     s.add_argument("--x", type=int, required=True)
-    s.add_argument("--len", type=int, required=True, dest="length", help=f"H; {WINDOW_HELP}")
+    s.add_argument("--len", type=int, required=True, dest="length",
+                   help=f"H, so [x, x + H] holds H + 1 integers; {WINDOW_HELP}")
     s.add_argument("--witness-cap", type=int, default=10_000,
                    help="witnesses to print; a negative value prints every witness")
 

@@ -42,7 +42,7 @@ ETA_BRUTE_MAX = 1 << 23  # direct residue counting cap (memory: a few arrays of 
 def _square_counts(q: int) -> np.ndarray:
     """counts[r] = #{1 <= alpha <= q : alpha^2 = r (mod q)} (treat as read-only)."""
     counts = np.zeros(q, dtype=np.int64)
-    for lo, hi in chunk_ranges(1, q, 1 << 22):
+    for lo, hi in chunk_ranges(1, q):
         alpha = np.arange(lo, hi + 1, dtype=np.int64)
         counts += np.bincount((alpha * alpha) % q, minlength=q)
     return counts

@@ -12,8 +12,8 @@ count w of Z[i] or Z[omega] and the b of its form x^2 + b*x*y + y^2:
 
 I_D(n) = F_chiD(n) counts the ideals of norm n (ideal_count).  Every set is
 a character set: n >= 1 lies in it iff F_psi(n) > 0 for psi =
-member_character(s), and window membership (sieve_members) is read off
-characters.F_positive, the sieve of that sign alone.  is_member keeps
+member_character(s), and window membership (sieve_members, the one route of
+census) is characters.F_positive, the sieve of that sign alone.  is_member keeps
 independent routes as the oracle for the windows: exponent parity at the
 primes where the character is -1 (p = 3 mod 4, resp. p = 2 mod 3), and for
 triangle_star a scan over d for a lattice point (c, d).  Enumeration modes
@@ -35,7 +35,6 @@ from . import _np as np
 from .arith import MAX_INPUT, factorize
 from .characters import F, F_positive, chi3, chi4, kronecker_character
 from .errors import BudgetError
-from .util import chunk_ranges
 
 ENUMERATE_MAX = 10 ** 12  # lattice enumeration loops over about sqrt(n) points
 
@@ -175,14 +174,12 @@ def member_character(s: SetId):
 
 def sieve_members(s: SetId, lo: int, hi: int) -> np.ndarray:
     """Boolean mask over [lo, hi]: entry n - lo is True iff is_member(s, n).
-    One buffer, filled chunk by chunk with F_positive(member_character(s))."""
+    F_positive(member_character(s), lo, hi) itself for lo >= 1; lo = 0 puts
+    is_member(s, 0) in front of it, at the cost of one copy."""
     if lo < 0 or hi < lo:
         raise ValueError("sieve_members requires 0 <= lo <= hi")
-    chunks = chunk_ranges(max(lo, 1), hi)
     psi = member_character(s)
-    out = np.empty(hi - lo + 1, dtype=bool)
-    if lo == 0:
-        out[0] = is_member(s, 0)
-    for c_lo, c_hi in chunks:
-        out[c_lo - lo : c_hi - lo + 1] = F_positive(psi, c_lo, c_hi)
-    return out
+    if lo:
+        return F_positive(psi, lo, hi)
+    head = np.array([is_member(s, 0)])
+    return np.concatenate((head, F_positive(psi, 1, hi))) if hi else head

@@ -382,6 +382,28 @@ MUTATIONS = [
              "saved = f[o2::p2]",
              ("tests/test_characters.py::test_F_positive_edge_windows",),
              "_strided_prime: the p^2 multiples are restored from a view p's own factor has cleared"),
+    Mutation("src/formgaps/census.py",
+             "if not shared or abs(a) > c_hi - c_lo or c_lo + min(a, 0) == 0:",
+             "if not shared or abs(a) > c_hi - c_lo:",
+             ("tests/test_census.py::test_census_shared_window_matches_separate[0-0-set12-set22]",
+              "tests/test_census.py::test_census_reads_sieve_members"),
+             "_shifted_windows: a chunk whose union holds 0 is shared, so diamond(-4) takes 0 from square2"),
+    Mutation("src/formgaps/census.py",
+             "max(x, -a), x + H, threads, members)",
+             "max(x, -a) + 1, x + H, threads, members)",
+             ("tests/test_census.py::test_census_reads_sieve_members",
+              "tests/test_census.py::test_census_shared_window_matches_separate[0-0-set12-set22]"),
+             "census_interval: the windows start past the first candidate max(x, -a)"),
+    Mutation("src/formgaps/repr_sets.py",
+             "head = np.array([is_member(s, 0)])",
+             "head = F_positive(psi, 1, 1)",
+             ("tests/test_repr_sets.py::test_sieve_examples",),
+             "sieve_members: n = 0 is read off F_positive's side (at n = 1), so 0 joins every diamond"),
+    Mutation("src/formgaps/characters.py",
+             "segments = chunk_ranges(lo, hi, SEGMENT)",
+             "segments = [(a, min(a + SEGMENT - 1, hi)) for a in range(lo, hi + 1, SEGMENT)]",
+             ("tests/test_util.py::test_chunk_ranges_holds_the_one_window_budget",),
+             "_segmented: the segments are cut by range, so F_window and F_positive skip the window budget"),
 ]
 
 SURVIVORS: list[Mutation] = []

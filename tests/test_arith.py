@@ -73,6 +73,24 @@ def test_factorize_large_semiprime():
     assert factorize(p * q).factors == ((p, 1), (q, 1))
 
 
+def test_factorize_tests_each_cofactor_once(monkeypatch):
+    # the cofactor past trial division takes one Miller-Rabin test, prime or not
+    seen = []
+
+    def counted(n):
+        seen.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    p, q = 1_000_003, 1_000_033
+    assert factorize(7 * p * q).factors == ((7, 1), (p, 1), (q, 1))
+    assert seen.count(p * q) == 1
+    seen.clear()
+    r = 1_000_000_000_039  # prime, past the square of the trial limit
+    assert factorize(11 * r).factors == ((11, 1), (r, 1))
+    assert seen.count(r) == 2  # factorize's one test, then Factorization's invariant check
+
+
 def test_factorization_invariants_enforced():
     with pytest.raises(ValueError):
         Factorization(12, ((3, 1), (2, 2)))  # not increasing

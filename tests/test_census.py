@@ -148,9 +148,10 @@ def test_correlations_answer_at_any_height():
 
 
 def test_census_boundary_point_skips_the_membership_oracle(monkeypatch):
-    # lo_eff = max(x, -a) is decided through the member characters, so the
-    # oracle routes of is_member (the triangle_star scan, exponent parity) stay
-    # out of every census, including a non-member lo_eff near 1e14
+    # lo_eff = max(x, -a) is decided by sieve_members, through the member
+    # characters and is_member(s, 0) alone, so the oracle routes of is_member
+    # (the triangle_star scan, exponent parity) stay out of every census,
+    # including a non-member lo_eff near 1e14
     cases = [
         (TRIANGLE_STAR, SQUARE2, 1, 0, 50),  # x = 0
         (SQUARE2, TRIANGLE, -9, 3, 40),  # -a >= x, lo_eff + a = 0
@@ -172,6 +173,31 @@ def test_census_boundary_point_skips_the_membership_oracle(monkeypatch):
     assert [census_interval(*c, witness_cap=None) for c in cases] == before
 
 
+def test_census_reads_sieve_members(monkeypatch):
+    # every window of a census is one sieve_members call; sets of one member
+    # character share a window over both ranges unless it holds 0
+    calls = []
+
+    def counted(s, lo, hi):
+        calls.append((str(s), lo, hi))
+        return sieve_members(s, lo, hi)
+
+    monkeypatch.setattr(census_mod, "sieve_members", counted)
+    cases = {
+        (TRIANGLE, SQUARE2, 1, 100, 999): [("triangle", 100, 1099), ("square2", 101, 1100)],
+        (SQUARE2, SQUARE2, 3, 100, 999): [("square2", 100, 1102)],
+        (SQUARE2, diamond(-4), 0, 0, 40): [("square2", 0, 40), ("diamond:-4", 0, 40)],
+        (TRIANGLE, TRIANGLE_STAR, -5, 0, 40): [("triangle", 5, 40), ("triangle_star", 0, 35)],
+    }
+    for (set1, set2, a, x, H), expected in cases.items():
+        calls.clear()
+        rec = census_interval(set1, set2, a, x, H, witness_cap=None)
+        assert calls == expected, (set1, set2, a)
+        brute = [n for n in range(max(x, -a), x + H + 1)
+                 if is_member(set1, n) and is_member(set2, n + a)]
+        assert rec.witnesses == tuple(brute) and rec.count == len(brute)
+
+
 SMALL_CHUNK = 1000  # shifts below it share one window per chunk, larger ones do not
 
 
@@ -183,10 +209,13 @@ def small_chunks(monkeypatch):
 
 
 def _separate_census(set1, set2, a, x, H):
-    # two sieves over the two shifted ranges, never one shared window
+    # two sieves over the two shifted ranges past the boundary point, never one
+    # shared window; is_member decides the boundary point, where n or n + a is
+    # 0 in the x = 0 cases, so the reference does not read 0 off sieve_members
     lo = max(x, -a)
-    both = sieve_members(set1, lo, x + H) & sieve_members(set2, lo + a, x + H + a)
-    return tuple(int(n) for n in lo + np.flatnonzero(both))
+    head = [lo] if is_member(set1, lo) and is_member(set2, lo + a) else []
+    both = sieve_members(set1, lo + 1, x + H) & sieve_members(set2, lo + 1 + a, x + H + a)
+    return tuple(head + [int(n) for n in lo + 1 + np.flatnonzero(both)])
 
 
 @pytest.mark.parametrize(

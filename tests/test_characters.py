@@ -577,7 +577,9 @@ def test_F_sieve_budget_guard():
 
 def test_F_sieve_chunked_fill(monkeypatch):
     # 30 chunks of 1000 fill the one buffer; each must land at its own offset
-    monkeypatch.setattr(characters, "chunk_ranges", lambda lo, hi: util.chunk_ranges(lo, hi, 1000))
+    # (F_window's segments pass their own chunk, SEGMENT)
+    monkeypatch.setattr(characters, "chunk_ranges",
+                        lambda lo, hi, chunk=1000: util.chunk_ranges(lo, hi, chunk))
     for psi in (chi3(), chi4(), chi6()):
         sv = F_sieve(psi, 30_000)
         assert sv[0] == 0 and sv.size == 30_001

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from lattice_oracle import form_counts, reduced_forms, triangle_star_window
 
-from formgaps import repr_sets, util
+from formgaps import util
 from formgaps.characters import F_window
 from formgaps.errors import BudgetError
 from formgaps.repr_sets import (
@@ -141,9 +141,8 @@ def test_sieve_chunking_consistent():
     assert np.array_equal(full, np.concatenate(parts))
 
 
-def test_sieve_members_chunked_fill(monkeypatch):
-    # chunks of 1000 fill the one mask; lo = 0 takes n = 0 from is_member
-    monkeypatch.setattr(repr_sets, "chunk_ranges", lambda lo, hi: util.chunk_ranges(lo, hi, 1000))
+def test_sieve_members_chunked_fill():
+    # the mask is F_positive's; lo = 0 takes n = 0 from is_member
     for s in (SQUARE2, TRIANGLE, TRIANGLE_STAR, diamond(-4), diamond(-23)):
         psi = member_character(s)
         mask = sieve_members(s, 0, 12_345)

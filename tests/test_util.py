@@ -5,7 +5,7 @@ import pytest
 
 from formgaps import util
 from formgaps.census import census_interval, correlation_J, correlation_general, estermann_correlation
-from formgaps.characters import F_sieve, chi4, chi6, kronecker_character
+from formgaps.characters import F_positive, F_sieve, F_window, chi4, chi6, kronecker_character
 from formgaps.errors import BudgetError
 from formgaps.repr_sets import SQUARE2, TRIANGLE, sieve_members
 
@@ -15,12 +15,14 @@ def test_chunk_ranges_holds_the_one_window_budget(monkeypatch):
     monkeypatch.setattr(util, "WINDOW_MAX", 1000)
     k5, x = kronecker_character(5), 10 ** 9
     routes = {  # each called on a window of w integers
-        "census": lambda w: census_interval(SQUARE2, TRIANGLE, 1, x, w),  # F decides x itself
+        "census": lambda w: census_interval(SQUARE2, TRIANGLE, 1, x, w - 1),  # [x, x + H]
         "J": lambda w: correlation_J(chi6(), 1, w),
         "general": lambda w: correlation_general(k5, k5, x, w),
         "estermann": lambda w: estermann_correlation(-x, x + w),
         "sieve_members": lambda w: sieve_members(SQUARE2, x, x + w - 1),
         "F_sieve": lambda w: F_sieve(chi4(), w),
+        "F_window": lambda w: F_window(chi4(), x, x + w - 1),
+        "F_positive": lambda w: F_positive(chi4(), x, x + w - 1),
     }
     for name, route in routes.items():
         route(1000)
