@@ -12,11 +12,16 @@ products).
 triangle/square2 pairs.  Write D* = {c^2 + 3 d^2}, a subset of the x^2+xy+y^2
 values.  If a = n0^2 - 3 m0^2 is represented by the norm form, then for every
 s the pair (s^2 + 3 m0^2, s^2 + n0^2) works and the offset is O(sqrt x)
-(exponent 1/2).  Whether it is represented is decided by a finite scan:
+(exponent 1/2).  Whether it is represented is decided by the primes of a:
+Z[sqrt 3] has class number 1 and its fundamental unit 2 + sqrt 3 has norm +1,
+so a != 0 is a norm iff every prime p = +-5 (mod 12) divides a to an even
+power and sign(a) = prod s(p)^v_p(a), where s(p) is the sign of the norm of a
+prime element over p: -1 for p = 2, 3 (sqrt 3 - 1, sqrt 3) and p = 11 (mod 12),
++1 for p = 1 (mod 12).  A norm's least solution is found by a finite scan:
 Nagell's bound on u^2 - D v^2 = N (Introduction to Number Theory, 1951,
-Thms. 108 and 108a), with D = 3 and fundamental unit 2 + sqrt 3, puts a
-solution in every class at m^2 <= a / 6 when a > 0 and at m^2 <= |a| / 2 when
-a < 0.  Otherwise the parametric family
+Thms. 108 and 108a), with D = 3, puts a solution in every class at
+m^2 <= a / 6 when a > 0 and at m^2 <= |a| / 2 when a < 0; past 2^63 - 1,
+where factorize stops, the scan decides alone.  Otherwise the parametric family
 
     f(v, d) = c^2 + 3 d^2,  f(v, d) + a = (c - 1)^2 + v^2,  c = (v^2 - 3 d^2 - a + 1) / 2
 
@@ -45,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .arith import MAX_INPUT, factorize
 from .errors import BudgetError, InvariantError
 from .repr_sets import SQUARE2, TRIANGLE, is_member
 
@@ -107,13 +113,15 @@ def represent_norm_form(a: int) -> tuple[int, int] | None:
     """A solution (n, m) of n^2 - 3 m^2 = a, or None.
 
     n^2 - 3 m^2 is n^2 mod 3 and n^2 + m^2 mod 4, so a = 2 (mod 3) and
-    a = 3 (mod 4) are None at once.  By Nagell's bound (module docstring) a
-    solution exists iff one has m^2 <= a / 6 (a > 0) or m^2 <= |a| / 2 (a < 0),
-    so scanning m upward over that region decides representability and
-    returns the solution with the least m.  The scan stops after _SCAN_CAP
-    values of m: past it, with no solution found, BudgetError.
+    a = 3 (mod 4) are None at once, and the prime rule (module docstring)
+    decides the rest for 0 < |a| <= MAX_INPUT.  A norm, or any a past
+    MAX_INPUT, is scanned over m upward to Nagell's bound, which returns the
+    solution with the least m; the scan stops after _SCAN_CAP values of m,
+    and past it, with no solution found, raises BudgetError.
     """
     if a % 3 == 2 or a % 4 == 3:
+        return None
+    if 0 < abs(a) <= MAX_INPUT and not _is_norm(a):
         return None
     M = math.isqrt(a // 6 if a > 0 else -a // 2) + 1
     for m in range(0, min(M, _SCAN_CAP) + 1):
@@ -126,6 +134,17 @@ def represent_norm_form(a: int) -> tuple[int, int] | None:
     if M > _SCAN_CAP:
         raise BudgetError(f"norm-form scan for a = {a} needs m up to {M}, past {_SCAN_CAP}")
     return None
+
+
+def _is_norm(a: int) -> bool:
+    """Whether a != 0 is a norm n^2 - 3 m^2, by the prime rule of the module docstring."""
+    sign = 1 if a > 0 else -1
+    for p, e in factorize(abs(a)).factors:
+        if p % 12 in (5, 7) and e % 2:
+            return False
+        if p < 5 or p % 12 == 11:
+            sign *= (-1) ** e
+    return sign == 1
 
 
 def gap_square2_square2(a: int, x: int) -> GapWitness:

@@ -1,11 +1,12 @@
 """Representation counts and membership for quadratic-form value sets.
 
 One table, _FORMS, gives each form set its member character psi, the unit
-count w of Z[i] or Z[omega] and the b of its form x^2 + b*x*y + y^2:
+count w of Z[i] or Z[omega], the b of its form x^2 + b*x*y + y^2 and the
+residue class (m, r) of its inert primes, p = r (mod m):
 
-    set            form               psi   w  b
-    square2        x^2 + y^2          chi4  4  0   r2(n) = 4 * I_{-4}(n)
-    triangle       x^2 + x*y + y^2    chi3  6  1   R2(n) = 6 * I_{-3}(n)
+    set            form               psi   w  b  inert
+    square2        x^2 + y^2          chi4  4  0  (4, 3)  r2(n) = 4 * I_{-4}(n)
+    triangle       x^2 + x*y + y^2    chi3  6  1  (3, 2)  R2(n) = 6 * I_{-3}(n)
     triangle_star  c^2 + 3*d^2        triangle's row (one set, see below)
     diamond(D)     ideal norms of the quadratic field of fundamental
                    discriminant D, with psi = chiD
@@ -13,18 +14,18 @@ count w of Z[i] or Z[omega] and the b of its form x^2 + b*x*y + y^2:
 I_D(n) = F_chiD(n) counts the ideals of norm n (ideal_count).  Every set is
 a character set: n >= 1 lies in it iff F_psi(n) > 0 for psi =
 member_character(s), and window membership (sieve_members, the one route of
-census) is characters.F_positive, the sieve of that sign alone.  is_member keeps
-independent routes as the oracle for the windows: exponent parity at the
-primes where the character is -1 (p = 3 mod 4, resp. p = 2 mod 3), and for
-triangle_star a scan over d for a lattice point (c, d).  Enumeration modes
-of r2/R2 count lattice points directly and never touch the divisor formulas,
-so the routes validate each other.
+census) is characters.F_positive, the sieve of that sign alone.  is_member
+keeps an independent route as the oracle for the windows of the form sets:
+exponent parity at the inert primes of the row, read off factorize.
+Enumeration modes of r2/R2 count lattice points directly and never touch the
+divisor formulas, so the routes validate each other.
 
 triangle_star and triangle are one set, with a^2 + ab + b^2 = c^2 + 3d^2 both
 ways: c^2 + 3d^2 is the form at (a, b) = (c - d, 2d); and the form is invariant
 under (a, b) -> (b, -a - b), whose orbit puts each of b, -a - b, a second, so
 some point (a, b) of the orbit has b even and gives c = a + b/2, d = b/2.  The
-lattice scan of is_member therefore checks the chi3 windows of triangle_star.
+lattice scan over (c, d) that checks this is a test oracle
+(tests/lattice_oracle.py) and a verify row, not a route of the library.
 """
 from __future__ import annotations
 
@@ -32,13 +33,11 @@ import math
 from dataclasses import dataclass
 
 from . import _np as np
-from .arith import MAX_INPUT, factorize
+from .arith import factorize
 from .characters import F, F_positive, chi3, chi4, kronecker_character
 from .errors import BudgetError
 
 ENUMERATE_MAX = 10 ** 12  # lattice enumeration loops over about sqrt(n) points
-
-_SCAN_BLOCK = 1 << 14  # d values per step of the triangle_star membership scan
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ SQUARE2 = SetId("square2")
 TRIANGLE = SetId("triangle")
 TRIANGLE_STAR = SetId("triangle_star")
 
-_FORMS = {SQUARE2: (chi4, 4, 0), TRIANGLE: (chi3, 6, 1)}
+_FORMS = {SQUARE2: (chi4, 4, 0, (4, 3)), TRIANGLE: (chi3, 6, 1, (3, 2))}
 _FORMS[TRIANGLE_STAR] = _FORMS[TRIANGLE]  # one set, see the module docstring
 
 
@@ -93,7 +92,7 @@ def _lattice_count(n: int, b: int) -> int:
 
 def _count(name: str, s: SetId, n: int, mode: str) -> int:
     """n's representation number by the form of _FORMS[s]: w * F_psi(n), or enumerated."""
-    psi, w, b = _FORMS[s]
+    psi, w, b, _ = _FORMS[s]
     if n < 1:
         raise ValueError(f"{name} requires n >= 1")
     if mode == "formula":
@@ -128,37 +127,16 @@ def _exponents_ok(n: int, bad_mod: int, bad_res: int) -> bool:
     )
 
 
-def _triangle_star_member(n: int) -> bool:
-    """A plain scan: is n - 3 d^2 a square for some 0 <= d <= sqrt(n / 3)?
-    The d are taken _SCAN_BLOCK at a time; exact for n <= MAX_INPUT."""
-    if n > MAX_INPUT:
-        raise BudgetError(f"triangle_star membership requires n <= {MAX_INPUT}")
-    top = math.isqrt(n // 3)
-    for d0 in range(0, top + 1, _SCAN_BLOCK):
-        d = np.arange(d0, min(d0 + _SCAN_BLOCK, top + 1), dtype=np.int64)
-        r = n - 3 * d * d
-        # the float root is within 1e-6 of sqrt(r), so it rounds to the root of
-        # a square r; a c beyond isqrt(2^63) only wraps, never equals r
-        c = np.rint(np.sqrt(r)).astype(np.int64)
-        if np.any(c * c == r):
-            return True
-    return False
-
-
 def is_member(s: SetId, n: int) -> bool:
-    """Membership of n >= 0 in the set s (0 belongs to the three form sets)."""
+    """Membership of n >= 0 in the set s.  A form set holds 0 and every n >= 1
+    whose primes p = r (mod m), for the inert class (m, r) of its _FORMS row,
+    divide it to even powers; diamond(D) holds the n >= 1 with F_chiD(n) > 0."""
     if n < 0:
         raise ValueError("is_member requires n >= 0")
-    if n == 0:
-        return s.tag != "diamond"
-    if s.tag == "square2":
-        return _exponents_ok(n, 4, 3)
-    if s.tag == "triangle":
-        return _exponents_ok(n, 3, 2)
-    if s.tag == "triangle_star":
-        return _triangle_star_member(n)
+    if s in _FORMS:
+        return n == 0 or _exponents_ok(n, *_FORMS[s][3])
     if s.tag == "diamond":
-        return F(kronecker_character(s.disc), n) > 0
+        return n > 0 and F(kronecker_character(s.disc), n) > 0
     raise ValueError(f"unknown set {s}")
 
 

@@ -5,8 +5,8 @@ worker count, and results are always combined in range order.  Runs are
 therefore bit-identical for any thread count.  chunk_ranges cuts every window
 the package sieves, down to the segments of characters.F_window and
 F_positive, so it alone holds the window budget WINDOW_MAX; only the prime
-segments of arith.prime_blocks and the triangle_star scan, which run past it
-by design, keep loops of their own.
+segments of arith.prime_blocks, which run past it by design, keep a loop of
+their own.
 map_ordered builds a thread pool only for two or more workers, and imports
 concurrent.futures only then, so a window of one chunk runs on the calling
 thread and loads no pool module.

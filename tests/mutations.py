@@ -132,10 +132,20 @@ MUTATIONS = [
              ("tests/test_cli.py::test_enumerate_is_capped",),
              "_count: the enumeration cap of r2 and R2 is dropped"),
     Mutation("src/formgaps/repr_sets.py",
-             "{SQUARE2: (chi4, 4, 0), TRIANGLE: (chi3, 6, 1)}",
-             "{SQUARE2: (chi4, 6, 0), TRIANGLE: (chi3, 4, 1)}",
+             "{SQUARE2: (chi4, 4, 0, (4, 3)), TRIANGLE: (chi3, 6, 1, (3, 2))}",
+             "{SQUARE2: (chi4, 6, 0, (4, 3)), TRIANGLE: (chi3, 4, 1, (3, 2))}",
              ("tests/test_repr_sets.py::test_r2_examples",),
              "_FORMS: the unit counts of square2 and triangle are swapped"),
+    Mutation("src/formgaps/repr_sets.py",
+             "TRIANGLE: (chi3, 6, 1, (3, 2))}",
+             "TRIANGLE: (chi3, 6, 1, (3, 1))}",
+             ("tests/test_repr_sets.py::test_membership_matches_representation_counts",),
+             "_FORMS: triangle's inert class reads (3, 1), so is_member tests p = 1 mod 3"),
+    Mutation("src/formgaps/repr_sets.py",
+             "_FORMS[TRIANGLE_STAR] = _FORMS[TRIANGLE]",
+             "_FORMS[TRIANGLE_STAR] = _FORMS[SQUARE2]",
+             ("tests/test_repr_sets.py::test_membership_examples",),
+             "_FORMS: triangle_star reads square2's row, so 3 = 0 + 3 * 1 leaves it"),
     Mutation("src/formgaps/repr_sets.py",
              "cnt += 2 if r else 1",
              "cnt += 2",
@@ -275,6 +285,22 @@ MUTATIONS = [
              "",
              ("tests/test_gaps.py::test_congruences_decide_shifts_past_the_scan_cap",),
              "represent_norm_form: the congruence check is dropped, so huge |a| scan to the cap"),
+    Mutation("src/formgaps/gaps.py",
+             "if p < 5 or p % 12 == 11:",
+             "if p < 5:",
+             ("tests/test_gaps.py::test_represent_norm_form_against_exhaustive_oracle",),
+             "_is_norm: s(p) = +1 for p = 11 mod 12, so -11 = 1 - 12 reads as no norm"),
+    Mutation("src/formgaps/gaps.py",
+             "        if p % 12 in (5, 7) and e % 2:\n            return False\n",
+             "",
+             ("tests/test_gaps.py::test_represent_norm_form_against_exhaustive_oracle",
+              "tests/test_gaps.py::test_prime_rule_decides_shifts_past_the_scan_cap"),
+             "_is_norm: a prime +-5 mod 12 to an odd power is let through to the scan"),
+    Mutation("src/formgaps/gaps.py",
+             "    if 0 < abs(a) <= MAX_INPUT and not _is_norm(a):\n        return None\n",
+             "",
+             ("tests/test_gaps.py::test_prime_rule_decides_shifts_past_the_scan_cap",),
+             "represent_norm_form: the prime rule is skipped, so non-norms scan to the cap"),
     Mutation("src/formgaps/gaps.py",
              "lo = max(x + 1, -a)",
              "lo = x + 1",

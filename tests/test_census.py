@@ -149,8 +149,8 @@ def test_correlations_answer_at_any_height():
 
 def test_census_boundary_point_skips_the_membership_oracle(monkeypatch):
     # lo_eff = max(x, -a) is decided by sieve_members, through the member
-    # characters and is_member(s, 0) alone, so the oracle routes of is_member
-    # (the triangle_star scan, exponent parity) stay out of every census,
+    # characters and is_member(s, 0) alone, so the routes of is_member for
+    # n >= 1 (exponent parity, F of diamond) stay out of every census,
     # including a non-member lo_eff near 1e14
     cases = [
         (TRIANGLE_STAR, SQUARE2, 1, 0, 50),  # x = 0
@@ -168,8 +168,8 @@ def test_census_boundary_point_skips_the_membership_oracle(monkeypatch):
     def oracle(*args):
         raise AssertionError("census called an is_member oracle")
 
-    monkeypatch.setattr(repr_sets, "_triangle_star_member", oracle)
     monkeypatch.setattr(repr_sets, "_exponents_ok", oracle)
+    monkeypatch.setattr(repr_sets, "F", oracle)
     assert [census_interval(*c, witness_cap=None) for c in cases] == before
 
 

@@ -396,6 +396,7 @@ NUMPY_FREE_FORMS = [
     "repr --fn R2 --n 999999999999999877",
     "repr --fn ideal --n 91 --disc -3",
     "member --set square2 --n 1000000000000000001",
+    "member --set triangle_star --n 1000000000000000007",
     "member --set triangle --n 49",
     "member --set diamond:-23 --n 6",
     "eta --a 3 --q 45",
@@ -588,16 +589,15 @@ SET = st.sampled_from(["square2", "triangle", "triangle_star", "diamond:-4", "di
                        "diamond:12", "circle"])
 EPS = st.sampled_from([1e-3, 1e-2, 0, -1])
 
-# (form, its flags and their values); triangle_star members stay below 1e12,
-# enumeration stays small or passes its cap, brute counts, correlations and
-# gap shifts stay small (the
-# norm-form scan of gap runs over m <= sqrt(|a| / 2)), verify runs no check
+# (form, its flags and their values); enumeration stays small or passes its
+# cap, brute counts, correlations and gap shifts stay small (the norm-form
+# scan of gap runs over m <= sqrt(|a| / 2)), verify runs no check
 SWEEP = [
     ("repr", {"--fn": st.sampled_from(["r2", "R2", "ideal", "r3"]), "--n": ANY,
               "--disc": st.sampled_from([-3, -4, 5, 12, 0])}),
     ("repr --mode enumerate", {"--fn": st.sampled_from(["r2", "R2"]),
                                "--n": st.one_of(SMALL, st.sampled_from([10 ** 12 + 1, *HUGE]))}),
-    ("member", {"--set": SET, "--n": st.one_of(ANY, st.integers(10 ** 11, 10 ** 12))}),
+    ("member", {"--set": SET, "--n": st.one_of(ANY, st.integers(0, 2 ** 63 - 1))}),
     ("eta", {"--a": ANY, "--q": ANY}),
     ("eta --brute", {"--a": ANY, "--q": SMALL}),
     ("lambda", {"--p": st.one_of(SMALL, st.sampled_from(HUGE)), "--j": st.integers(-2, 12),

@@ -116,6 +116,18 @@ def test_non_representable_shift_past_the_old_scan_cap(capsys):
     assert data["branch"] == BRANCH_GENERIC and data["n"] == 513
 
 
+def test_prime_rule_decides_shifts_past_the_scan_cap(capsys):
+    # each passes both congruences, and Nagell's bound would scan m past
+    # _SCAN_CAP; a prime 11 (mod 12) or +-5 (mod 12) factor decides it instead:
+    # 2 * 3 * 166666666666667 has sign -1, 10^18 + 2 holds 17 and
+    # 52445056723 once, and -999999999999999 holds 31, 41 and 271 once
+    for a in (10 ** 15 + 2, 10 ** 18 + 2, -(10 ** 15) + 1):
+        assert represent_norm_form(a) is None, a
+    assert main(["gap", "--pair", "tri", "--a", str(10 ** 15 + 2), "--x", str(10 ** 6)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["branch"] == BRANCH_GENERIC and data["n"] == 1000003
+
+
 def test_least_root_matches_its_scan():
     for r in range(40):
         for y in (r * r - 1, r * r, r * r + 1):
@@ -132,6 +144,8 @@ def test_represent_norm_form_scan_is_capped(monkeypatch, capsys):
     monkeypatch.setattr(gaps, "_SCAN_CAP", 1000)
     with pytest.raises(BudgetError):
         represent_norm_form(2 ** 70 + 2)
+    with pytest.raises(BudgetError):  # a norm (16049939 * 249222131), least m 9112692
+        represent_norm_form(4000000000000009)
     assert represent_norm_form(2 ** 70) == (2 ** 35, 0)
     assert main(["gap", "--pair", "tri", "--a", str(2 ** 70 + 2), "--x", "511"]) == 2
     assert capsys.readouterr().err.startswith("budget exceeded:")

@@ -71,7 +71,7 @@ def test_ideal_count_examples():
 def test_membership_examples():
     assert not is_member(SQUARE2, 3)
     assert is_member(TRIANGLE, 7)
-    assert is_member(TRIANGLE_STAR, 4)
+    assert is_member(TRIANGLE_STAR, 4) and is_member(TRIANGLE_STAR, 3)  # 3 = 0 + 3 * 1
     assert is_member(SQUARE2, 0) and is_member(TRIANGLE, 0) and is_member(TRIANGLE_STAR, 0)
     assert not is_member(diamond(-4), 0)
     assert is_member(diamond(-4), 5) and not is_member(diamond(-4), 3)
@@ -99,12 +99,12 @@ def test_triangle_star_equals_triangle():
     for lo, hi in ((0, 10 ** 6), (10 ** 9 - (1 << 17), 10 ** 9 + (1 << 17))):
         assert np.array_equal(sieve_members(TRIANGLE_STAR, lo, hi), triangle_star_window(lo, hi))
     for n in (10 ** 9 + 1, 10 ** 9 + 3, 10 ** 9 + 7, 10 ** 9 + 9):
-        assert is_member(TRIANGLE_STAR, n) == is_member(TRIANGLE, n), n
+        assert bool(triangle_star_window(n, n)[0]) == is_member(TRIANGLE, n), n
 
 
 def test_triangle_star_member_input_limit():
     assert is_member(TRIANGLE_STAR, 3 * 10 ** 16 + 4)  # c = 2, d = 1e8
-    with pytest.raises(BudgetError):  # an input cap, reported as exit 2
+    with pytest.raises(BudgetError):  # factorize's input cap, reported as exit 2
         is_member(TRIANGLE_STAR, 1 << 63)
 
 
@@ -121,7 +121,7 @@ def test_sieve_examples():
 
 def test_sieve_matches_is_member_on_windows():
     for s in (SQUARE2, TRIANGLE, TRIANGLE_STAR, diamond(-4), diamond(5)):
-        # triangle_star's oracle scans d in blocks, fast enough for 2001 integers at 1e12
+        # one window of 2001 integers at 1e12 holds the chi3 sieve to the parity oracle
         wide = 1000 if s == TRIANGLE_STAR else 8
         windows = ((0, 600), (9_995, 10_600), (123_456, 123_999),
                    (999_999_800, 1_000_000_000), (10 ** 12 - wide, 10 ** 12 + wide))
@@ -129,6 +129,9 @@ def test_sieve_matches_is_member_on_windows():
             mask = sieve_members(s, lo, hi)
             for n in range(lo, hi + 1):
                 assert bool(mask[n - lo]) == is_member(s, n), (s, n)
+    # triangle_star's own lattice points, one d at a time, at 1e10
+    lo, hi = 10 ** 10 - 1000, 10 ** 10 + 1000
+    assert np.array_equal(sieve_members(TRIANGLE_STAR, lo, hi), triangle_star_window(lo, hi))
 
 
 def test_sieve_chunking_consistent():
