@@ -6,14 +6,19 @@ factorization is trial division with a 2-3-5 wheel (complete for n <= 10^8)
 backed by Brent's rho for larger cofactors, and primality is the deterministic
 Miller-Rabin base set for 64-bit integers.  Python integers keep all
 intermediate products exact, so quartic expressions downstream never overflow.
-One odd-only sieve, `_odd_primes`, feeds `primes`, `prime_blocks` and `spf_table`.
+Two odd-only sieves cover disjoint ranges: `small_primes`, a bytearray sieve
+below SMALL_PRIME_LIMIT = 2^16 that needs no numpy, and `_odd_primes` above
+it.  The first seeds the `primes` cache, which the second grows, and the cache
+feeds `prime_blocks` and `spf_table`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from . import _np as np
 from .errors import BudgetError
@@ -184,6 +189,8 @@ def divisors(f: Factorization) -> list[int]:
     return out
 
 
+SMALL_PRIME_LIMIT = 1 << 16  # small_primes holds every prime below it
+
 PRIME_CACHE_MAX = 1 << 24  # the cache doubles up to here and no further
 
 PRIME_SEGMENT = 1 << 21  # integers per block of the segmented sieve past the cache: 2^20 odd flags
@@ -191,6 +198,21 @@ PRIME_SEGMENT = 1 << 21  # integers per block of the segmented sieve past the ca
 # (limit, primes <= limit): one assignment, so no thread sees a mismatched pair;
 # the first call builds it, so importing arith loads no numpy
 _prime_cache = (0, None)
+
+
+@lru_cache(maxsize=None)
+def small_primes() -> tuple:
+    """Every prime below SMALL_PRIME_LIMIT as a tuple of ints, from one flag
+    per odd number in a bytearray: the base primes of any window below 2^32,
+    without numpy."""
+    half = SMALL_PRIME_LIMIT // 2
+    odd = bytearray(b"\1") * half  # flag i stands for the odd number 2i + 1
+    odd[0] = 0
+    for i in range(1, math.isqrt(SMALL_PRIME_LIMIT) // 2 + 1):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = bytes(len(range(p * p // 2, half, p)))
+    return (2, *compress(range(1, SMALL_PRIME_LIMIT, 2), odd))
 
 
 def _odd_primes(o: int, e: int, base: np.ndarray) -> np.ndarray:
@@ -209,20 +231,21 @@ def _odd_primes(o: int, e: int, base: np.ndarray) -> np.ndarray:
 def primes(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array: a slice of the cache, grow-only up
     to PRIME_CACHE_MAX; larger limits join the blocks of `prime_blocks` and
-    leave the cache as it is.  It grows by `_odd_primes` over the new range,
-    at most to the square of its limit, so it holds every base prime."""
+    leave the cache as it is.  The first call takes `small_primes` as it is;
+    the cache grows by `_odd_primes` over each new range, in one step, as
+    PRIME_CACHE_MAX is below (2^16 - 1)^2: the table holds its base primes."""
     global _prime_cache
     if limit > PRIME_CACHE_MAX:
         return np.concatenate(list(prime_blocks(2, limit)))
     top, cache = _prime_cache
-    if limit > top or top < 3:
-        end = min(max(limit, 2 * top, 1 << 16), PRIME_CACHE_MAX)
-        if top < 3:
-            top, cache = 3, np.array([2, 3], dtype=np.int64)
-        while top < end:
-            step = min(end, top * top)
-            cache = np.concatenate((cache, _odd_primes(top + 1 | 1, step, cache[1:])))
-            top = step
+    if top == 0:
+        top = min(SMALL_PRIME_LIMIT - 1, PRIME_CACHE_MAX)
+        small = small_primes()
+        cache = np.array(small[: bisect_right(small, top)], dtype=np.int64)
+        _prime_cache = (top, cache)
+    if limit > top:
+        end = min(max(limit, 2 * top), PRIME_CACHE_MAX)
+        top, cache = end, np.concatenate((cache, _odd_primes(top + 1 | 1, end, cache[1:])))
         _prime_cache = (top, cache)
     return cache[: int(np.searchsorted(cache, limit, side="right"))]
 

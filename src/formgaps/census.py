@@ -5,8 +5,12 @@ For two representable sets W1, W2 and a shift a, the census counts
     S(W1, W2, a) = { n : n in W1, n + a in W2 }
 
 inside a window [x, x+H] (H + 1 integers, n + a >= 0), read off the masks of
-repr_sets.sieve_members.  The count is always exact, only the recorded witness
-list is capped.
+repr_sets.sieve_members.  Below 2^32 (characters.BYTES_WALK_MAX) their
+bytes, read as two ints, are intersected by one `&`, counted by
+int.bit_count and listed by itertools.compress, so such a census loads no
+numpy.  From 2^32 on the masks come from numpy walks, and numpy intersects
+them too, several times faster than the int conversions.  The count is
+always exact, only the recorded witness list is capped.
 
 The correlation sums are the exact integers
 
@@ -34,10 +38,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, compress, count, islice
 
 from . import _np as np
 from .arith import factorize
-from .characters import DirichletCharacter, F_window, chi4
+from .characters import BYTES_WALK_MAX, DirichletCharacter, F_window, chi4
 from .repr_sets import SetId, member_character, sieve_members
 from .util import chunk_ranges, map_ordered
 
@@ -70,8 +75,8 @@ def _shifted_windows(left, right, shared, a: int, lo: int, hi: int, threads: int
         c_lo, c_hi = c
         if not shared or abs(a) > c_hi - c_lo or c_lo + min(a, 0) == 0:
             return reduce(c_lo, left(c_lo, c_hi), right(c_lo + a, c_hi + a))
-        both, w = left(c_lo + min(a, 0), c_hi + max(a, 0)), c_hi - c_lo + 1
-        return reduce(c_lo, both[max(-a, 0) :][:w], both[max(a, 0) :][:w])
+        both, w, i, j = left(c_lo + min(a, 0), c_hi + max(a, 0)), c_hi - c_lo + 1, max(-a, 0), max(a, 0)
+        return reduce(c_lo, both[i : i + w], both[j : j + w])
 
     return map_ordered(one, chunk_ranges(lo, hi), threads)
 
@@ -134,18 +139,25 @@ def census_interval(
     Both sides are repr_sets.sieve_members windows from the first candidate
     max(x, -a) on, so n + a >= 0 (membership of negative integers is undefined
     here); sets of one member character share a window except where it holds 0.
-    The witness list stops at witness_cap entries; the count never does.
+    The witness list stops at witness_cap >= 0 entries, or holds every
+    witness for None; the count is never capped.
     """
     if x < 0 or H < 0:
         raise ValueError("census_interval requires x >= 0 and H >= 0")
+    if witness_cap is not None and witness_cap < 0:
+        raise ValueError("census_interval requires witness_cap >= 0 or None")
     psi1, psi2 = member_character(set1), member_character(set2)
     shared = (psi1.disc, psi1.modulus) == (psi2.disc, psi2.modulus)
 
     def members(lo, left, right):
-        found = np.flatnonzero(left & right)
-        return found.size, lo + found[:witness_cap]
+        if x + H + max(a, 0) > BYTES_WALK_MAX:
+            found = np.flatnonzero(np.frombuffer(left, dtype=bool) & np.frombuffer(right, dtype=bool))
+            return found.size, (lo + found[:witness_cap]).tolist()
+        both = int.from_bytes(left, "little") & int.from_bytes(right, "little")
+        flags = both.to_bytes(len(left), "little") if witness_cap != 0 else b""
+        return both.bit_count(), list(islice(compress(count(lo), flags), witness_cap))
 
     left, right = partial(sieve_members, set1), partial(sieve_members, set2)
     parts = _shifted_windows(left, right, shared, a, max(x, -a), x + H, threads, members)
-    wits = [n for _, found in parts for n in found.tolist()]
-    return CensusRecord(set1, set2, a, x, H, sum(k for k, _ in parts), tuple(wits[:witness_cap]))
+    wits = islice(chain.from_iterable(found for _, found in parts), witness_cap)
+    return CensusRecord(set1, set2, a, x, H, sum(k for k, _ in parts), tuple(wits))

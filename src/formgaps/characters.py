@@ -15,8 +15,8 @@ relies on.  F itself is multiplicative, with per-prime geometric sums
 sum_{i <= e} psi(p)^i at p^e || n: e + 1, the parity of e, or 1 for
 psi(p) = 1, -1, 0 (`_local_factor`).
 
-The sieves walk the primes p <= B = isqrt(hi) of a window once (`_walk`), with
-one of two products.  F_window multiplies exactly the local factors above,
+The sieves walk the primes p <= B = isqrt(hi) of a window once, with one of
+two products.  F_window (`_walk`) multiplies exactly the local factors above,
 and the p-part of n into its smooth part; it also walks the primes of the
 modulus above B (factor 1), so what it leaves of n is prime to the modulus.
 `_strided_prime` takes the local factor as a function of e, so
@@ -31,10 +31,16 @@ read q by this one rule, with psi(n') from the tables of
     F_psi(n) > 0  iff  every inert p <= B has an even exponent in n
                        and psi(n') != -1,
 
-and F_positive walks the inert primes alone, with a parity product and no
-smooth part, while F_window, where q is left (the smooth part is not n),
-multiplies its product by 1 + psi(q): 2, or 0 where psi(n') = -1.  Neither
-divides.  F evaluates a single n from its factorization; the divisor sum is
+and F_positive starts each segment from psi(n') != -1 and walks the inert
+primes alone, with a parity product and no smooth part, while F_window,
+where q is left (the smooth part is not n), multiplies its product by
+1 + psi(q): 2, or 0 where psi(n') = -1.  Neither divides.  F_positive's
+mask is a bytearray, one 0/1 byte per n, at every height, and hi alone picks
+its walk: below 2^32 every inert p <= B lies below 2^16, in the numpy-free
+arith.small_primes, and the parity levels are bytearray slice assignments;
+from 2^32 on it is `_walk` over numpy prime blocks, through an np.frombuffer
+view of the same bytes.  `_UnitSign` builds psi(n') != -1 as bytes for
+both kernels.  F evaluates a single n from its factorization; the divisor sum is
 kept only in the tests, as an oracle.
 """
 
@@ -43,10 +49,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from bisect import bisect_right
 from itertools import chain
 
 from . import _np as np
-from .arith import MAX_INPUT, divisors, factorize, prime_blocks
+from .arith import MAX_INPUT, SMALL_PRIME_LIMIT, divisors, factorize, prime_blocks, small_primes
 from .errors import BudgetError
 from .util import chunk_ranges
 
@@ -60,12 +67,16 @@ SEGMENT = 1 << 18  # F_window sieves this many integers at a time
 
 MODULUS_MAX = 10 ** 5  # trivial:K and kronecker:D, whose value tables have K or |D| entries
 
+BYTES_WALK_MAX = SMALL_PRIME_LIMIT ** 2 - 1  # F_positive walks windows up to here over bytes: 2^32 - 1
+
 
 # The residues r mod |D_2| with (D_2 / r) = -1, for each 2-part D_2 of a
 # fundamental discriminant: 3 mod 4, then 3 and 5 mod 8, then 5 and 7 mod 8.
 _TWO_PARTS = {-4: b"\0\0\0\1", 8: b"\0\0\0\1\0\1\0\0", -8: b"\0\0\0\0\0\1\0\1"}
 
 _SIGN = bytes.maketrans(b"\0\1", b"\1\xff")  # a part's 0/1 to the signed byte 1/-1
+
+_NOT = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 @dataclass(frozen=True)
@@ -333,20 +344,21 @@ def _walk(blocks, lo: int, hi: int, dense, sparse) -> None:
             sparse(p, pos, e)
 
 
-def _segmented(name: str, lo: int, hi: int, dtype, setup) -> np.ndarray:
-    """An array over the closed window [lo, hi] (lo >= 1), written in the
+def _segmented(name: str, lo: int, hi: int, empty, setup):
+    """A buffer over the closed window [lo, hi] (lo >= 1), written in the
     SEGMENT-wide parts [a, b] of util.chunk_ranges, so the strided passes stay
-    in cache, by fill(part, a, b) for fill = setup(width), width the widest
-    part; BudgetError past MAX_INPUT or WINDOW_MAX, before any allocation."""
+    in cache: out = empty(hi - lo + 1), and fill(i, a, b) writes out[i :]
+    for i = a - lo, fill = setup(out, width), width the widest part;
+    BudgetError past MAX_INPUT or WINDOW_MAX, before any allocation."""
     if lo < 1 or hi < lo:
         raise ValueError("window must satisfy 1 <= lo <= hi")
     if hi > MAX_INPUT:
         raise BudgetError(f"{name} requires hi <= {MAX_INPUT}")
     segments = chunk_ranges(lo, hi, SEGMENT)
-    out = np.empty(hi - lo + 1, dtype=dtype)
-    fill = setup(min(SEGMENT, out.size))
+    out = empty(hi - lo + 1)
+    fill = setup(out, min(SEGMENT, hi - lo + 1))
     for a, b in segments:
-        fill(out[a - lo : b - lo + 1], a, b)
+        fill(a - lo, a, b)
     return out
 
 
@@ -368,19 +380,20 @@ def F_window(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
     windows.
     """
 
-    def setup(width):
+    def setup(out, width):
         dtype = np.int32 if hi < 1 << 31 else np.int64  # smooth parts and n - lo are <= hi
         work = np.empty(width, dtype=dtype), np.arange(width, dtype=dtype), np.empty(width, dtype=bool)
-        return partial(_sieve_segment, psi=psi, sign=_UnitSign(psi, width), work=work)
+        return partial(_sieve_segment, out, psi=psi, sign=_UnitSign(psi, width), work=work)
 
-    return _segmented("F_window", lo, hi, psi.table.dtype, setup)
+    return _segmented("F_window", lo, hi, partial(np.empty, dtype=psi.table.dtype), setup)
 
 
-def _sieve_segment(f: np.ndarray, lo: int, hi: int, psi, sign, work) -> None:
-    """Write F_psi(n) for n in [lo, hi] into f, given psi's unit sign; work
-    holds the smooth part, the ramp 0, 1, 2, ... and a mask, each a segment
-    wide."""
+def _sieve_segment(out: np.ndarray, i: int, lo: int, hi: int, psi, sign, work) -> None:
+    """Write F_psi(n) for n in [lo, hi] into out[i :], given psi's unit sign;
+    work holds the smooth part, the ramp 0, 1, 2, ... and a mask, each a
+    segment wide."""
     values, table, k = psi.values, psi.table, psi.modulus
+    f = out[i : i + hi - lo + 1]
     smooth, ramp, left = (w[: f.size] for w in work)
     f[:] = 1
     smooth[:] = 1
@@ -407,31 +420,67 @@ def _sieve_segment(f: np.ndarray, lo: int, hi: int, psi, sign, work) -> None:
     smooth -= lo  # n - lo where nothing is left of n
     np.not_equal(smooth, ramp, out=left)  # a prime q > B is left of n
     f <<= left  # its factor 1 + psi(q) is 2 ...
-    left &= sign(lo, hi)
+    left &= ~np.frombuffer(sign(lo, hi), dtype=bool)
     f[left] = 0  # ... or 0 where psi(q) = psi(n') = -1
 
 
-def F_positive(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
-    """The mask F_psi(n) > 0 on the closed window [lo, hi] (lo >= 1), as a bool
-    array; the contract of F_window, without the values.
+def F_positive(psi: DirichletCharacter, lo: int, hi: int) -> bytearray:
+    """The mask F_psi(n) > 0 on the closed window [lo, hi] (lo >= 1), one 0/1
+    byte per n; the contract of F_window, without the values.
 
-    F_window's walk over the inert primes alone (the criterion in the module
-    docstring): an odd exponent of an inert p <= isqrt(hi) clears n, and so
-    does psi(n') = -1 for n' = n without the primes of the modulus
-    (`_UnitSign`).
+    Each segment starts from psi(n') != -1 for n' = n without the primes of
+    the modulus (`_UnitSign`), and an odd exponent of an inert p <= isqrt(hi)
+    clears n (the criterion in the module docstring).  The height alone picks
+    the walk over the inert primes: below 2^32, where they all lie below
+    2^16, bytearray slice assignments over arith.small_primes
+    (`_bytes_parity`), so no numpy is loaded; from 2^32 on, F_window's `_walk`
+    over numpy prime blocks (`_numpy_parity`), through an np.frombuffer view.
     """
+    if hi <= BYTES_WALK_MAX:
+        small = small_primes()
+        inert = [p for p in small[: bisect_right(small, math.isqrt(hi))] if psi(p) == -1]
+        walk = partial(_bytes_parity, inert=inert)
+    else:
+        walk = partial(_numpy_parity, psi=psi)
 
-    def setup(width):
-        return partial(_member_segment, psi=psi, sign=_UnitSign(psi, width))
+    def setup(out, width):
+        return partial(_member_segment, out, sign=_UnitSign(psi, width), walk=walk)
 
-    return _segmented("F_positive", lo, hi, bool, setup)
+    return _segmented("F_positive", lo, hi, bytearray, setup)
 
 
-def _member_segment(ok: np.ndarray, lo: int, hi: int, psi, sign) -> None:
-    """Write F_psi(n) > 0 for n in [lo, hi] into the bool array ok."""
+def _member_segment(out: bytearray, i: int, lo: int, hi: int, sign, walk) -> None:
+    """Write F_psi(n) > 0 for n in [lo, hi] into out[i :]."""
+    ok = sign(lo, hi)
+    walk(ok, lo, hi)
+    out[i : i + len(ok)] = ok
+
+
+def _bytes_parity(ok: bytearray, lo: int, hi: int, inert) -> None:
+    """Clear ok[n - lo] where an inert prime has an odd exponent in n: the
+    parity levels of `_strided_prime`, as bytearray slice assignments.  Level
+    j of p writes its multiples of p^j, with 0 for odd j and with ok as it was
+    before p (saved at the multiples of p^2) for even j."""
+    w = len(ok)
+    for p in inert:
+        o, p2 = -lo % p, p * p
+        o2 = -lo % p2
+        if o2 >= w:  # no multiple of p^2: the one level clears
+            ok[o::p] = bytearray((w - 1 - o) // p + 1)
+            continue
+        saved = ok[o2::p2]
+        for e, (offset, pj) in enumerate(_multiples(p, lo, hi), 1):
+            if e % 2:
+                ok[offset::pj] = bytearray((w - 1 - offset) // pj + 1)
+            else:
+                ok[offset::pj] = saved[(offset - o2) // p2 :: pj // p2]
+
+
+def _numpy_parity(ok: bytearray, lo: int, hi: int, psi) -> None:
+    """`_bytes_parity` through F_window's `_walk`: dense primes by
+    `_strided_prime`, sparse ones in batched runs."""
     table, k = psi.table, psi.modulus
-    f = ok.view(np.int8)
-    f[:] = 1
+    f = np.frombuffer(ok, dtype=np.int8)
     parity = partial(_local_factor, -1)
 
     def strided(p):
@@ -442,36 +491,59 @@ def _member_segment(ok: np.ndarray, lo: int, hi: int, psi, sign) -> None:
 
     inert = (b[table[b % k] == -1] for b in prime_blocks(2, math.isqrt(hi)))
     _walk(inert, lo, hi, strided, pairs)
-    ok &= ~sign(lo, hi)
 
 
 class _UnitSign:
-    """psi(n') = -1 over segments up to width wide, for n' = n without the
-    primes of the modulus, from the parts of psi.unit_parts whose factor can
-    be -1: each one's neg is tiled once, to cover width + |D_s| entries.
-    A call writes into one buffer, so its result holds until the next call.
+    """psi(n') != -1 as bytes over segments up to width wide, 1 where
+    psi(n') = 1, for n' = n without the primes of the modulus.  psi(n') is
+    the product of the factors of psi.unit_parts, and only the parts whose
+    factor can be -1 count.  The one with the longest period is written: its
+    neg, complemented, is tiled once to cover width + |D_s| entries.  Each
+    other part inverts the bytes where its factor is -1 (`_invert`), so no
+    two masks are ever joined.  A call returns a new bytearray.
     """
 
     def __init__(self, psi: DirichletCharacter, width: int):
-        self.parts = [(s, len(neg), np.tile(np.frombuffer(neg, dtype=bool), width // len(neg) + 2), flip)
-                      for s, neg, flip in psi.unit_parts if flip or 1 in neg]
-        self.neg = np.empty(width, dtype=bool)
-        self.factor = np.empty(width, dtype=bool)
+        parts = sorted((part for part in psi.unit_parts if part[2] or 1 in part[1]),
+                       key=lambda part: len(part[1]), reverse=True)
+        self.first, self.rest = None, parts[1:]
+        if parts:
+            s, neg, flip = parts[0]
+            copies = width // len(neg) + 2
+            self.first = s, len(neg), flip, bytearray(neg.translate(_NOT) * copies), bytearray(neg * copies)
 
-    def __call__(self, lo: int, hi: int) -> np.ndarray:
-        """psi(n') = -1 over [lo, hi]: level j of s rewrites its multiples of
+    def __call__(self, lo: int, hi: int) -> bytearray:
+        """psi(n') != -1 over [lo, hi]: level j of s rewrites its multiples of
         s^j with (D_s / (n / s^j)) and flip^j, so each n keeps the level of its
         own v_s(n)."""
-        neg, factor = self.neg[: hi - lo + 1], self.factor[: hi - lo + 1]
-        neg[:] = False
-        for s, size, period, flip in self.parts:
-            factor[:] = period[lo % size :][: neg.size]
-            for j, (offset, sj) in enumerate(_multiples(s, lo, hi), 1):
-                level = factor[offset::sj]
-                start = (lo + offset) // sj % size
-                np.bitwise_xor(period[start:][: level.size], flip and j % 2 == 1, out=level)
-            neg ^= factor
-        return neg
+        w = hi - lo + 1
+        if self.first is None:
+            return bytearray(b"\1") * w
+        s, size, flip, pos, neg = self.first
+        ok = pos[lo % size : lo % size + w]
+        for j, (offset, sj) in enumerate(_multiples(s, lo, hi), 1):
+            start = (lo + offset) // sj % size
+            ok[offset::sj] = (neg if flip and j % 2 else pos)[start : start + len(range(offset, w, sj))]
+        for s, neg, flip in self.rest:
+            _invert(ok, 0, 1, lo, neg, False)
+            for offset, sj in _multiples(s, lo, hi):
+                _invert(ok, offset, sj, (lo + offset) // sj, neg, flip)
+        return ok
+
+
+def _invert(ok: bytearray, offset: int, step: int, q: int, neg: bytes, flip: bool) -> None:
+    """Invert ok[offset + i * step] where neg[(q + i) % len(neg)] != flip, one
+    residue class of i at a time.
+
+    A part of psi.unit_parts is neg at n % |D_s| on the n prime to s and 0 on
+    the multiples of s; past them, its factor at a multiple of s^j differs
+    from its factor at level j - 1, which is flip^(j-1), where
+    neg[(n / s^j) % |D_s|] != flip."""
+    size = len(neg)
+    for c in range(size):
+        if neg[c] != flip:
+            first = offset + (c - q) % size * step
+            ok[first :: step * size] = ok[first :: step * size].translate(_NOT)
 
 
 def F_sieve(psi: DirichletCharacter, x: int) -> np.ndarray:

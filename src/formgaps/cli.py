@@ -10,7 +10,8 @@ Fractions enter records as str.  census adds a `W,<n>` line
 per witness to CSV and a `witnesses` list to JSON, repr's `fn` key is in JSON
 only, verify prints one row per check, and gap prints JSON only.  Output is
 deterministic for fixed flags, whatever the thread count.  Each handler
-imports what it calls, so a process loads only its command's modules.
+imports what it calls, so a process loads only its command's modules; a
+census below 2^32 keeps its masks as bytes and loads no numpy.
 
 entry is the process entry point (`python -m formgaps` and the console
 script) and owns its process: it keeps numpy's BLAS at one thread, turns the
@@ -101,7 +102,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", default=None, help="write output to a file instead of stdout")
     common.add_argument("--threads", type=int, default=None,
                         help="worker threads; none or a value below 1 means all CPUs this "
-                             "process may use")
+                             "process may use. Below 2^32 a census walks its masks over bytes "
+                             "and holds the GIL, so a second thread buys nothing there")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, help, run):

@@ -14,7 +14,8 @@ residue class (m, r) of its inert primes, p = r (mod m):
 I_D(n) = F_chiD(n) counts the ideals of norm n (ideal_count).  Every set is
 a character set: n >= 1 lies in it iff F_psi(n) > 0 for psi =
 member_character(s), and window membership (sieve_members, the one route of
-census) is characters.F_positive, the sieve of that sign alone.  is_member
+census) is characters.F_positive, the sieve of that sign alone, as one 0/1
+byte per n.  is_member
 keeps an independent route as the oracle for the windows of the form sets:
 exponent parity at the inert primes of the row, read off factorize.
 Enumeration modes of r2/R2 count lattice points directly and never touch the
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import _np as np
 from .arith import factorize
 from .characters import F, F_positive, chi3, chi4, kronecker_character
 from .errors import BudgetError
@@ -150,14 +150,15 @@ def member_character(s: SetId):
     raise ValueError(f"unknown set {s}")
 
 
-def sieve_members(s: SetId, lo: int, hi: int) -> np.ndarray:
-    """Boolean mask over [lo, hi]: entry n - lo is True iff is_member(s, n).
-    F_positive(member_character(s), lo, hi) itself for lo >= 1; lo = 0 puts
-    is_member(s, 0) in front of it, at the cost of one copy."""
+def sieve_members(s: SetId, lo: int, hi: int) -> bytearray:
+    """The mask over [lo, hi], one 0/1 byte per n: byte n - lo is 1 iff
+    is_member(s, n).  F_positive(member_character(s), lo, hi) itself for
+    lo >= 1; lo = 0 puts is_member(s, 0) in front of it as one byte."""
     if lo < 0 or hi < lo:
         raise ValueError("sieve_members requires 0 <= lo <= hi")
     psi = member_character(s)
     if lo:
         return F_positive(psi, lo, hi)
-    head = np.array([is_member(s, 0)])
-    return np.concatenate((head, F_positive(psi, 1, hi))) if hi else head
+    mask = F_positive(psi, 1, hi) if hi else bytearray()
+    mask.insert(0, is_member(s, 0))
+    return mask

@@ -130,7 +130,7 @@ def _lemma_checks(budget: float, seed: int) -> list[CheckResult]:
     star = np.zeros(nmax + 1, dtype=bool)  # the lattice points c^2 + 3d^2, one d at a time
     for d in range(math.isqrt(nmax // 3) + 1):
         star[np.arange(math.isqrt(nmax - 3 * d * d) + 1) ** 2 + 3 * d * d] = True
-    tri = rs.sieve_members(rs.TRIANGLE, 0, nmax)
+    tri = np.frombuffer(rs.sieve_members(rs.TRIANGLE, 0, nmax), dtype=bool)
     ok = bool(np.all(tri[star]))
     out.append(CheckResult("lemmas", "triangle_star_subset_of_triangle", ok, nmax + 1))
 

@@ -333,13 +333,8 @@ MUTATIONS = [
              ("tests/test_arith.py::test_prime_blocks_past_the_cache_match_is_prime",),
              "_odd_primes: the odd-only segment starts p at o + j even when j is odd"),
     Mutation("src/formgaps/arith.py",
-             "step = min(end, top * top)",
-             "step = end",
-             ("tests/test_arith.py::test_primes_cache_grows_in_any_order",),
-             "primes: a growth step runs past top^2, so the cache lacks base primes it needs"),
-    Mutation("src/formgaps/arith.py",
-             "_odd_primes(top + 1 | 1, step, cache[1:])",
-             "_odd_primes(top | 1, step, cache[1:])",
+             "_odd_primes(top + 1 | 1, end, cache[1:])",
+             "_odd_primes(top | 1, end, cache[1:])",
              ("tests/test_arith.py::test_primes_cache_grows_in_any_order",),
              "primes: growth restarts at top | 1, so a prime limit of the cache is listed twice"),
     Mutation("src/formgaps/arith.py",
@@ -353,20 +348,26 @@ MUTATIONS = [
              ("tests/test_analytic_constants.py::test_G_series_refuses_fewer_terms_than_its_fit",),
              "G_series: the n_max guard is dropped, so the fit of K reduces an empty array"),
     Mutation("src/formgaps/characters.py",
-             "    ok &= ~sign(lo, hi)\n",
-             "",
+             "    ok = sign(lo, hi)\n",
+             "    ok = bytearray(b\"\\1\") * (hi - lo + 1)\n",
              ("tests/test_characters.py::test_F_positive_edge_windows",),
-             "F_positive: the final test psi(n') != -1 is dropped"),
+             "F_positive: the test psi(n') != -1 is dropped, so each segment starts from all ones"),
     Mutation("src/formgaps/characters.py",
              "enumerate(_multiples(s, lo, hi), 1)",
              "enumerate([], 1)",
              ("tests/test_characters.py::test_F_positive_edge_windows",),
              "F_positive: the primes of the modulus are not divided out, so psi(n) stands for psi(n')"),
     Mutation("src/formgaps/characters.py",
+             "if psi(p) == -1]",
+             "]",
+             ("tests/test_characters.py::test_F_positive_edge_windows",),
+             "F_positive: the inert filter of the bytes walk is dropped, so any prime's odd exponent "
+             "clears n"),
+    Mutation("src/formgaps/characters.py",
              "(b[table[b % k] == -1] for b in",
              "(b for b in",
              ("tests/test_characters.py::test_F_positive_edge_windows",),
-             "F_positive: the inert filter is dropped, so any prime's odd exponent clears n"),
+             "F_positive: the inert filter of the numpy walk from 2^32 on is dropped"),
     Mutation("src/formgaps/characters.py",
              "[s for s, _, _ in psi.unit_parts if s > B]",
              "[]",
@@ -404,10 +405,32 @@ MUTATIONS = [
              ("tests/test_cli.py::test_output_forms",),
              "_render: a non-finite float reaches the strict JSON encoder"),
     Mutation("src/formgaps/characters.py",
+             "= saved[(offset - o2) // p2 :: pj // p2]\n",
+             "= ok[o2::p2][(offset - o2) // p2 :: pj // p2]\n",
+             ("tests/test_characters.py::test_F_positive_edge_windows",),
+             "_bytes_parity: the p^2 multiples are restored from the values p's first level has cleared"),
+    Mutation("src/formgaps/characters.py",
              "saved = f[o2::p2].copy()",
              "saved = f[o2::p2]",
-             ("tests/test_characters.py::test_F_positive_edge_windows",),
+             ("tests/test_characters.py::test_F_sieve_matches_per_n",),
              "_strided_prime: the p^2 multiples are restored from a view p's own factor has cleared"),
+    Mutation("src/formgaps/characters.py",
+             "enumerate(_multiples(p, lo, hi), 1)",
+             "enumerate(_multiples(p, lo, hi)[:1], 1)",
+             ("tests/test_repr_sets.py::test_sieve_examples",),
+             "_bytes_parity: the level-2 restore is dropped, so 9 = 3^2 leaves square2"),
+    Mutation("src/formgaps/arith.py",
+             'odd = bytearray(b"\\1") * half',
+             'odd = bytearray(b"\\1") * (half // 2)',
+             ("tests/test_arith.py::test_small_primes_are_every_prime_below_two_to_the_16",
+              "tests/test_census.py::test_census_across_two_to_the_32"),
+             "small_primes: the table is cut at 2^15"),
+    Mutation("src/formgaps/characters.py",
+             "for s, neg, flip in self.rest:",
+             "for s, neg, flip in self.rest[:0]:",
+             ("tests/test_characters.py::test_F_sieve_matches_per_n",
+              "tests/test_characters.py::test_F_positive_edge_windows"),
+             "_UnitSign: a second part of psi.unit_parts (chi6's 2) is never inverted in"),
     Mutation("src/formgaps/census.py",
              "if not shared or abs(a) > c_hi - c_lo or c_lo + min(a, 0) == 0:",
              "if not shared or abs(a) > c_hi - c_lo:",
@@ -421,8 +444,8 @@ MUTATIONS = [
               "tests/test_census.py::test_census_shared_window_matches_separate[0-0-set12-set22]"),
              "census_interval: the windows start past the first candidate max(x, -a)"),
     Mutation("src/formgaps/repr_sets.py",
-             "head = np.array([is_member(s, 0)])",
-             "head = F_positive(psi, 1, 1)",
+             "mask.insert(0, is_member(s, 0))",
+             "mask.insert(0, F_positive(psi, 1, 1)[0])",
              ("tests/test_repr_sets.py::test_sieve_examples",),
              "sieve_members: n = 0 is read off F_positive's side (at n = 1), so 0 joins every diamond"),
     Mutation("src/formgaps/characters.py",

@@ -154,8 +154,8 @@ def test_criterion_04_representation_formulas():
 def test_criterion_05_triangle_star_subset():
     _start()
     N = 10 ** 6
-    star = rs.sieve_members(rs.TRIANGLE_STAR, 0, N)
-    tri = rs.sieve_members(rs.TRIANGLE, 0, N)
+    star = np.frombuffer(rs.sieve_members(rs.TRIANGLE_STAR, 0, N), dtype=bool)
+    tri = np.frombuffer(rs.sieve_members(rs.TRIANGLE, 0, N), dtype=bool)
     ok = bool(np.all(tri[star]))
     ok &= bool(np.array_equal(star, triangle_star_window(0, N)))
     _report(5, "triangle_star = lattice points, subset of triangle (n<=1e6)", ok)

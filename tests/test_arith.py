@@ -132,6 +132,12 @@ def test_is_prime_against_sieve():
         assert is_prime(n) == (n in ps), n
 
 
+def test_small_primes_are_every_prime_below_two_to_the_16():
+    # the numpy-free table, which also seeds the primes() cache
+    assert arith.small_primes() == tuple(n for n in range(arith.SMALL_PRIME_LIMIT) if is_prime(n))
+    assert arith.SMALL_PRIME_LIMIT == 1 << 16
+
+
 def test_primes_cache_grows():
     assert list(primes(10)) == [2, 3, 5, 7]
     assert int(primes(100)[-1]) == 97

@@ -95,6 +95,24 @@ def test_census_witness_cap_keeps_exact_count():
     assert capped.witnesses == full.witnesses[:5]
 
 
+def test_census_refuses_a_negative_witness_cap():
+    # None lists every witness; a negative cap is no count of witnesses
+    for cap in (-1, -3):
+        with pytest.raises(ValueError):
+            census_interval(SQUARE2, SQUARE2, 1, 1, 9, witness_cap=cap)
+
+
+def test_census_across_two_to_the_32(small_chunks):
+    # chunks of 1000: the first two lie below 2^32 (the bytes walk), the next
+    # ones reach past it (numpy), on either side of the shift
+    x, H = 2 ** 32 - 1500, 2999
+    for set1, set2, a in ((TRIANGLE, SQUARE2, 1), (SQUARE2, SQUARE2, -700),
+                          (diamond(-23), TRIANGLE_STAR, 600), (diamond(-20), diamond(-420), 3)):
+        brute = [n for n in range(x, x + H + 1) if is_member(set1, n) and is_member(set2, n + a)]
+        rec = census_interval(set1, set2, a, x, H, witness_cap=None)
+        assert rec.witnesses == tuple(brute) and rec.count == len(brute), (set1, set2, a)
+
+
 def test_census_negative_shift_excludes_negative_partners():
     rec = census_interval(SQUARE2, SQUARE2, -100, 0, 200, witness_cap=None)
     assert all(n >= 100 for n in rec.witnesses)
@@ -214,7 +232,8 @@ def _separate_census(set1, set2, a, x, H):
     # 0 in the x = 0 cases, so the reference does not read 0 off sieve_members
     lo = max(x, -a)
     head = [lo] if is_member(set1, lo) and is_member(set2, lo + a) else []
-    both = sieve_members(set1, lo + 1, x + H) & sieve_members(set2, lo + 1 + a, x + H + a)
+    both = (np.frombuffer(sieve_members(set1, lo + 1, x + H), dtype=bool)
+            & np.frombuffer(sieve_members(set2, lo + 1 + a, x + H + a), dtype=bool))
     return tuple(head + [int(n) for n in lo + 1 + np.flatnonzero(both)])
 
 
@@ -325,18 +344,19 @@ import sys
 from formgaps.census import census_interval
 from formgaps.repr_sets import SQUARE2, TRIANGLE
 assert "numpy" not in sys.modules
-print(census_interval(SQUARE2, TRIANGLE, 1, 10**9, 1 << 23, witness_cap=0, threads=2).count)
+print(census_interval(SQUARE2, TRIANGLE, 1, 10**12, 1 << 23, witness_cap=0, threads=2).count)
 """
 
 
 def test_census_loads_numpy_first_inside_worker_threads():
     # three chunks on two threads, in a process where numpy is not loaded yet:
-    # both workers make their first array lookups at once
+    # above 2^32 the masks are sieved through numpy, so both workers make
+    # their first array lookups at once
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", FIRST_USE_CHILD], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    expected = census_interval(SQUARE2, TRIANGLE, 1, 10 ** 9, 1 << 23, witness_cap=0, threads=2)
+    expected = census_interval(SQUARE2, TRIANGLE, 1, 10 ** 12, 1 << 23, witness_cap=0, threads=2)
     assert int(proc.stdout) == expected.count
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formgaps import characters, util
@@ -442,8 +442,29 @@ def test_F_window_property(lo, width, psi):
 def test_F_positive_property(lo, width, psi):
     hi = lo + width - 1
     mask = F_positive(psi, lo, hi)
-    assert mask.dtype == bool
-    assert np.array_equal(mask, F_window(psi, lo, hi) > 0)
+    assert type(mask) is bytearray
+    assert np.array_equal(np.frombuffer(mask, dtype=bool), F_window(psi, lo, hi) > 0)
+
+
+# F_positive walks its inert primes over bytes below 2^32 and over numpy
+# prime blocks from 2^32 on; both must give F_window's sign
+ROUTE_CHARACTERS = (chi4(), chi3(), chi6(), kronecker_character(-23), KRONECKER_M20, KRONECKER_M420)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    lo=st.one_of(st.integers(min_value=2 ** 32 - 2 ** 20, max_value=2 ** 32 + 2 ** 20), st.just(1)),
+    width=st.integers(min_value=1, max_value=2 ** 19),
+    psi=st.sampled_from(ROUTE_CHARACTERS),
+)
+@example(lo=2 ** 32 - 2 ** 19, width=2 ** 19, psi=chi4())  # hi = 2^32 - 1, the last bytes window
+@example(lo=2 ** 32 - 2 ** 18, width=2 ** 19, psi=chi3())  # across 2^32
+@example(lo=1, width=100, psi=chi4())  # 3, 9, 27 and 81: every parity level of an inert prime
+def test_F_positive_routes_agree_across_two_to_the_32(lo, width, psi):
+    hi = lo + width - 1
+    mask = F_positive(psi, lo, hi)
+    assert type(mask) is bytearray and len(mask) == width
+    assert np.array_equal(np.frombuffer(mask, dtype=bool), F_window(psi, lo, hi) > 0)
 
 
 INERT_CUBE = 1019 ** 3  # 1019 is 3 mod 4 and 2 mod 3: inert for chi4 and chi3, sparse below
@@ -468,7 +489,7 @@ def test_F_positive_edge_windows():
         (chi3(), 2 * INERT_CUBE - 500, 2 * INERT_CUBE + 500),
     ]
     for psi, lo, hi in cases:
-        mask = F_positive(psi, lo, hi)
+        mask = np.frombuffer(F_positive(psi, lo, hi), dtype=bool)
         ref = _F_reference([psi], lo, hi)[0]
         assert np.array_equal(mask, ref.real > 0), (psi.name, lo, hi)
         assert np.array_equal(mask, F_window(psi, lo, hi) > 0), (psi.name, lo, hi)
@@ -546,7 +567,7 @@ def test_second_calls_build_no_table(monkeypatch):
         return array(obj, *args, **kwargs)
 
     monkeypatch.setattr(characters.np, "array", counted)
-    assert np.array_equal(F_positive(psi, lo, hi), first[0])
+    assert F_positive(psi, lo, hi) == first[0]
     assert np.array_equal(F_window(psi, lo, hi), first[1])
     assert calls == []
     assert psi.table is psi.table and not psi.table.flags.writeable

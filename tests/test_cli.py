@@ -389,8 +389,10 @@ def test_console_entry_point():
 
 
 # Forms that never touch an array: in a fresh interpreter, none of them may
-# load numpy.  The census after them does, and must still print what it did
-# when the package imported numpy eagerly.
+# load numpy.  A census below 2^32 keeps its masks as bytes: a shared window,
+# the x = 0 head, triangle_star, a diamond and two chunks.  The census above
+# 2^32 after them loads numpy, and must still print what it did when the
+# package imported numpy eagerly.
 NUMPY_FREE_FORMS = [
     "repr --fn r2 --n 999999999999999989",
     "repr --fn R2 --n 999999999999999877",
@@ -413,6 +415,11 @@ NUMPY_FREE_FORMS = [
     "eta --a 0 --q 12",
     "lambda --p 3 --j 2 --a 0",
     "lambda --a 0 --bar 45",
+    "census --set1 square2 --set2 diamond:-4 --a 3 --x 999999000 --len 300",
+    "census --set1 square2 --set2 diamond:-4 --a 0 --x 0 --len 40 --witness-cap -1",
+    "census --set1 triangle_star --set2 square2 --a 1 --x 1000000 --len 1000",
+    "census --set1 diamond:-23 --set2 triangle --a 1 --x 1 --len 600",
+    f"census --set1 triangle --set2 square2 --a 1 --x 999000000 --len {DEFAULT_CHUNK} --witness-cap 2",
 ]
 # argv: a module, the forms that must not load it, and one form run last
 BOUNDARY_CHILD = """
@@ -428,16 +435,16 @@ sys.exit(main(last.split()))
 
 
 def test_numpy_free_forms_do_not_import_numpy():
-    census = "census --set1 triangle --set2 diamond:-23 --a -7 --x 999999000 --len 300"
+    census = "census --set1 triangle --set2 diamond:-23 --a -7 --x 999999999000 --len 300"
     proc = subprocess.run(
         [sys.executable, "-c", BOUNDARY_CHILD, "numpy", *NUMPY_FREE_FORMS, census],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "set1,set2,a,x,H,count\ntriangle,diamond:-23,-7,999999000,300,7\n"
-        + "".join(f"W,{n}\n" for n in (999999057, 999999093, 999999103, 999999163,
-                                        999999223, 999999232, 999999259))
+        "set1,set2,a,x,H,count\ntriangle,diamond:-23,-7,999999999000,300,7\n"
+        + "".join(f"W,{n}\n" for n in (999999999013, 999999999057, 999999999100, 999999999133,
+                                        999999999193, 999999999283, 999999999289))
     )
 
 
