@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -89,6 +88,7 @@ from .characters import (
 )
 from .errors import BudgetError, InvariantError
 from .local_densities import eta, eta_table, lambda_prime_power
+from .record import Record
 from .util import chunk_ranges
 
 EULER_PRIME_MAX = 100_000_000  # cap on the truncation point of the Euler product
@@ -98,8 +98,7 @@ L_TERMS_MAX = 1 << 28  # cap on the terms of the L_value series, cut to whole pe
 RatioParts = tuple[list[DirichletCharacter], DirichletCharacter, Fraction]
 
 
-@dataclass(frozen=True)
-class TruncatedValue:
+class TruncatedValue(Record):
     """A numerical value with the explicit error bound of its truncation (of its
     rounding alone when it comes from a closed form, with terms_used = 0)."""
 
@@ -112,13 +111,14 @@ class TruncatedValue:
             raise ValueError("error_bound must be finite and non-negative")
 
 
-def _require_beta_character(psi: DirichletCharacter, a: int | None = None) -> None:
+def _require_beta_character(psi: DirichletCharacter, a: int | None = None,
+                            caller: str = "beta") -> None:
     if psi.is_trivial:
         raise ValueError("a non-trivial character is required")
     if psi.modulus % 2 or psi.modulus < 4:
         raise ValueError("an even modulus b >= 4 is required")
     if a == 0:
-        raise ValueError("beta requires a != 0")
+        raise ValueError(f"{caller} requires a != 0")
 
 
 def L_value(chi: DirichletCharacter, s: float, eps: float = 1e-10) -> TruncatedValue:
@@ -338,6 +338,7 @@ def main_term(psi: DirichletCharacter, a: int, eps: float = 1e-6) -> TruncatedVa
     """Coefficient beta(psi, a) * eta*(psi, a) of x in the correlation sum by
     `_L_ratio`: beta's parts with the exact eta*/pi on the factor and the pi
     on pi_power.  Within eps, or BudgetError."""
+    _require_beta_character(psi, a, "main_term")
     ones, two, factor = _beta_parts(psi, a)
     return _L_ratio(ones, two, factor * eta_star(psi, a), eps, pi_power=1)
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
 from . import _np as np
 from .errors import BudgetError
+from .record import Record
 
 MAX_INPUT = (1 << 63) - 1  # int64's maximum, which the numpy routes need
 
@@ -59,8 +59,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Prime-power decomposition: value == prod(p**e for p, e in factors).
 
     Primes are strictly increasing and individually primality-checked;

@@ -36,21 +36,20 @@ comparison of two single points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, count, islice
 
 from . import _np as np
 from .arith import factorize
 from .characters import BYTES_WALK_MAX, DirichletCharacter, F_window, chi4
+from .record import Record
 from .repr_sets import SetId, member_character, sieve_members
 from .util import chunk_ranges, map_ordered
 
 WITNESS_CAP_DEFAULT = 10_000
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(Record):
     """One interval census; count is exact, witnesses may be truncated."""
 
     set1: SetId

@@ -47,7 +47,6 @@ kept only in the tests, as an oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from bisect import bisect_right
 from itertools import chain
@@ -55,6 +54,7 @@ from itertools import chain
 from . import _np as np
 from .arith import MAX_INPUT, SMALL_PRIME_LIMIT, divisors, factorize, prime_blocks, small_primes
 from .errors import BudgetError
+from .record import Record
 from .util import chunk_ranges
 
 F_SIEVE_MAX = 150_000_000  # materialized-array guard; windows go further
@@ -79,8 +79,7 @@ _SIGN = bytes.maketrans(b"\0\1", b"\1\xff")  # a part's 0/1 to the signed byte 1
 _NOT = bytes.maketrans(b"\0\1", b"\1\0")
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(Record):
     """The real character r -> (disc/r) on the units mod `modulus`, 0 off them.
 
     Every real Dirichlet character is a Kronecker symbol (disc/.) times a
@@ -227,6 +226,16 @@ def primitive_character(psi: DirichletCharacter) -> DirichletCharacter:
     return DirichletCharacter(f"primitive({psi.name})", psi.disc, abs(psi.disc))
 
 
+def spec_int(spec: str, form: str) -> int:
+    """The integer after the colon of spec, whose form is `form`, such as
+    kronecker:D; ValueError naming both when it is no integer."""
+    try:
+        return int(spec.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"{spec!r} is not of the form {form}, "
+                         f"{form.split(':')[1]} an integer") from None
+
+
 def make_character(spec: str) -> DirichletCharacter:
     """Parse chi3 | chi4 | chi6 | trivial:K | kronecker:D, K and |D| <= MODULUS_MAX."""
     spec = spec.strip()
@@ -237,9 +246,9 @@ def make_character(spec: str) -> DirichletCharacter:
     if spec == "chi6":
         return chi6()
     if spec.startswith("trivial:"):
-        return trivial_character(int(spec.split(":", 1)[1]))
+        return trivial_character(spec_int(spec, "trivial:K"))
     if spec.startswith("kronecker:"):
-        return kronecker_character(int(spec.split(":", 1)[1]))
+        return kronecker_character(spec_int(spec, "kronecker:D"))
     raise ValueError(f"unknown character spec: {spec!r}")
 
 

@@ -13,6 +13,14 @@ deterministic for fixed flags, whatever the thread count.  Each handler
 imports what it calls, so a process loads only its command's modules; a
 census below 2^32 keeps its masks as bytes and loads no numpy.
 
+COMMANDS declares each command once: its help line, handler and arguments.
+main builds the subparser of the command that argv names, and no other:
+argparse takes about 0.25 ms to add one subparser, so the twelve cost about
+3 ms of every command's start-up, and a command's parse never reads the
+others.  Any other argv (no command, --help, --version, an unknown name)
+gets the parser of every command, so each help text, usage line and error
+message is the one the full parser prints.
+
 entry is the process entry point (`python -m formgaps` and the console
 script) and owns its process: it keeps numpy's BLAS at one thread, turns the
 cyclic garbage collector off before main runs, and ends the process with
@@ -92,96 +100,6 @@ def _render(args, record: dict, header: bool = True, tail=(), extra=None) -> str
         return json.dumps(record, sort_keys=True, allow_nan=False)
     lines = [",".join(record)] if header else []
     return "\n".join([*lines, ",".join(map(_cell, record.values())), *tail])
-
-
-def _build_parser() -> _Parser:
-    p = _Parser(prog="formgaps", description=DESCRIPTION, add_help=True)
-    p.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads; none or a value below 1 means all CPUs this "
-                             "process may use. Below 2^32 a census walks its masks over bytes "
-                             "and holds the GIL, so a second thread buys nothing there")
-    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add(name, help, run):
-        s = sub.add_parser(name, help=help, parents=[common])
-        s.set_defaults(run=run)
-        return s
-
-    s = add("repr", "representation counts r2 / R2 / ideal", _run_repr)
-    s.add_argument("--fn", choices=("r2", "R2", "ideal"), required=True)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--mode", choices=("formula", "enumerate"), default="formula",
-                   help="enumerate counts lattice points, for r2 and R2 only (exit 1 with ideal)")
-    s.add_argument("--disc", type=int, default=-3, help="fundamental discriminant for ideal counts")
-
-    s = add("member", "set membership test", _run_member)
-    s.add_argument("--set", dest="set1", required=True, help=SET_HELP)
-    s.add_argument("--n", type=int, required=True)
-
-    s = add("eta", "local density eta_a(q) and lambda_a(q)", _run_eta)
-    s.add_argument("--a", type=int, required=True, help=SHIFT_HELP)
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--brute", action="store_true", help="use the direct-count oracle")
-
-    s = add("lambda", "lambda_a(p^j), or the convolution (lambda_a * mu)(n)", _run_lambda)
-    s.add_argument("--p", type=int)
-    s.add_argument("--j", type=int)
-    s.add_argument("--a", type=int, required=True, help=SHIFT_HELP)
-    s.add_argument("--bar", type=int, metavar="N",
-                   help="emit (lambda_a * mu)(N) with its companion f = N * value")
-
-    s = add("beta", "series coefficient beta(psi, a)", _run_beta)
-    s.add_argument("--psi", required=True, help=PSI_HELP)
-    s.add_argument("--a", type=int, required=True)
-    s.add_argument("--eps", type=_eps, default=1e-6, help=EPS_HELP)
-
-    s = add("etastar", "eta*(psi, a), an exact multiple of pi", _run_etastar)
-    s.add_argument("--psi", required=True, help=PSI_HELP)
-    s.add_argument("--a", type=int, required=True)
-
-    s = add("mainterm", "main-term coefficient beta * eta*", _run_mainterm)
-    s.add_argument("--psi", required=True, help=PSI_HELP)
-    s.add_argument("--a", type=int, required=True)
-    s.add_argument("--eps", type=_eps, default=1e-6, help=EPS_HELP)
-
-    s = add("muller", "main-term coefficient for primitive pairs", _run_muller)
-    s.add_argument("--psi", required=True, help=PSI_HELP)
-    s.add_argument("--rho", required=True, help=PSI_HELP)
-    s.add_argument("--a", type=int, required=True)
-    s.add_argument("--eps", type=_eps, default=1e-8, help=EPS_HELP)
-
-    s = add("correlate", "exact shifted correlation sums", _run_correlate)
-    s.add_argument("--kind", choices=("j", "general", "estermann"), default="j")
-    s.add_argument("--psi", default="chi6", help=PSI_HELP)
-    s.add_argument("--rho", default="chi4", help=PSI_HELP)
-    s.add_argument("--a", type=int, required=True)
-    s.add_argument("--x", type=int, required=True, help=f"n runs up to x; {WINDOW_HELP}")
-    s.add_argument("--eps", type=_eps, default=1e-8, help=EPS_HELP)
-
-    s = add("census", "interval census of a shifted pair set", _run_census)
-    s.add_argument("--set1", required=True, help=SET_HELP)
-    s.add_argument("--set2", required=True, help=SET_HELP)
-    s.add_argument("--a", type=int, required=True)
-    s.add_argument("--x", type=int, required=True)
-    s.add_argument("--len", type=int, required=True, dest="length",
-                   help=f"H, so [x, x + H] holds H + 1 integers; {WINDOW_HELP}")
-    s.add_argument("--witness-cap", type=int, default=10_000,
-                   help="witnesses to print; a negative value prints every witness")
-
-    s = add("gap", "explicit gap witness (JSON output)", _run_gap)
-    s.add_argument("--a", type=int, required=True)
-    s.add_argument("--x", type=int, required=True)
-    s.add_argument("--pair", choices=("sq2", "tri"), default="tri")
-
-    s = add("verify", "run named invariant suites", _run_verify)
-    s.add_argument("--suite", choices=("oracles", "lemmas", "constants", "gaps", "all"), default="all")
-    s.add_argument("--budget", type=float, default=1.0, help="work scale; 0 runs nothing")
-    s.add_argument("--seed", type=int, default=20250810, help="seed for sampled suites")
-    return p
 
 
 def _run_repr(args):
@@ -332,6 +250,106 @@ def _run_verify(args):
     return text, 3 if failed else 0
 
 
+# Each command's help line, handler and arguments, as (flag, add_argument
+# keywords); every command also takes COMMON, ahead of its own.
+COMMON = (
+    ("--format", dict(choices=("csv", "json"), default="csv")),
+    ("--out", dict(default=None, help="write output to a file instead of stdout")),
+    ("--threads", dict(type=int, default=None,
+                       help="worker threads; none or a value below 1 means all CPUs this "
+                            "process may use. Below 2^32 a census walks its masks over bytes "
+                            "and holds the GIL, so a second thread buys nothing there")),
+)
+COMMANDS = {
+    "repr": ("representation counts r2 / R2 / ideal", _run_repr, (
+        ("--fn", dict(choices=("r2", "R2", "ideal"), required=True)),
+        ("--n", dict(type=int, required=True)),
+        ("--mode", dict(choices=("formula", "enumerate"), default="formula",
+                        help="enumerate counts lattice points, for r2 and R2 only "
+                             "(exit 1 with ideal)")),
+        ("--disc", dict(type=int, default=-3, help="fundamental discriminant for ideal counts")),
+    )),
+    "member": ("set membership test", _run_member, (
+        ("--set", dict(dest="set1", required=True, help=SET_HELP)),
+        ("--n", dict(type=int, required=True)),
+    )),
+    "eta": ("local density eta_a(q) and lambda_a(q)", _run_eta, (
+        ("--a", dict(type=int, required=True, help=SHIFT_HELP)),
+        ("--q", dict(type=int, required=True)),
+        ("--brute", dict(action="store_true", help="use the direct-count oracle")),
+    )),
+    "lambda": ("lambda_a(p^j), or the convolution (lambda_a * mu)(n)", _run_lambda, (
+        ("--p", dict(type=int)),
+        ("--j", dict(type=int)),
+        ("--a", dict(type=int, required=True, help=SHIFT_HELP)),
+        ("--bar", dict(type=int, metavar="N",
+                       help="emit (lambda_a * mu)(N) with its companion f = N * value")),
+    )),
+    "beta": ("series coefficient beta(psi, a)", _run_beta, (
+        ("--psi", dict(required=True, help=PSI_HELP)),
+        ("--a", dict(type=int, required=True)),
+        ("--eps", dict(type=_eps, default=1e-6, help=EPS_HELP)),
+    )),
+    "etastar": ("eta*(psi, a), an exact multiple of pi", _run_etastar, (
+        ("--psi", dict(required=True, help=PSI_HELP)),
+        ("--a", dict(type=int, required=True)),
+    )),
+    "mainterm": ("main-term coefficient beta * eta*", _run_mainterm, (
+        ("--psi", dict(required=True, help=PSI_HELP)),
+        ("--a", dict(type=int, required=True)),
+        ("--eps", dict(type=_eps, default=1e-6, help=EPS_HELP)),
+    )),
+    "muller": ("main-term coefficient for primitive pairs", _run_muller, (
+        ("--psi", dict(required=True, help=PSI_HELP)),
+        ("--rho", dict(required=True, help=PSI_HELP)),
+        ("--a", dict(type=int, required=True)),
+        ("--eps", dict(type=_eps, default=1e-8, help=EPS_HELP)),
+    )),
+    "correlate": ("exact shifted correlation sums", _run_correlate, (
+        ("--kind", dict(choices=("j", "general", "estermann"), default="j")),
+        ("--psi", dict(default="chi6", help=PSI_HELP)),
+        ("--rho", dict(default="chi4", help=PSI_HELP)),
+        ("--a", dict(type=int, required=True)),
+        ("--x", dict(type=int, required=True, help=f"n runs up to x; {WINDOW_HELP}")),
+        ("--eps", dict(type=_eps, default=1e-8, help=EPS_HELP)),
+    )),
+    "census": ("interval census of a shifted pair set", _run_census, (
+        ("--set1", dict(required=True, help=SET_HELP)),
+        ("--set2", dict(required=True, help=SET_HELP)),
+        ("--a", dict(type=int, required=True)),
+        ("--x", dict(type=int, required=True)),
+        ("--len", dict(type=int, required=True, dest="length",
+                       help=f"H, so [x, x + H] holds H + 1 integers; {WINDOW_HELP}")),
+        ("--witness-cap", dict(type=int, default=10_000,
+                               help="witnesses to print; a negative value prints every witness")),
+    )),
+    "gap": ("explicit gap witness (JSON output)", _run_gap, (
+        ("--a", dict(type=int, required=True)),
+        ("--x", dict(type=int, required=True)),
+        ("--pair", dict(choices=("sq2", "tri"), default="tri")),
+    )),
+    "verify": ("run named invariant suites", _run_verify, (
+        ("--suite", dict(choices=("oracles", "lemmas", "constants", "gaps", "all"), default="all")),
+        ("--budget", dict(type=float, default=1.0, help="work scale; 0 runs nothing")),
+        ("--seed", dict(type=int, default=20250810, help="seed for sampled suites")),
+    )),
+}
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser of every command, or, given a command name, of that one alone."""
+    p = _Parser(prog="formgaps", description=DESCRIPTION)
+    p.add_argument("--version", action="version", version=__version__)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name in [command] if command else COMMANDS:
+        summary, run, arguments = COMMANDS[name]
+        s = sub.add_parser(name, help=summary)
+        s.set_defaults(run=run)
+        for flag, keywords in COMMON + arguments:
+            s.add_argument(flag, **keywords)
+    return p
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -344,8 +362,10 @@ def _write(text: str, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        # a command's parse reads only its own subparser; anything else needs them all
+        args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
         result = args.run(args)
         text, code = result if isinstance(result, tuple) else (result, 0)
         _write(text, args.out)

@@ -48,10 +48,10 @@ witnesses are checked through `is_member`, which factorizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .arith import MAX_INPUT, factorize
 from .errors import BudgetError, InvariantError
+from .record import Record
 from .repr_sets import SQUARE2, TRIANGLE, is_member
 
 BRANCH_SQ2_SQ2 = "SQ2_SQ2"
@@ -61,8 +61,7 @@ BRANCH_GENERIC = "GENERIC"
 _SCAN_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class GapWitness:
+class GapWitness(Record):
     """A constructed element n of the target shifted pair set, just above x."""
 
     a: int

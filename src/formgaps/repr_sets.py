@@ -31,17 +31,16 @@ lattice scan over (c, d) that checks this is a test oracle
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .arith import factorize
-from .characters import F, F_positive, chi3, chi4, kronecker_character
+from .characters import F, F_positive, chi3, chi4, kronecker_character, spec_int
 from .errors import BudgetError
+from .record import Record
 
 ENUMERATE_MAX = 10 ** 12  # lattice enumeration loops over about sqrt(n) points
 
 
-@dataclass(frozen=True)
-class SetId:
+class SetId(Record):
     """Tag for a representable set; diamond carries its fundamental discriminant."""
 
     tag: str
@@ -70,7 +69,7 @@ def parse_set(text: str) -> SetId:
         if text == s.tag:
             return s
     if text.startswith("diamond:"):
-        return diamond(int(text.split(":", 1)[1]))
+        return diamond(spec_int(text, "diamond:D"))
     raise ValueError(f"unknown set: {text!r}")
 
 

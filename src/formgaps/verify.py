@@ -9,19 +9,18 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _np as np
 from . import analytic_constants as ac
 from . import arith, census, characters, gaps, local_densities as ld, repr_sets as rs
 from .errors import BudgetError
+from .record import Record
 
 BUDGET_MAX = 5.0  # `verify --suite all` runs about 40 s at this scale on a 2-vCPU host
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     suite: str
     name: str
     ok: bool

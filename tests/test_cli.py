@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from formgaps import cli
 from formgaps.analytic_constants import main_term, muller_main
 from formgaps.census import census_interval, correlation_J
 from formgaps.characters import make_character
@@ -336,6 +337,81 @@ def test_help_is_for_users(capsys):
     assert not any(word in out for word in ("_render", "entry", "os._exit")), out
 
 
+@pytest.mark.parametrize("argv,spec,form", [
+    ("member --set diamond: --n 3", "diamond:", "diamond:D"),
+    ("member --set diamond:abc --n 3", "diamond:abc", "diamond:D"),
+    ("beta --psi kronecker: --a 1", "kronecker:", "kronecker:D"),
+    ("etastar --psi trivial:x --a 1", "trivial:x", "trivial:K"),
+])
+def test_malformed_spec_names_the_form_it_needs(capsys, argv, spec, form):
+    message = f"usage error: {spec!r} is not of the form {form}, {form[-1]} an integer\n"
+    assert run(capsys, *argv.split()) == (1, "", message)
+
+
+@pytest.mark.parametrize("argv", ["correlate --kind j --a 0 --x 10", "mainterm --psi chi4 --a 0"])
+def test_zero_shift_names_main_term(capsys, argv):
+    assert run(capsys, *argv.split()) == (1, "", "usage error: main_term requires a != 0\n")
+
+
+def parse_outcome(capsys, argv):
+    """main's exit code (argparse's, for --help and --version), stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as done:
+        code = done.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# For each command, a missing required argument and a bad choice or type;
+# verify requires none, so it takes a bad choice and a bad type.
+PARSE_ERRORS = {
+    "repr": ("--n 5", "--fn r3 --n 5"),
+    "member": ("--n 3", "--set square2 --n x"),
+    "eta": ("--a 1", "--a 1 --q x"),
+    "lambda": ("--p 3 --j 1", "--a x"),
+    "beta": ("--a 1", "--psi chi4 --a 1 --eps nan"),
+    "etastar": ("--psi chi4", "--psi chi4 --a x"),
+    "mainterm": ("--a 1 --eps 1e-3", "--psi chi4 --a 1 --eps abc"),
+    "muller": ("--psi chi4 --a 1", "--psi chi4 --rho chi4 --a 1 --format xml"),
+    "correlate": ("--a 1", "--kind k --a 1 --x 5"),
+    "census": ("--set1 square2 --set2 square2 --a 1 --x 1",
+               "--set1 square2 --len 9 --witness-cap x"),
+    "gap": ("--a 1", "--a 1 --x 5 --pair z"),
+    "verify": ("--suite none", "--budget 1 --seed x"),
+}
+TOP_LEVEL = ["", "--help", "nosuch", "--version", "--format csv census"]
+
+
+@pytest.mark.parametrize("command", [*PARSE_ERRORS, "top-level"])
+def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch, command):
+    if command == "top-level":
+        forms = [form.split() for form in TOP_LEVEL]
+    else:
+        forms = [[command, *tail.split()] for tail in ("--help", *PARSE_ERRORS[command])]
+    mine = [parse_outcome(capsys, argv) for argv in forms]
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+    assert [parse_outcome(capsys, argv) for argv in forms] == mine
+    if command == "top-level":
+        assert mine[1][0] == 0 and all(name in mine[1][1] for name in cli.COMMANDS)
+    else:
+        assert mine[0][0] == 0 and mine[0][1].startswith(f"usage: formgaps {command} [-h]")
+        assert all(code == 1 and err.startswith("usage error:") for code, _, err in mine[1:])
+
+
+def test_a_command_builds_its_own_subparser_alone(capsys, monkeypatch):
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda command=None: built.append(command) or build(command))
+    assert run(capsys, "repr", "--fn", "r2", "--n", "25")[:2] == (0, "25,12\n")
+    assert run(capsys, "nosuch")[0] == 1
+    assert built == ["repr", None]
+    with pytest.raises(cli._UsageError, match="invalid choice: 'repr'"):
+        build("census").parse_args(["repr", "--fn", "r2", "--n", "25"])
+
+
 def test_verify_budget_is_finite_and_capped(capsys, monkeypatch):
     from formgaps import verify
 
@@ -570,6 +646,18 @@ def test_csv_forms_load_no_json_or_fractions(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == '{"a": 5, "eta": 9, "lambda": "9/5", "q": 5}\n'
+
+
+def test_no_command_loads_dataclasses():
+    forms = [*NUMPY_FREE_FORMS, *JSON_FREE_FORMS,
+             "correlate --kind general --psi chi4 --rho chi4 --a 2 --x 500",
+             "verify --suite all --budget 0.01"]
+    proc = subprocess.run(
+        [sys.executable, "-c", BOUNDARY_CHILD, "dataclasses", *forms, "repr --fn r2 --n 25"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "25,12\n"
 
 
 def test_csv_round_trip_census(capsys):
