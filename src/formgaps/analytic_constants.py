@@ -300,7 +300,7 @@ def beta_euler(psi: DirichletCharacter, a: int, eps: float = 1e-6) -> TruncatedV
     stays below eps/2; the conditionally convergent part is carried by
     L(1, psi), and the p | a factors are restored exactly.
     """
-    _require_beta_character(psi, a)
+    _require_beta_character(psi, a, "beta_euler")
     if eps <= 0 or 8.0 / eps > EULER_PRIME_MAX:
         raise BudgetError("eps is too small for the Euler-product budget")
     P = max(1000, math.ceil(8.0 / eps))
@@ -408,7 +408,7 @@ def G_series(
     <= K x log x envelope empirically over n >= 1000, so this is diagnostic-grade:
     useful for convergence pictures and cross-checks, never acceptance-critical.
     """
-    _require_beta_character(rho, a)
+    _require_beta_character(rho, a, "G_series")
     if s <= 0 or n_max < 1000:
         raise ValueError("G_series requires s > 0 and n_max >= 1000, where its fit of K starts")
     et = eta_table(a, n_max)[1:].astype(np.float64)

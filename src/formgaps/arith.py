@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress, cycle
 
 from . import _np as np
 from .errors import BudgetError
@@ -133,16 +133,8 @@ def factorize(n: int) -> Factorization:
         raise ValueError("factorize requires n >= 1")
     if n > MAX_INPUT:
         raise BudgetError(f"factorize requires n <= {MAX_INPUT}")
-    m = n
-    fac = []
-    for p in (2, 3, 5):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            fac.append((p, e))
-    p, i = 7, 0
+    m, p, fac = n, 2, []
+    steps = chain((1, 2, 2), cycle(_WHEEL))  # 2, 3, 5, then the wheel from 7
     while p * p <= m and p <= _TRIAL_LIMIT:
         if m % p == 0:
             e = 0
@@ -150,8 +142,7 @@ def factorize(n: int) -> Factorization:
                 m //= p
                 e += 1
             fac.append((p, e))
-        p += _WHEEL[i]
-        i = (i + 1) & 7
+        p += next(steps)
     if p * p > m > 1:
         fac.append((m, 1))
     elif m > 1:

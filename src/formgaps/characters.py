@@ -32,16 +32,17 @@ read q by this one rule, with psi(n') from the tables of
                        and psi(n') != -1,
 
 and F_positive starts each segment from psi(n') != -1 and walks the inert
-primes alone, with a parity product and no smooth part, while F_window,
-where q is left (the smooth part is not n), multiplies its product by
-1 + psi(q): 2, or 0 where psi(n') = -1.  Neither divides.  F_positive's
-mask is a bytearray, one 0/1 byte per n, at every height, and hi alone picks
-its walk: below 2^32 every inert p <= B lies below 2^16, in the numpy-free
-arith.small_primes, and the parity levels are bytearray slice assignments;
-from 2^32 on it is `_walk` over numpy prime blocks, through an np.frombuffer
-view of the same bytes.  `_UnitSign` builds psi(n') != -1 as bytes for
-both kernels.  F evaluates a single n from its factorization; the divisor sum is
-kept only in the tests, as an oracle.
+primes alone, with no smooth part, while F_window, where q is left (the
+smooth part is not n), multiplies its product by 1 + psi(q): 2, or 0 where
+psi(n') = -1.  Neither divides.  F_positive's mask is a bytearray, one 0/1
+byte per n, and its parity levels are the slice assignments of
+`_bytes_parity` at every height; hi alone picks where the inert p <= B come
+from.  Below 2^32 they lie below 2^16, in the numpy-free arith.small_primes;
+from 2^32 on, `_walk` over numpy prime blocks hands over the dense ones and
+clears odd exponents of the sparse ones through an np.frombuffer view of the
+bytes.  `_UnitSign` builds psi(n') != -1 as bytes for both kernels.  F
+evaluates a single n from its factorization; the divisor sum is kept only in
+the tests, as an oracle.
 """
 
 from __future__ import annotations
@@ -297,15 +298,14 @@ def _multiples(p: int, lo: int, hi: int) -> list:
 def _strided_prime(f, smooth, lo: int, hi: int, p: int, local) -> None:
     """Strided passes of the prime p, which has a multiple in the window [lo, hi].
 
-    smooth, unless None, takes the p-part of each n, and f the factor local(e)
-    of p^e || n; local None means every factor is 1.  f on the multiples of p^2
-    is saved before p's factor goes in, so each level j rewrites its multiples
-    of p^j from the saved values even where a lower level's factor is 0.
+    smooth takes the p-part of each n, and f the factor local(e) of p^e || n;
+    local None means every factor is 1.  f on the multiples of p^2 is saved
+    before p's factor goes in, so each level j rewrites its multiples of p^j
+    from the saved values even where a lower level's factor is 0.
     """
     levels = _multiples(p, lo, hi)
-    if smooth is not None:
-        for offset, pj in levels:
-            smooth[offset::pj] *= p
+    for offset, pj in levels:
+        smooth[offset::pj] *= p
     if local is None:
         return
     if len(levels) > 1:
@@ -439,11 +439,11 @@ def F_positive(psi: DirichletCharacter, lo: int, hi: int) -> bytearray:
 
     Each segment starts from psi(n') != -1 for n' = n without the primes of
     the modulus (`_UnitSign`), and an odd exponent of an inert p <= isqrt(hi)
-    clears n (the criterion in the module docstring).  The height alone picks
-    the walk over the inert primes: below 2^32, where they all lie below
-    2^16, bytearray slice assignments over arith.small_primes
-    (`_bytes_parity`), so no numpy is loaded; from 2^32 on, F_window's `_walk`
-    over numpy prime blocks (`_numpy_parity`), through an np.frombuffer view.
+    clears n (the criterion in the module docstring), by the bytearray slice
+    assignments of `_bytes_parity` at every height.  The height alone picks
+    where the inert primes come from: below 2^32, where they all lie below
+    2^16, arith.small_primes, so no numpy is loaded; from 2^32 on, F_window's
+    `_walk` over numpy prime blocks (`_numpy_parity`).
     """
     if hi <= BYTES_WALK_MAX:
         small = small_primes()
@@ -466,10 +466,11 @@ def _member_segment(out: bytearray, i: int, lo: int, hi: int, sign, walk) -> Non
 
 
 def _bytes_parity(ok: bytearray, lo: int, hi: int, inert) -> None:
-    """Clear ok[n - lo] where an inert prime has an odd exponent in n: the
-    parity levels of `_strided_prime`, as bytearray slice assignments.  Level
-    j of p writes its multiples of p^j, with 0 for odd j and with ok as it was
-    before p (saved at the multiples of p^2) for even j."""
+    """Clear ok[n - lo] where an inert prime has an odd exponent in n, by
+    bytearray slice assignments, each of which keeps len(ok): `_numpy_parity`
+    holds a numpy view of its buffer.  Level j of p writes its multiples of
+    p^j, with 0 for odd j and with ok as it was before p (saved at the
+    multiples of p^2) for even j."""
     w = len(ok)
     for p in inert:
         o, p2 = -lo % p, p * p
@@ -486,20 +487,17 @@ def _bytes_parity(ok: bytearray, lo: int, hi: int, inert) -> None:
 
 
 def _numpy_parity(ok: bytearray, lo: int, hi: int, psi) -> None:
-    """`_bytes_parity` through F_window's `_walk`: dense primes by
-    `_strided_prime`, sparse ones in batched runs."""
+    """`_bytes_parity` for the inert primes of numpy prime blocks, by
+    F_window's `_walk`: dense ones go to `_bytes_parity`, sparse ones clear
+    odd exponents in batched runs through an np.frombuffer view of ok."""
     table, k = psi.table, psi.modulus
     f = np.frombuffer(ok, dtype=np.int8)
-    parity = partial(_local_factor, -1)
-
-    def strided(p):
-        _strided_prime(f, None, lo, hi, p, parity)
 
     def pairs(p, pos, e):
         f[pos[e % 2 == 1]] = 0  # an assignment: repeated positions are harmless
 
     inert = (b[table[b % k] == -1] for b in prime_blocks(2, math.isqrt(hi)))
-    _walk(inert, lo, hi, strided, pairs)
+    _walk(inert, lo, hi, lambda p: _bytes_parity(ok, lo, hi, (p,)), pairs)
 
 
 class _UnitSign:

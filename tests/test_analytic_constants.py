@@ -246,6 +246,13 @@ def test_G_series_refuses_fewer_terms_than_its_fit():
     assert G_series(chi6(), 1, 1.0, 1000).terms_used == 1000
 
 
+@pytest.mark.parametrize("fn, extra", [(beta, ()), (beta_euler, ()), (G_series, (1.0,)), (main_term, ())],
+                         ids=["beta", "beta_euler", "G_series", "main_term"])
+def test_zero_shift_names_the_function_called(fn, extra):
+    with pytest.raises(ValueError, match=f"^{fn.__name__} requires a != 0$"):
+        fn(chi4(), 0, *extra)
+
+
 def test_truncated_value_guard():
     with pytest.raises(ValueError):
         TruncatedValue(1.0, -1.0, 3)

@@ -487,6 +487,10 @@ def test_F_positive_edge_windows():
         (chi3(), INERT_CUBE - 500, INERT_CUBE + 500),
         (chi4(), 1019 ** 4 - 500, 1019 ** 4 + 500),
         (chi3(), 2 * INERT_CUBE - 500, 2 * INERT_CUBE + 500),
+        # deep levels of dense inert primes above 2^32: 3 and 7 for chi4, 2 for chi3
+        (chi4(), 3 ** 21 - 2000, 3 ** 21 + 2000),
+        (chi4(), 7 ** 12 - 2000, 7 ** 12 + 2000),
+        (chi3(), 2 ** 40 - 2000, 2 ** 40 + 2000),
     ]
     for psi, lo, hi in cases:
         mask = np.frombuffer(F_positive(psi, lo, hi), dtype=bool)
