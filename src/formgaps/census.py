@@ -18,10 +18,14 @@ The correlation sums are the exact integers
     general     = sum_{n <= x} F_psi(n) * F_rho(n + a)
     two-squares = sum_{n <= x} r2(n) * r2(n + a)        (= 16 * general chi4,chi4)
 
-summed over n >= max(1, 1 - a) so that n + a stays >= 1, from
-characters.F_window.  Census and sums are one shifted product over a window,
-of the membership masks or of the values F, and both run through one kernel,
-_shifted_windows, over the two window functions each passes.  A window is
+summed over n >= max(1, 1 - a) so that n + a stays >= 1.  The height picks
+the route, as for the census: up to x + max(a, 0) = characters.BYTES_F_MAX
+the values are characters.F_bytes bytearrays, and `_byte_product` sums them
+with the stdlib, so such a sum loads no numpy; past it they are
+characters.F_window arrays, summed by numpy (`_array_product`).  Census and
+sums are one shifted product over a window, of the membership masks or of
+the values F, and both run through one kernel, _shifted_windows, over the
+two window functions each passes.  A window is
 bounded by its width (util.WINDOW_MAX), never by its height.
 
 The ratio r = J(x) / (m x) to the main term coefficient m (the `correlate`
@@ -38,15 +42,18 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain, compress, count, islice
+from operator import mul
 
 from . import _np as np
 from .arith import factorize
-from .characters import BYTES_WALK_MAX, DirichletCharacter, F_window, chi4
+from .characters import BYTES_F_MAX, BYTES_WALK_MAX, DirichletCharacter, F_bytes, F_window, chi4
 from .record import Record
 from .repr_sets import SetId, member_character, sieve_members
 from .util import chunk_ranges, map_ordered
 
 WITNESS_CAP_DEFAULT = 10_000
+
+_NONZERO = b"\0" + b"\1" * 255  # the translate table of a byte to 1 where it is nonzero
 
 
 class CensusRecord(Record):
@@ -81,19 +88,50 @@ def _shifted_windows(left, right, shared, a: int, lo: int, hi: int, threads: int
 
 
 def _product_sum(psi, rho, a: int, x: int, threads: int, b: int = 1) -> int:
-    """Exact sum over max(1, 1 - a) <= n <= x, gcd(n, b) = 1, of F_psi(n) F_rho(n + a)."""
+    """Exact sum over max(1, 1 - a) <= n <= x, gcd(n, b) = 1, of F_psi(n) F_rho(n + a).
+
+    Up to n + a = BYTES_F_MAX the windows are characters.F_bytes and the
+    products are summed by `_byte_product`, so no numpy is loaded; past it they
+    are F_window arrays, summed by numpy.
+    """
     primes = [p for p, _ in factorize(b).factors]  # gcd(n, b) = 1 iff no p | b divides n
-
-    def product(lo, left, right):
-        # F_window counts are int32; widen before the product
-        terms = np.multiply(left, right, dtype=np.int64)
-        for p in primes:
-            terms[(-lo) % p :: p] = 0  # entry i is n = lo + i
-        return int(terms.sum())
-
+    window, product = F_window, _array_product
+    if x + max(a, 0) <= BYTES_F_MAX:
+        window, product = F_bytes, _byte_product
     shared = (psi.disc, psi.modulus) == (rho.disc, rho.modulus)
-    left, right = partial(F_window, psi), partial(F_window, rho)
+    left, right = partial(window, psi), partial(window, rho)
+    product = partial(product, primes)
     return sum(_shifted_windows(left, right, shared, a, max(1, 1 - a), x, threads, product))
+
+
+def _array_product(primes, lo: int, left, right) -> int:
+    """Exact sum of left[i] * right[i] over the i with lo + i prime to every p
+    of primes, for two F_window arrays of one length."""
+    # F_window counts are int32; widen before the product
+    terms = np.multiply(left, right, dtype=np.int64)
+    for p in primes:
+        terms[(-lo) % p :: p] = 0  # entry i is n = lo + i
+    return int(terms.sum())
+
+
+def _byte_product(primes, lo: int, left: bytearray, right: bytearray) -> int:
+    """Exact sum of left[i] * right[i] over the i with lo + i prime to every p
+    of primes, for two byte windows of one length.
+
+    The mask is 1 where left is nonzero and lo + i is coprime, zeroed by slice
+    assignment; both sides keep their bytes where the mask and the other side
+    are nonzero, read as ints, whose bytes never carry.  Deleting the zero
+    bytes then deletes the same positions on both sides, so the kept bytes
+    stay paired, and only they are multiplied.
+    """
+    w = len(left)
+    mask = left.translate(_NONZERO)
+    for p in primes:
+        mask[-lo % p :: p] = bytes(len(range(-lo % p, w, p)))
+    keep = (int.from_bytes(mask, "little") & int.from_bytes(right.translate(_NONZERO), "little")) * 255
+    kept = ((int.from_bytes(side, "little") & keep).to_bytes(w, "little").translate(None, b"\0")
+            for side in (left, right))
+    return sum(map(mul, *kept))
 
 
 def correlation_J(psi: DirichletCharacter, a: int, x: int, threads: int = 1) -> int:

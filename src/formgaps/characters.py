@@ -24,8 +24,8 @@ local_densities.eta_table sieves through it too.  F_positive sieves the sign
 alone.  After the primes up to B, what is left of n is 1 or one prime q > B.
 If every inert p <= B (psi(p) = -1) has an even exponent in n, the split
 primes and those even powers have psi = 1, so psi(n') = psi(q), or 1 when
-there is no q, for n' = n without the primes of the modulus.  Both kernels
-read q by this one rule, with psi(n') from the tables of
+there is no q, for n' = n without the primes of the modulus.  Every kernel
+reads q by this one rule, with psi(n') from the tables of
 `DirichletCharacter.unit_parts` (`_UnitSign`).  Hence
 
     F_psi(n) > 0  iff  every inert p <= B has an even exponent in n
@@ -34,15 +34,22 @@ read q by this one rule, with psi(n') from the tables of
 and F_positive starts each segment from psi(n') != -1 and walks the inert
 primes alone, with no smooth part, while F_window, where q is left (the
 smooth part is not n), multiplies its product by 1 + psi(q): 2, or 0 where
-psi(n') = -1.  Neither divides.  F_positive's mask is a bytearray, one 0/1
-byte per n, and its parity levels are the slice assignments of
-`_bytes_parity` at every height; hi alone picks where the inert p <= B come
-from.  Below 2^32 they lie below 2^16, in the numpy-free arith.small_primes;
+psi(n') = -1.  Neither divides.
+
+The values come by two routes, and census picks one by the height of the
+window alone.  F_window's int32 array serves every height.  Up to
+BYTES_F_MAX = 1081079, where tau(n) <= 240 fits a byte, F_bytes gives the
+same values as a bytearray from arith.small_primes, and loads no numpy: it
+multiplies the factors of the split and inert p <= B into bytes, and reads
+q off a log sieve in a second bytearray (`_log_residue`) in place of the
+smooth part.  F_positive's mask is a bytearray too, one 0/1 byte per n.  The
+byte products share one level walk, `_byte_levels`: the parity levels at
+every height, and F_bytes's values.  For the mask hi alone picks where the
+inert p <= B come from.  Below 2^32 they lie below 2^16, in small_primes;
 from 2^32 on, `_walk` over numpy prime blocks hands over the dense ones and
 clears odd exponents of the sparse ones through an np.frombuffer view of the
-bytes.  `_UnitSign` builds psi(n') != -1 as bytes for both kernels.  F
-evaluates a single n from its factorization; the divisor sum is kept only in
-the tests, as an oracle.
+bytes.  F evaluates a single n from its factorization; the divisor sum is
+kept only in the tests, as an oracle.
 """
 
 from __future__ import annotations
@@ -69,6 +76,10 @@ SEGMENT = 1 << 18  # F_window sieves this many integers at a time
 MODULUS_MAX = 10 ** 5  # trivial:K and kronecker:D, whose value tables have K or |D| entries
 
 BYTES_WALK_MAX = SMALL_PRIME_LIMIT ** 2 - 1  # F_positive walks windows up to here over bytes: 2^32 - 1
+
+BYTES_F_MAX = 1_081_079  # F_bytes's values fit a byte below 1081080, the least n with 256 divisors
+
+LOG_SCALE = 12  # F_bytes's log sieve keeps round(LOG_SCALE * log2 n) in a byte
 
 
 # The residues r mod |D_2| with (D_2 / r) = -1, for each 2-part D_2 of a
@@ -258,6 +269,16 @@ def _local_factor(v: int, e: int) -> int:
     return e + 1 if v == 1 else 1 - e % 2 if v == -1 else 1
 
 
+# _LEVELS[v][e] = _local_factor(v, e): the factors of `_byte_levels`, for every exponent below 64
+_LEVELS = {v: tuple(_local_factor(v, e) for e in range(64)) for v in (1, -1)}
+
+
+@lru_cache(maxsize=None)
+def _times(k: int) -> bytes:
+    """The translate table of multiplication by k, modulo 256."""
+    return bytes(x * k & 255 for x in range(256))
+
+
 def F(psi: DirichletCharacter, n: int):
     """F_psi(n) = sum of psi over the divisors of n, evaluated multiplicatively."""
     if n < 1:
@@ -439,16 +460,16 @@ def F_positive(psi: DirichletCharacter, lo: int, hi: int) -> bytearray:
 
     Each segment starts from psi(n') != -1 for n' = n without the primes of
     the modulus (`_UnitSign`), and an odd exponent of an inert p <= isqrt(hi)
-    clears n (the criterion in the module docstring), by the bytearray slice
-    assignments of `_bytes_parity` at every height.  The height alone picks
-    where the inert primes come from: below 2^32, where they all lie below
-    2^16, arith.small_primes, so no numpy is loaded; from 2^32 on, F_window's
+    clears n (the criterion in the module docstring), by the parity levels of
+    `_byte_levels` at every height.  The height alone picks where the inert
+    primes come from: below 2^32, where they all lie below 2^16,
+    arith.small_primes, so no numpy is loaded; from 2^32 on, F_window's
     `_walk` over numpy prime blocks (`_numpy_parity`).
     """
     if hi <= BYTES_WALK_MAX:
         small = small_primes()
         inert = [p for p in small[: bisect_right(small, math.isqrt(hi))] if psi(p) == -1]
-        walk = partial(_bytes_parity, inert=inert)
+        walk = partial(_byte_levels, primes=inert, factors=_LEVELS[-1])
     else:
         walk = partial(_numpy_parity, psi=psi)
 
@@ -465,30 +486,40 @@ def _member_segment(out: bytearray, i: int, lo: int, hi: int, sign, walk) -> Non
     out[i : i + len(ok)] = ok
 
 
-def _bytes_parity(ok: bytearray, lo: int, hi: int, inert) -> None:
-    """Clear ok[n - lo] where an inert prime has an odd exponent in n, by
-    bytearray slice assignments, each of which keeps len(ok): `_numpy_parity`
-    holds a numpy view of its buffer.  Level j of p writes its multiples of
-    p^j, with 0 for odd j and with ok as it was before p (saved at the
-    multiples of p^2) for even j."""
-    w = len(ok)
-    for p in inert:
+def _byte_levels(buf: bytearray, lo: int, hi: int, primes, factors) -> None:
+    """Multiply buf[n - lo] by factors[e] for p^e || n, for each p of primes:
+    the one level walk of both byte products, F_positive's parity (factors
+    _LEVELS[-1]) and F_bytes's values (_LEVELS[1] and _LEVELS[-1]).
+
+    Level j of p rewrites its multiples of p^j with the values buf held there
+    before p (saved at the multiples of p^2) times factors[j], so each n keeps
+    the level of its own exponent, even where a lower level's factor is 0: a
+    factor 0 writes zeros, 1 the saved values, and any other k translates them
+    by _times(k).  Every slice assignment keeps len(buf), since
+    `_numpy_parity` holds a numpy view of its buffer.
+    """
+    w = len(buf)
+    one = factors[1]
+    for p in primes:
         o, p2 = -lo % p, p * p
         o2 = -lo % p2
-        if o2 >= w:  # no multiple of p^2: the one level clears
-            ok[o::p] = bytearray((w - 1 - o) // p + 1)
+        if o2 < w:  # a multiple of p^2: save what the deeper levels rewrite from
+            saved = buf[o2::p2]
+        if one == 0:
+            buf[o::p] = bytearray((w - 1 - o) // p + 1)
+        elif one != 1:
+            buf[o::p] = buf[o::p].translate(_times(one))
+        if o2 >= w:
             continue
-        saved = ok[o2::p2]
-        for e, (offset, pj) in enumerate(_multiples(p, lo, hi), 1):
-            if e % 2:
-                ok[offset::pj] = bytearray((w - 1 - offset) // pj + 1)
-            else:
-                ok[offset::pj] = saved[(offset - o2) // p2 :: pj // p2]
+        for e, (offset, pj) in enumerate(_multiples(p, lo, hi)[1:], 2):
+            k = factors[e]
+            part = saved[(offset - o2) // p2 :: pj // p2]
+            buf[offset::pj] = part if k == 1 else part.translate(_times(k)) if k else bytearray(len(part))
 
 
 def _numpy_parity(ok: bytearray, lo: int, hi: int, psi) -> None:
-    """`_bytes_parity` for the inert primes of numpy prime blocks, by
-    F_window's `_walk`: dense ones go to `_bytes_parity`, sparse ones clear
+    """The parity levels for the inert primes of numpy prime blocks, by
+    F_window's `_walk`: dense ones go to `_byte_levels`, sparse ones clear
     odd exponents in batched runs through an np.frombuffer view of ok."""
     table, k = psi.table, psi.modulus
     f = np.frombuffer(ok, dtype=np.int8)
@@ -497,7 +528,110 @@ def _numpy_parity(ok: bytearray, lo: int, hi: int, psi) -> None:
         f[pos[e % 2 == 1]] = 0  # an assignment: repeated positions are harmless
 
     inert = (b[table[b % k] == -1] for b in prime_blocks(2, math.isqrt(hi)))
-    _walk(inert, lo, hi, lambda p: _bytes_parity(ok, lo, hi, (p,)), pairs)
+    _walk(inert, lo, hi, lambda p: _byte_levels(ok, lo, hi, (p,), _LEVELS[-1]), pairs)
+
+
+def F_bytes(psi: DirichletCharacter, lo: int, hi: int) -> bytearray:
+    """F_psi on the closed window [lo, hi] (1 <= lo, hi <= BYTES_F_MAX), one
+    byte per n; the values of F_window, from arith.small_primes, with no numpy.
+
+    Each segment starts from ones and multiplies in the local factors of the
+    split and inert p <= B = isqrt(hi) by `_byte_levels` (_LEVELS[1] and
+    _LEVELS[-1]); then where a prime q > B is left of n (`_log_residue`), the
+    factor 1 + psi(q): 2 where psi(n') = 1, 0 where psi(n') = -1 (`_UnitSign`,
+    the module's one rule).  The values fit a byte: every value written is a
+    product of local factors sum_{i <= j} psi(p)^i, each in [0, j + 1] for a
+    level j <= e of p^e || n, so it lies in [0, tau(n)], and tau(n) <= 240
+    for n < 1081080, the least n with 256 divisors.  So nothing wraps up to
+    BYTES_F_MAX; BudgetError past it, before any allocation.
+    """
+    if hi > BYTES_F_MAX:
+        raise BudgetError(f"F_bytes requires hi <= {BYTES_F_MAX}")
+    small = small_primes()
+    B = math.isqrt(hi)
+    below = small[: bisect_right(small, B)]
+    walked = below + tuple(s for s, _, _ in psi.unit_parts if s > B)
+    split = [p for p in below if psi(p) == 1]
+    inert = [p for p in below if psi(p) == -1]
+
+    def setup(out, width):
+        return partial(_value_segment, out, sign=_UnitSign(psi, width), walked=walked, split=split,
+                       inert=inert)
+
+    return _segmented("F_bytes", lo, hi, bytearray, setup)
+
+
+def _value_segment(out: bytearray, i: int, lo: int, hi: int, sign, walked, split, inert) -> None:
+    """Write F_psi(n) for n in [lo, hi] into out[i :]: the level products, then
+    the leftover factor on the bytes read as ints, whose bytes never carry."""
+    f = bytearray(b"\1") * (hi - lo + 1)
+    _byte_levels(f, lo, hi, split, _LEVELS[1])
+    _byte_levels(f, lo, hi, inert, _LEVELS[-1])
+    left = int.from_bytes(_log_residue(lo, hi, walked).translate(_leftover(_log_margin(hi))), "little")
+    unit = left & int.from_bytes(sign(lo, hi), "little")  # 1 where q is left and psi(q) = 1
+    v = int.from_bytes(f, "little") & ~((left ^ unit) * 255)  # F is 0 where psi(q) = -1 ...
+    v += v & unit * 255  # ... and doubles where psi(q) = 1
+    out[i : i + len(f)] = v.to_bytes(len(f), "little")
+
+
+@lru_cache(maxsize=None)
+def _log_starts() -> tuple:
+    """starts[k] = the least n >= 1 with round(LOG_SCALE * log2 n) >= k, for
+    k < 256: the least n with n^(2 LOG_SCALE) > 2^(2k - 1), exactly (no n
+    ties, as 2^(2k - 1) is no (2 LOG_SCALE)-th power)."""
+    starts = [1]
+    for k in range(1, 256):
+        top = 1 << (2 * k - 1)
+        r = int(2 ** ((2 * k - 1) / (2 * LOG_SCALE)))
+        while r ** (2 * LOG_SCALE) > top:
+            r -= 1
+        while (r + 1) ** (2 * LOG_SCALE) <= top:
+            r += 1
+        starts.append(r + 1)
+    return tuple(starts)
+
+
+def _log_margin(hi: int) -> int:
+    """floor((1 + log2 hi) / 2): the bound on |R| where no prime is left."""
+    return hi.bit_length() // 2
+
+
+def _log_residue(lo: int, hi: int, walked) -> bytearray:
+    """R(n) mod 256 on [lo, hi], one byte per n: round(C log2 n) less
+    round(C log2 p) at each level of every p of walked, C = LOG_SCALE.
+
+    walked holds every prime up to B = isqrt(hi) and the primes of the
+    modulus above it.  Each rounding is off by at most 1/2, and n <= hi has at
+    most log2 hi prime factors, so |R| <= (1 + log2 hi) / 2, at most
+    `_log_margin(hi)`, where nothing is left of n; where a prime q > B is
+    left, R is C log2 q > 6 log2 hi to within that, and at most
+    C log2 hi + 1/2 < 256 - margin below BYTES_F_MAX.  The two ranges are
+    disjoint for every hi >= 2, so `_leftover` reads q off R mod 256.
+    """
+    starts = _log_starts()
+    k = bisect_right(starts, lo) - 1
+    res = bytearray()
+    while lo + len(res) <= hi:
+        res += bytes((k,)) * (min(hi + 1, starts[k + 1]) - lo - len(res))
+        k += 1
+    for p in walked:
+        table = _minus(bisect_right(starts, p) - 1)
+        for offset, pj in _multiples(p, lo, hi):
+            res[offset::pj] = res[offset::pj].translate(table)
+    return res
+
+
+@lru_cache(maxsize=None)
+def _minus(c: int) -> bytes:
+    """The translate table of subtraction of c, modulo 256."""
+    return bytes((x - c) & 255 for x in range(256))
+
+
+@lru_cache(maxsize=None)
+def _leftover(margin: int) -> bytes:
+    """The translate table of R mod 256 to 1 where a prime is left of n, past
+    margin either way from 0, and to 0 elsewhere."""
+    return bytes(margin < x < 256 - margin for x in range(256))
 
 
 class _UnitSign:

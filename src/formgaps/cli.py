@@ -11,7 +11,8 @@ per witness to CSV and a `witnesses` list to JSON, repr's `fn` key is in JSON
 only, verify prints one row per check, and gap prints JSON only.  Output is
 deterministic for fixed flags, whatever the thread count.  Each handler
 imports what it calls, so a process loads only its command's modules; a
-census below 2^32 keeps its masks as bytes and loads no numpy.
+census below 2^32 keeps its masks as bytes and loads no numpy, and so does a
+correlation up to n + a = 1081079, whose values F fit a byte there.
 
 COMMANDS declares each command once: its help line, handler and arguments.
 main builds the subparser of the command that argv names, and no other:
@@ -257,8 +258,9 @@ COMMON = (
     ("--out", dict(default=None, help="write output to a file instead of stdout")),
     ("--threads", dict(type=int, default=None,
                        help="worker threads; none or a value below 1 means all CPUs this "
-                            "process may use. Below 2^32 a census walks its masks over bytes "
-                            "and holds the GIL, so a second thread buys nothing there")),
+                            "process may use. Below 2^32 a census walks its masks over bytes, "
+                            "and up to n + a = 1081079 a correlation sums its values as bytes; "
+                            "both hold the GIL, so a second thread buys nothing there")),
 )
 COMMANDS = {
     "repr": ("representation counts r2 / R2 / ideal", _run_repr, (

@@ -18,7 +18,7 @@ from formgaps.census import (
     correlation_general,
     estermann_correlation,
 )
-from formgaps.characters import F, F_window, chi4, chi6, kronecker_character
+from formgaps.characters import BYTES_F_MAX, F, F_window, chi3, chi4, chi6, kronecker_character
 from formgaps.errors import BudgetError
 from formgaps.repr_sets import SQUARE2, TRIANGLE, TRIANGLE_STAR, diamond, is_member, sieve_members
 
@@ -337,6 +337,46 @@ def test_correlation_J_coprime_mask_across_chunks(small_chunks, a):
     # chunks of SMALL_CHUNK = 1000 integers start at every residue mod b = 6
     x = 12_345
     assert correlation_J(chi6(), a, x) == _separate_product(chi6(), chi4(), a, x, b=6)
+
+
+def _refuse(*args):
+    raise AssertionError("the other route was taken")
+
+
+# (psi, rho, b) of correlate's kinds: j with an odd and an even-modulus psi,
+# general over two moduli and over one, estermann
+PRODUCT_KINDS = [(chi6(), chi4(), 6), (chi4(), chi4(), 4), (chi3(), chi4(), 1),
+                 (kronecker_character(5), kronecker_character(5), 1), (chi4(), chi4(), 1)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_product_sum_routes_agree(monkeypatch, small_chunks, threads):
+    # up to n + a = BYTES_F_MAX the sum runs over F_bytes, past it over
+    # F_window: the numpy route, forced by a cap of 0, is the oracle
+    cases = [(psi, rho, a, 20_000, b) for psi, rho, b in PRODUCT_KINDS for a in (-7, 3)]
+    with monkeypatch.context() as m:
+        m.setattr(census_mod, "F_window", _refuse)
+        got = [census_mod._product_sum(psi, rho, a, x, threads, b) for psi, rho, a, x, b in cases]
+    with monkeypatch.context() as m:
+        m.setattr(census_mod, "BYTES_F_MAX", 0)
+        m.setattr(census_mod, "F_bytes", _refuse)
+        expected = [census_mod._product_sum(psi, rho, a, x, threads, b) for psi, rho, a, x, b in cases]
+    assert got == expected
+
+
+def test_product_sum_routes_meet_at_the_cap(monkeypatch):
+    # one chunk each: the last sum on the byte side, and the same sum on the numpy side
+    for psi, rho, b in PRODUCT_KINDS[::2]:
+        byte_side = census_mod._product_sum(psi, rho, 5, BYTES_F_MAX - 5, 1, b)
+        with monkeypatch.context() as m:
+            m.setattr(census_mod, "BYTES_F_MAX", 0)
+            assert census_mod._product_sum(psi, rho, 5, BYTES_F_MAX - 5, 1, b) == byte_side, psi.name
+    whole = census_mod._product_sum(chi4(), chi4(), -3, BYTES_F_MAX, 2, 1)
+    with monkeypatch.context() as m:
+        m.setattr(census_mod, "F_bytes", _refuse)  # x + 1 past the cap: numpy, unpatched
+        assert census_mod._product_sum(chi4(), chi4(), 1, BYTES_F_MAX, 2, 1) > 0
+        m.setattr(census_mod, "BYTES_F_MAX", 0)
+        assert census_mod._product_sum(chi4(), chi4(), -3, BYTES_F_MAX, 2, 1) == whole
 
 
 FIRST_USE_CHILD = """

@@ -11,9 +11,11 @@ from formgaps import characters, util
 from formgaps.analytic_constants import _is_odd
 from formgaps.arith import divisors, factorize, primes
 from formgaps.characters import (
+    BYTES_F_MAX,
     F_SIEVE_MAX,
     DirichletCharacter,
     F,
+    F_bytes,
     F_positive,
     F_sieve,
     F_window,
@@ -511,6 +513,99 @@ def test_F_positive_memory_bounded_at_large_hi():
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
     assert mask[0] == (F(chi4(), lo) > 0) and mask[-1] == (F(chi4(), lo + 999) > 0)
+
+
+# F_bytes's families: odd and even, prime and composite moduli, principal ones;
+# kronecker(12) is built as kronecker(8) is
+BYTE_CHARACTERS = (chi3(), chi4(), chi6(), kronecker_character(5), DirichletCharacter("kronecker(12)", 12, 12),
+                   kronecker_character(-7), KRONECKER_M20, kronecker_character(-23), KRONECKER_M420,
+                   trivial_character(1), trivial_character(6))
+
+
+def _check_F_bytes(chars, lo, hi):
+    refs = _F_reference(chars, lo, hi)
+    for psi, ref in zip(chars, refs):
+        values = F_bytes(psi, lo, hi)
+        assert type(values) is bytearray and len(values) == hi - lo + 1
+        got = np.frombuffer(values, dtype=np.uint8)
+        assert np.array_equal(got, F_window(psi, lo, hi)), (psi.name, lo, hi)
+        assert np.array_equal(got, ref.real), (psi.name, lo, hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lo=st.integers(min_value=1, max_value=BYTES_F_MAX),
+    width=st.integers(min_value=1, max_value=3000),
+    psi=st.sampled_from(BYTE_CHARACTERS),
+)
+@example(lo=1, width=1, psi=trivial_character(1))
+@example(lo=1, width=2, psi=chi4())  # B = 1: the modulus prime 2 is walked, never left
+@example(lo=1, width=3, psi=chi3())
+@example(lo=1, width=4, psi=kronecker_character(5))  # B = 2: 3 is left, past B
+@example(lo=BYTES_F_MAX - 2999, width=3000, psi=trivial_character(1))  # tau(n) up to the cap
+def test_F_bytes_matches_F_window(lo, width, psi):
+    _check_F_bytes([psi], lo, min(lo + width - 1, BYTES_F_MAX))
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (1, 1), (1, 2), (1, 3), (1, 4),
+    # q just above B: 11 * k for B = 10, and 1031 * k for B = 1030 (1031 is prime)
+    (1, 120),
+    (1031 * 1030 - 1500, 1031 ** 2 - 1),
+    # tau(n) = 240 at 720720 and 942480; the top of the byte range
+    (720720 - 100, 720720 + 100),
+    (942480 - 100, 942480 + 100),
+    (BYTES_F_MAX - 500, BYTES_F_MAX),
+])
+def test_F_bytes_edge_windows(lo, hi):
+    _check_F_bytes(BYTE_CHARACTERS, lo, hi)
+
+
+def test_F_bytes_walks_modulus_primes_above_B():
+    # 23 > isqrt(528) and 7 > isqrt(48): walked, so never the leftover q
+    _check_F_bytes([kronecker_character(-23)], 1, 528)
+    _check_F_bytes([kronecker_character(-23)], 400, 528)
+    _check_F_bytes([KRONECKER_M420], 1, 48)
+
+
+def test_F_bytes_over_its_whole_range():
+    _check_F_bytes(BYTE_CHARACTERS, 1, BYTES_F_MAX)
+
+
+def test_F_bytes_values_fit_a_byte():
+    # |F_psi(n)| <= tau(n) <= 240 below 1081080, the least n with 256 divisors
+    assert len(divisors(factorize(1081080))) == 256
+    assert int(F_window(trivial_character(1), 1, 1081079).max()) == 240
+    assert BYTES_F_MAX == 1081079
+    for lo in (1, BYTES_F_MAX + 1):
+        with pytest.raises(BudgetError):
+            F_bytes(trivial_character(1), lo, 1081080)  # tau = 256 would wrap to 0
+
+
+def test_log_residue_separates_the_leftover():
+    # R(n) = round(12 log2 n) less round(12 log2 p) per level of each walked p:
+    # |R| <= margin where nothing is left, and a prime q > B left gives
+    # R >= 6 log2 hi - (1 + log2 hi) / 2, below 256 - margin
+    for hi in itertools.chain(range(2, 5000), (2 ** k + d for k in range(12, 21) for d in (-1, 0, 1)),
+                              [BYTES_F_MAX]):
+        m, L = characters._log_margin(hi), math.log2(hi)
+        assert m <= (1 + L) / 2 < m + 1, hi  # |R| is an integer
+        assert 6 * L - (1 + L) / 2 > m and 12 * L + 0.5 < 256 - m, hi
+    top = np.arange(1, BYTES_F_MAX + 1, dtype=np.int64)
+    ramp = np.frombuffer(characters._log_residue(1, BYTES_F_MAX, ()), dtype=np.uint8)
+    assert np.array_equal(ramp, np.rint(12 * np.log2(top)))
+    largest = np.ones(BYTES_F_MAX + 1, dtype=np.int64)
+    for p in primes(BYTES_F_MAX).tolist():
+        largest[p::p] = p
+    for hi in (2, 3, 4, 9, 48, 528, 1000, 2 ** 16, BYTES_F_MAX):
+        B, L = math.isqrt(hi), math.log2(hi)
+        walked = tuple(primes(B).tolist())
+        r = np.frombuffer(characters._log_residue(1, hi, walked), dtype=np.uint8).astype(np.int64)
+        left = largest[1 : hi + 1] > B
+        m = characters._log_margin(hi)
+        signed = np.where(r >= 128, r - 256, r)[~left]
+        assert np.abs(signed).max() <= min(m, 3), hi
+        assert np.all(r[left] >= 6 * L - (1 + L) / 2) and np.all(r[left] < 256 - m), hi
 
 
 # one row per 2-part D_2 of disc (-4, 8, -8), each with an odd prime of the

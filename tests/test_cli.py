@@ -466,9 +466,10 @@ def test_console_entry_point():
 
 # Forms that never touch an array: in a fresh interpreter, none of them may
 # load numpy.  A census below 2^32 keeps its masks as bytes: a shared window,
-# the x = 0 head, triangle_star, a diamond and two chunks.  The census above
-# 2^32 after them loads numpy, and must still print what it did when the
-# package imported numpy eagerly.
+# the x = 0 head, triangle_star, a diamond and two chunks.  A correlation up to
+# n + a = BYTES_F_MAX sums F as bytes, up to the cap itself for the last.  The
+# census above 2^32 after them loads numpy, and must still print what it did
+# when the package imported numpy eagerly.
 NUMPY_FREE_FORMS = [
     "repr --fn r2 --n 999999999999999989",
     "repr --fn R2 --n 999999999999999877",
@@ -496,6 +497,10 @@ NUMPY_FREE_FORMS = [
     "census --set1 triangle_star --set2 square2 --a 1 --x 1000000 --len 1000",
     "census --set1 diamond:-23 --set2 triangle --a 1 --x 1 --len 600",
     f"census --set1 triangle --set2 square2 --a 1 --x 999000000 --len {DEFAULT_CHUNK} --witness-cap 2",
+    "correlate --kind j --psi chi6 --a 7 --x 100000",
+    "correlate --kind j --psi chi4 --a -5 --x 300000",
+    "correlate --kind estermann --a 3 --x 200000",
+    "correlate --kind general --psi chi4 --rho chi4 --a 2 --x 1081077",
 ]
 # argv: a module, the forms that must not load it, and one form run last
 BOUNDARY_CHILD = """
