@@ -19,14 +19,12 @@ The sieves walk the primes p <= B = isqrt(hi) of a window once, with one of
 two products.  F_window (`_walk`) multiplies exactly the local factors above,
 and the p-part of n into its smooth part; it also walks the primes of the
 modulus above B (factor 1), so what it leaves of n is prime to the modulus.
-`_strided_prime` takes the local factor as a function of e, so
-local_densities.eta_table sieves through it too.  F_positive sieves the sign
-alone.  After the primes up to B, what is left of n is 1 or one prime q > B.
-If every inert p <= B (psi(p) = -1) has an even exponent in n, the split
-primes and those even powers have psi = 1, so psi(n') = psi(q), or 1 when
-there is no q, for n' = n without the primes of the modulus.  Every kernel
-reads q by this one rule, with psi(n') from the tables of
-`DirichletCharacter.unit_parts` (`_UnitSign`).  Hence
+F_positive sieves the sign alone.  After the primes up to B, what is left of
+n is 1 or one prime q > B.  If every inert p <= B (psi(p) = -1) has an even
+exponent in n, the split primes and those even powers have psi = 1, so
+psi(n') = psi(q), or 1 when there is no q, for n' = n without the primes of
+the modulus.  Every kernel reads q by this one rule, with psi(n') from the
+tables of `DirichletCharacter.unit_parts` (`_UnitSign`).  Hence
 
     F_psi(n) > 0  iff  every inert p <= B has an even exponent in n
                        and psi(n') != -1,
@@ -42,14 +40,15 @@ BYTES_F_MAX = 1081079, where tau(n) <= 240 fits a byte, F_bytes gives the
 same values as a bytearray from arith.small_primes, and loads no numpy: it
 multiplies the factors of the split and inert p <= B into bytes, and reads
 q off a log sieve in a second bytearray (`_log_residue`) in place of the
-smooth part.  F_positive's mask is a bytearray too, one 0/1 byte per n.  The
-byte products share one level walk, `_byte_levels`: the parity levels at
-every height, and F_bytes's values.  For the mask hi alone picks where the
-inert p <= B come from.  Below 2^32 they lie below 2^16, in small_primes;
-from 2^32 on, `_walk` over numpy prime blocks hands over the dense ones and
-clears odd exponents of the sparse ones through an np.frombuffer view of the
-bytes.  F evaluates a single n from its factorization; the divisor sum is
-kept only in the tests, as an oracle.
+smooth part.  F_positive's mask is a bytearray too, one 0/1 byte per n.
+Every multiplicative sieve shares one level walk, `_levels`, on bytes and
+numpy arrays alike: the parity levels at every height, F_bytes's values,
+F_window's dense primes and local_densities.eta_table's prime powers.  For
+the mask hi alone picks where the inert p <= B come from.  Below 2^32 they
+lie below 2^16, in small_primes; from 2^32 on, `_walk` over numpy prime
+blocks hands over the dense ones and clears odd exponents of the sparse ones
+through an np.frombuffer view of the bytes.  F evaluates a single n from its
+factorization; the divisor sum is kept only in the tests, as an oracle.
 """
 
 from __future__ import annotations
@@ -58,6 +57,7 @@ import math
 from functools import cached_property, lru_cache, partial
 from bisect import bisect_right
 from itertools import chain
+from operator import mul
 
 from . import _np as np
 from .arith import MAX_INPUT, SMALL_PRIME_LIMIT, divisors, factorize, prime_blocks, small_primes
@@ -269,7 +269,7 @@ def _local_factor(v: int, e: int) -> int:
     return e + 1 if v == 1 else 1 - e % 2 if v == -1 else 1
 
 
-# _LEVELS[v][e] = _local_factor(v, e): the factors of `_byte_levels`, for every exponent below 64
+# _LEVELS[v][e] = _local_factor(v, e): the factors of `_levels`, for every exponent below 64
 _LEVELS = {v: tuple(_local_factor(v, e) for e in range(64)) for v in (1, -1)}
 
 
@@ -277,6 +277,11 @@ _LEVELS = {v: tuple(_local_factor(v, e) for e in range(64)) for v in (1, -1)}
 def _times(k: int) -> bytes:
     """The translate table of multiplication by k, modulo 256."""
     return bytes(x * k & 255 for x in range(256))
+
+
+def _translate(part: bytearray, k: int) -> bytearray:
+    """The bytes of part times k, modulo 256: the scale of `_levels` on bytes."""
+    return part.translate(_times(k))
 
 
 def F(psi: DirichletCharacter, n: int):
@@ -314,27 +319,6 @@ def _multiples(p: int, lo: int, hi: int) -> list:
         out.append((offset, pj))
         pj *= p
     return out
-
-
-def _strided_prime(f, smooth, lo: int, hi: int, p: int, local) -> None:
-    """Strided passes of the prime p, which has a multiple in the window [lo, hi].
-
-    smooth takes the p-part of each n, and f the factor local(e) of p^e || n;
-    local None means every factor is 1.  f on the multiples of p^2 is saved
-    before p's factor goes in, so each level j rewrites its multiples of p^j
-    from the saved values even where a lower level's factor is 0.
-    """
-    levels = _multiples(p, lo, hi)
-    for offset, pj in levels:
-        smooth[offset::pj] *= p
-    if local is None:
-        return
-    if len(levels) > 1:
-        o2, p2 = levels[1]
-        saved = f[o2::p2].copy()
-    f[levels[0][0] :: p] *= local(1)
-    for e, (offset, pj) in enumerate(levels[1:], 2):
-        f[offset::pj] = saved[(offset - o2) // p2 :: pj // p2] * local(e)
 
 
 def _walk(blocks, lo: int, hi: int, dense, sparse) -> None:
@@ -398,16 +382,16 @@ def F_window(psi: DirichletCharacter, lo: int, hi: int) -> np.ndarray:
     A segmented multiplicative sieve: F_psi(n) is the product over p^e || n of
     sum_{i <= e} psi(p)^i.  Each segment walks the primes p <= B = isqrt(hi)
     of arith.prime_blocks and the primes of the modulus above B, whose factor
-    is 1, once (`_walk`): each puts its local factor into the output and its
-    p-part into the smooth part of n, a sparse run unbuffered, since two primes
-    can divide one n.  Where the smooth part is not n, one prime q > B prime to
-    the modulus is left, and its factor 1 + psi(q) is read by the module's one
-    rule: 2, or 0 where psi(n') = -1 (`_UnitSign`).  The work arrays are made
-    once per call.  Memory is O(width + SEGMENT + PAIR_BLOCK) plus the bounded
-    prime cache for hi <= MAX_INPUT and width <= util.WINDOW_MAX (BudgetError
-    past either).
-    |F_psi(n)| <= tau(n) < 2^31 for n < 2^63; widen before multiplying two
-    windows.
+    is 1, once (`_walk`): each puts its p-part into the smooth part of n and
+    its local factor into the output, a dense prime by the level walk
+    `_levels`, a sparse run unbuffered, since two primes can divide one n.
+    Where the smooth part is not n, one prime q > B prime to the modulus is
+    left, and its factor 1 + psi(q) is read by the module's one rule: 2, or 0
+    where psi(n') = -1 (`_UnitSign`).  The work arrays are made once per
+    call.  Memory is O(width + SEGMENT + PAIR_BLOCK) plus the bounded prime
+    cache for hi <= MAX_INPUT and width <= util.WINDOW_MAX (BudgetError past
+    either).  |F_psi(n)| <= tau(n) < 2^31 for n < 2^63; widen before
+    multiplying two windows.
     """
 
     def setup(out, width):
@@ -427,10 +411,13 @@ def _sieve_segment(out: np.ndarray, i: int, lo: int, hi: int, psi, sign, work) -
     smooth, ramp, left = (w[: f.size] for w in work)
     f[:] = 1
     smooth[:] = 1
-    rules = {v: partial(_local_factor, v) for v in (1, -1)}  # psi(p) = 0 leaves f as it is
 
     def strided(p):
-        _strided_prime(f, smooth, lo, hi, p, rules.get(values[p % k]))
+        for offset, pj in _multiples(p, lo, hi):
+            smooth[offset::pj] *= p
+        v = values[p % k]
+        if v:  # psi(p) = 0 leaves f as it is
+            _levels(f, lo, hi, (p,), _LEVELS[v], mul)
 
     def pairs(p, pos, e):
         v = table[p % k]
@@ -461,7 +448,7 @@ def F_positive(psi: DirichletCharacter, lo: int, hi: int) -> bytearray:
     Each segment starts from psi(n') != -1 for n' = n without the primes of
     the modulus (`_UnitSign`), and an odd exponent of an inert p <= isqrt(hi)
     clears n (the criterion in the module docstring), by the parity levels of
-    `_byte_levels` at every height.  The height alone picks where the inert
+    `_levels` at every height.  The height alone picks where the inert
     primes come from: below 2^32, where they all lie below 2^16,
     arith.small_primes, so no numpy is loaded; from 2^32 on, F_window's
     `_walk` over numpy prime blocks (`_numpy_parity`).
@@ -469,7 +456,7 @@ def F_positive(psi: DirichletCharacter, lo: int, hi: int) -> bytearray:
     if hi <= BYTES_WALK_MAX:
         small = small_primes()
         inert = [p for p in small[: bisect_right(small, math.isqrt(hi))] if psi(p) == -1]
-        walk = partial(_byte_levels, primes=inert, factors=_LEVELS[-1])
+        walk = partial(_levels, primes=inert, factors=_LEVELS[-1])
     else:
         walk = partial(_numpy_parity, psi=psi)
 
@@ -486,16 +473,20 @@ def _member_segment(out: bytearray, i: int, lo: int, hi: int, sign, walk) -> Non
     out[i : i + len(ok)] = ok
 
 
-def _byte_levels(buf: bytearray, lo: int, hi: int, primes, factors) -> None:
+def _levels(buf, lo: int, hi: int, primes, factors, scale=_translate) -> None:
     """Multiply buf[n - lo] by factors[e] for p^e || n, for each p of primes:
-    the one level walk of both byte products, F_positive's parity (factors
-    _LEVELS[-1]) and F_bytes's values (_LEVELS[1] and _LEVELS[-1]).
+    the one level walk of every multiplicative sieve.  buf is a bytearray,
+    scaled by `_translate`: F_positive's parity (factors _LEVELS[-1]) and
+    F_bytes's values (_LEVELS[1] and _LEVELS[-1]).  Or it is a numpy array,
+    scaled by operator.mul: F_window's dense primes (_LEVELS[psi(p)]) and
+    local_densities.eta_table (eta_a(p^e)).
 
     Level j of p rewrites its multiples of p^j with the values buf held there
     before p (saved at the multiples of p^2) times factors[j], so each n keeps
     the level of its own exponent, even where a lower level's factor is 0: a
-    factor 0 writes zeros, 1 the saved values, and any other k translates them
-    by _times(k).  Every slice assignment keeps len(buf), since
+    factor 0 writes zeros, 1 the saved values, and any other k scale(part, k).
+    The saved slice is copied, since a numpy slice is a view that level 1
+    would overwrite.  Every slice assignment keeps len(buf), since
     `_numpy_parity` holds a numpy view of its buffer.
     """
     w = len(buf)
@@ -504,23 +495,24 @@ def _byte_levels(buf: bytearray, lo: int, hi: int, primes, factors) -> None:
         o, p2 = -lo % p, p * p
         o2 = -lo % p2
         if o2 < w:  # a multiple of p^2: save what the deeper levels rewrite from
-            saved = buf[o2::p2]
+            saved = buf[o2::p2].copy()
         if one == 0:
             buf[o::p] = bytearray((w - 1 - o) // p + 1)
         elif one != 1:
-            buf[o::p] = buf[o::p].translate(_times(one))
+            buf[o::p] = scale(buf[o::p], one)
         if o2 >= w:
             continue
         for e, (offset, pj) in enumerate(_multiples(p, lo, hi)[1:], 2):
             k = factors[e]
             part = saved[(offset - o2) // p2 :: pj // p2]
-            buf[offset::pj] = part if k == 1 else part.translate(_times(k)) if k else bytearray(len(part))
+            buf[offset::pj] = part if k == 1 else scale(part, k) if k else bytearray(len(part))
 
 
 def _numpy_parity(ok: bytearray, lo: int, hi: int, psi) -> None:
     """The parity levels for the inert primes of numpy prime blocks, by
-    F_window's `_walk`: dense ones go to `_byte_levels`, sparse ones clear
-    odd exponents in batched runs through an np.frombuffer view of ok."""
+    F_window's `_walk`: dense ones go to the level walk `_levels` on the
+    bytes of ok, sparse ones clear odd exponents in batched runs through an
+    np.frombuffer view of ok."""
     table, k = psi.table, psi.modulus
     f = np.frombuffer(ok, dtype=np.int8)
 
@@ -528,7 +520,7 @@ def _numpy_parity(ok: bytearray, lo: int, hi: int, psi) -> None:
         f[pos[e % 2 == 1]] = 0  # an assignment: repeated positions are harmless
 
     inert = (b[table[b % k] == -1] for b in prime_blocks(2, math.isqrt(hi)))
-    _walk(inert, lo, hi, lambda p: _byte_levels(ok, lo, hi, (p,), _LEVELS[-1]), pairs)
+    _walk(inert, lo, hi, lambda p: _levels(ok, lo, hi, (p,), _LEVELS[-1]), pairs)
 
 
 def F_bytes(psi: DirichletCharacter, lo: int, hi: int) -> bytearray:
@@ -536,7 +528,7 @@ def F_bytes(psi: DirichletCharacter, lo: int, hi: int) -> bytearray:
     byte per n; the values of F_window, from arith.small_primes, with no numpy.
 
     Each segment starts from ones and multiplies in the local factors of the
-    split and inert p <= B = isqrt(hi) by `_byte_levels` (_LEVELS[1] and
+    split and inert p <= B = isqrt(hi) by `_levels` (_LEVELS[1] and
     _LEVELS[-1]); then where a prime q > B is left of n (`_log_residue`), the
     factor 1 + psi(q): 2 where psi(n') = 1, 0 where psi(n') = -1 (`_UnitSign`,
     the module's one rule).  The values fit a byte: every value written is a
@@ -565,8 +557,8 @@ def _value_segment(out: bytearray, i: int, lo: int, hi: int, sign, walked, split
     """Write F_psi(n) for n in [lo, hi] into out[i :]: the level products, then
     the leftover factor on the bytes read as ints, whose bytes never carry."""
     f = bytearray(b"\1") * (hi - lo + 1)
-    _byte_levels(f, lo, hi, split, _LEVELS[1])
-    _byte_levels(f, lo, hi, inert, _LEVELS[-1])
+    _levels(f, lo, hi, split, _LEVELS[1])
+    _levels(f, lo, hi, inert, _LEVELS[-1])
     left = int.from_bytes(_log_residue(lo, hi, walked).translate(_leftover(_log_margin(hi))), "little")
     unit = left & int.from_bytes(sign(lo, hi), "little")  # 1 where q is left and psi(q) = 1
     v = int.from_bytes(f, "little") & ~((left ^ unit) * 255)  # F is 0 where psi(q) = -1 ...

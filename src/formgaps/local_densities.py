@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
+from operator import mul
 
 from . import _np as np
 from .arith import factorize, is_prime, nu, primes
-from .characters import _strided_prime, chi4
+from .characters import _levels, _multiples, chi4
 from .errors import BudgetError, InvariantError
 from .util import chunk_ranges
 
@@ -126,11 +127,12 @@ def lambda_bar(a: int, n: int) -> Fraction:
 def eta_table(a: int, n_max: int) -> np.ndarray:
     """eta_a(n) for n = 0..n_max (entry 0 unused), as a multiplicative sieve.
 
-    The primes p <= isqrt(n_max), and the prime factors of a up to n_max, go
-    through characters._strided_prime with the factor eta_a(p^e) at p^e || n,
-    which also collects the smooth part of n.  What is left of n is 1 or one
-    prime q that does not divide a (a != 0), where eta_a(q) = q - chi4(q), or
-    q + chi4(q) (q - 1) when a = 0.  Treat the result as read-only: it is
+    Each prime p <= isqrt(n_max), and each prime factor of a up to n_max,
+    puts its p-part into the smooth part of n and goes through the level walk
+    characters._levels with the factors (1, eta_a(p), eta_a(p^2), ...), one
+    per level, so n takes eta_a(p^e) at p^e || n.  What is left of n is 1 or
+    one prime q that does not divide a (a != 0), where eta_a(q) = q - chi4(q),
+    or q + chi4(q) (q - 1) when a = 0.  Treat the result as read-only: it is
     cached.
     """
     out = np.ones(n_max + 1, dtype=np.int64)
@@ -141,7 +143,11 @@ def eta_table(a: int, n_max: int) -> np.ndarray:
     if a:
         ps += [p for p, _ in factorize(abs(a)).factors if root < p <= n_max]
     for p in ps:
-        _strided_prime(out[1:], smooth[1:], 1, n_max, p, partial(_eta_prime_power, a, p))
+        levels = _multiples(p, 1, n_max)
+        for offset, pj in levels:
+            smooth[1 + offset :: pj] *= p
+        factors = [1] + [_eta_prime_power(a, p, e) for e in range(1, len(levels) + 1)]
+        _levels(out[1:], 1, n_max, (p,), factors, mul)
     q = np.arange(n_max + 1, dtype=np.int64) // smooth
     chi = chi4().table[q % 4]
     out *= np.where(q > 1, q - chi, 1) if a else q + chi * (q - 1)

@@ -199,6 +199,10 @@ def test_F_examples():
     assert F(chi6(), 1) == 1
     assert F(chi6(), 5) == 0
     assert F(chi3(), 7) == 2
+    # prime powers: e + 1 at a split p, the parity of e at an inert one
+    assert F(chi4(), 25) == 3
+    assert F(chi4(), 9) == 1 and F(chi4(), 27) == 0
+    assert F(chi3(), 7 ** 3 * 4) == 4
 
 
 def test_F_multiplicative_on_coprime_pairs():
@@ -250,6 +254,18 @@ def test_F_sieve_matches_per_n():
         sv = F_sieve(psi, 10_000)
         for n in range(1, 10_001):
             assert int(sv[n]) == F(psi, n)
+
+
+def test_F_window_row():
+    # the row of test_F_sieve_row read off F_window itself, and every n up to
+    # 2000 against F: the primes below 16 are dense there, so 2^10, 3^6, 5^4,
+    # 7^3, 11^3 and 13^2 take the level walk with the factors e + 1 and the
+    # parity of e
+    assert F_window(chi4(), 1, 10).tolist() == [1, 1, 0, 1, 2, 0, 0, 1, 1, 2]
+    assert F_window(chi3(), 7, 7).tolist() == [2]
+    assert F_window(trivial_character(1), 1, 5).tolist() == [1, 2, 2, 3, 2]
+    for psi in REALS + (kronecker_character(5), trivial_character(1)):
+        assert F_window(psi, 1, 2000).tolist() == [F(psi, n) for n in range(1, 2001)], psi.name
 
 
 def test_F_window_deep_offsets():
@@ -400,6 +416,11 @@ def test_F_window_sparse_runs(monkeypatch, lo, width):
         (kronecker_character(-23), 1, 528),
         (KRONECKER_M420, 1, 48),
         (KRONECKER_M99991, 5 * 99991 - 300, 5 * 99991 + 300),
+        # a dense split prime reaches deep levels above 2^31, on int64 smooth
+        # parts: 5^14, 7^12 and 11^9 take the factors 15, 13 and 10
+        (chi4(), 5 ** 14 - 2000, 5 ** 14 + 2000),
+        (chi3(), 7 ** 12 - 2000, 7 ** 12 + 2000),
+        (kronecker_character(5), 11 ** 9 - 2000, 11 ** 9 + 2000),
     ],
 )
 def test_F_window_edge_windows(psi, lo, hi):
